@@ -68,6 +68,8 @@ def cmd_comass(spec, args, out_dir, base_dir):
             "value": res.value,
             "method": res.method,
             "restarts_used": res.restarts_used,
+            "iterations": res.iterations,
+            "converged": res.converged,
             "maximizer": res.maximizer.matrix.tolist(),
         },
     )
@@ -93,6 +95,7 @@ def cmd_glue_sweep(spec, args, out_dir, base_dir):
             "command": "glue-sweep",
             "worst_violation": report.worst_violation,
             "endpoint_comasses": list(report.endpoint_comasses),
+            "unconverged_points": report.unconverged_points,
             "passed": report.worst_violation <= args.tol,
         },
     )

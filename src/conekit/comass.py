@@ -2,11 +2,18 @@
 
 The optimizer runs multi-restart projected gradient ascent over ordered
 m-frames, re-orthonormalized each step; restarts are vectorized and merged by
-max, deterministic for a fixed seed.  Independent ground truth comes from a
-seeded brute-force sampler, from the reformulation of the comass as
-1 / min {Gram norm : phi(Q) = 1}, and from analytic oracles in degree one
-(dual norm) and degree two (largest singular value of the whitened skew
-coefficient matrix).
+max, deterministic for a fixed seed.
+
+Every frame evaluation and gradient, here and in the independent checks,
+goes through one batched interior-product kernel from ``exterior``:
+phi(u_1, ..., u_m) = iota_{u_m} ... iota_{u_1} phi, where each iota is a
+gather through a signed index table plus a batched mat-vec, so memory stays
+O(R n C(n, m-1)) for R frames.
+
+Independent ground truth comes from a seeded brute-force sampler, from the
+reformulation of the comass as 1 / min {Gram norm : phi(Q) = 1}, and from
+analytic oracles in degree one (dual norm) and degree two (largest singular
+value of the whitened skew coefficient matrix).
 
 Also provides the canonical decomposition of a form with respect to a simple
 m-vector it evaluates to 1 on, the adapted metric that renormalizes the
@@ -26,7 +33,8 @@ from .exterior import (
     AlternatingForm,
     MetricTensor,
     SimpleVector,
-    _index_rows,
+    _contract_frames,
+    _interior_matrix,
     evaluate,
     gram_norm,
     multi_indices,
@@ -50,10 +58,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ComassResult:
+    """``iterations`` counts ascent steps; ``converged`` is False when
+    ``max_iters`` ran out before every restart's step fell below ``tol``."""
+
     value: float
     maximizer: SimpleVector
     method: str
     restarts_used: int
+    iterations: int
+    converged: bool
 
 
 @dataclass(frozen=True)
@@ -93,35 +106,31 @@ class Decomposition:
 # batched frame evaluation
 
 
-def _cofactor_batch(A: np.ndarray) -> np.ndarray:
-    """d det(A)/dA for a batch of square matrices A of shape (..., m, m)."""
-    m = A.shape[-1]
+def _eval_batch(first: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """phi(U) = iota_{u_m} ... iota_{u_1} phi for frames U of shape (R, n, m).
+
+    ``first`` is ``_interior_matrix(phi)``, so the first contraction is one
+    matmul shared by the whole batch.
+    """
+    m = U.shape[2]
+    return _contract_frames(U[:, :, 0] @ first, U[:, :, 1:], m - 1)[:, 0]
+
+
+def _grad_batch(first: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """Gradient of phi(U) with respect to the frame entries, shape (R, n, m).
+
+    phi is linear in column a, and moving u_a to the last slot gives
+    d phi / d u_a = (-1)^(m-1-a) iota of the other columns, in order.
+    """
+    R, n, m = U.shape
     if m == 1:
-        return np.ones_like(A)
-    cof = np.empty_like(A)
-    keep = [[i for i in range(m) if i != a] for a in range(m)]
+        return np.broadcast_to(first, (R, n, 1)).copy()
+    heads = U.transpose(0, 2, 1) @ first  # (R, m, C(n, m-1)): iota_{u_c} phi
+    grad = np.empty_like(U)
     for a in range(m):
-        for b in range(m):
-            minor = A[..., keep[a], :][..., :, keep[b]]
-            cof[..., a, b] = (-1.0) ** (a + b) * np.linalg.det(minor)
-    return cof
-
-
-def _eval_batch(coeff: np.ndarray, rows: np.ndarray, U: np.ndarray) -> np.ndarray:
-    """phi(U) for a batch of frames U of shape (R, n, m)."""
-    minors = U[:, rows, :]  # (R, C, m, m)
-    return np.linalg.det(minors) @ coeff
-
-
-def _grad_batch(coeff: np.ndarray, rows: np.ndarray, U: np.ndarray) -> np.ndarray:
-    """Gradient of phi(U) with respect to the frame entries."""
-    minors = U[:, rows, :]
-    cof = _cofactor_batch(minors)  # (R, C, m, m)
-    grad = np.zeros_like(U)
-    for pos in range(rows.shape[0]):
-        c = coeff[pos]
-        if c != 0.0:
-            grad[:, rows[pos], :] += c * cof[:, pos]
+        rest = [c for c in range(m) if c != a]
+        tail = _contract_frames(heads[:, rest[0]], U[:, :, rest[1:]], m - 1)
+        grad[:, :, a] = (-1.0) ** (m - 1 - a) * tail
     return grad
 
 
@@ -139,6 +148,8 @@ def _whitened_vector(phi: AlternatingForm, g: MetricTensor) -> np.ndarray:
 def _check_pair(phi: AlternatingForm, g: MetricTensor):
     if phi.n != g.n:
         raise ValueError(f"form on R^{phi.n} but metric on R^{g.n}")
+    if phi.m == 0:
+        raise ValueError("comass is defined for forms of degree at least 1")
 
 
 def comass(
@@ -161,8 +172,7 @@ def comass(
     if phi.is_zero():
         raise ValueError("comass of the zero form is degenerate; refusing")
     n, m = phi.n, phi.m
-    coeff = _whitened_vector(phi, g)
-    rows = _index_rows(n, m)
+    first = _interior_matrix(_whitened_vector(phi, g), n, m)
     rng = np.random.default_rng(seed)
 
     starts = [rng.standard_normal((restarts, n, m))] if restarts > 0 else []
@@ -173,18 +183,19 @@ def comass(
     U = _orthonormalize(np.concatenate(starts, axis=0))
     R = U.shape[0]
 
-    f = _eval_batch(coeff, rows, U)
+    f = _eval_batch(first, U)
     neg = f < 0.0
     U[neg, :, 0] *= -1.0
     f = np.abs(f)
     step = np.full(R, 0.5)
 
-    for _ in range(max_iters):
-        grad = _grad_batch(coeff, rows, U)
+    iterations, converged = 0, False
+    for iterations in range(1, max_iters + 1):
+        grad = _grad_batch(first, U)
         gnorm = np.linalg.norm(grad.reshape(R, -1), axis=1)
         gnorm[gnorm == 0.0] = 1.0
         trial = _orthonormalize(U + (step / gnorm)[:, None, None] * grad)
-        ft = _eval_batch(coeff, rows, trial)
+        ft = _eval_batch(first, trial)
         tneg = ft < 0.0
         trial[tneg, :, 0] *= -1.0
         ft = np.abs(ft)
@@ -195,6 +206,7 @@ def comass(
         step[~better] *= 0.5
         np.minimum(step, 1.0, out=step)
         if np.all(step < tol):
+            converged = True
             break
 
     best = int(np.argmax(f))
@@ -204,6 +216,8 @@ def comass(
         maximizer=SimpleVector.from_matrix(V_best),
         method="optimizer",
         restarts_used=R,
+        iterations=iterations,
+        converged=converged,
     )
 
 
@@ -226,13 +240,12 @@ def comass_bruteforce(
     if sample_count < 1:
         raise ValueError("sample_count must be >= 1")
     n, m = phi.n, phi.m
-    coeff = phi.vector
-    rows = _index_rows(n, m)
+    first = _interior_matrix(phi.vector, n, m)
     gmat = g.matrix
     rng = np.random.default_rng(seed)
 
     def ratios(V):
-        vals = np.abs(_eval_batch(coeff, rows, V))
+        vals = np.abs(_eval_batch(first, V))
         grams = np.linalg.det(np.einsum("rna,nk,rkb->rab", V, gmat, V))
         out = np.zeros_like(vals)
         ok = grams > 1e-300
@@ -283,16 +296,15 @@ def comass_via_min(
     if phi.is_zero():
         raise ValueError("constraint set phi(Q)=1 is empty for the zero form")
     n, m = phi.n, phi.m
-    coeff = phi.vector
-    rows = _index_rows(n, m)
+    first = _interior_matrix(phi.vector, n, m)
     gmat = g.matrix
     rng = np.random.default_rng(seed)
 
     def _eval1(V):
-        return float(_eval_batch(coeff, rows, V[None])[0])
+        return float(_eval_batch(first, V[None])[0])
 
     def _grad1(V):
-        return _grad_batch(coeff, rows, V[None])[0]
+        return _grad_batch(first, V[None])[0]
 
     def objective(x):
         V = x.reshape(n, m)
@@ -357,21 +369,11 @@ def comass_analytic(phi: AlternatingForm, g: MetricTensor) -> float:
 def _lambda_matrix(phi: AlternatingForm, V: np.ndarray) -> np.ndarray:
     """Rows are the covectors lambda_i(v) = phi(eta_i ^ v) of the decomposition.
 
-    eta_i = (-1)^(m+i) v_1 ^ ... ^ hat v_i ^ ... ^ v_m; for m = 1 the single
-    covector is phi itself.
+    eta_i = (-1)^(m+i) v_1 ^ ... ^ hat v_i ^ ... ^ v_m, so lambda_i is the
+    gradient of phi(V) in the i-th factor; for m = 1 it is phi itself.
     """
-    n = phi.n
-    m = V.shape[1]
-    if m == 1:
-        return phi.vector[None, :].copy()
-    eye = np.eye(n)
-    lam = np.zeros((m, n))
-    for i in range(1, m + 1):
-        sign = (-1.0) ** (m + i)
-        facs = [V[:, j] for j in range(m) if j != i - 1]
-        for j in range(n):
-            lam[i - 1, j] = sign * evaluate(phi, SimpleVector(facs + [eye[j]]))
-    return lam
+    first = _interior_matrix(phi.vector, phi.n, phi.m)
+    return _grad_batch(first, V[None])[0].T
 
 
 def decompose(phi: AlternatingForm, xi: SimpleVector, *, tol: float = 1e-9) -> Decomposition:

@@ -32,9 +32,9 @@ __all__ = [
 
 ATOL = 1e-12
 
-# Beyond this ambient dimension a dense coefficient vector over C(n, m)
-# multi-indices gets wasteful; we fall back to sparse dict storage.
-DENSE_LIMIT = 16
+# Largest supported ambient dimension: coefficients are stored densely over
+# all C(n, m) multi-indices, and the interior-product tables grow with them.
+MAX_DIMENSION = 16
 
 
 class DimensionMismatchError(ValueError):
@@ -59,6 +59,54 @@ def _index_rows(n: int, m: int) -> np.ndarray:
     if idx.size == 0:
         idx = idx.reshape(-1, m)
     return idx - 1
+
+
+@lru_cache(maxsize=None)
+def _interior_table(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Signed gather table of the interior product on degree-k forms.
+
+    Returns (pos, sign), both of shape (n, C(n, k-1)), with
+    (iota_{e_i} psi)_J = sign[i, J] * psi[pos[i, J]] for psi over the
+    lexicographic multi-indices of degree k.  When i is in J, pos[i, J] is
+    C(n, k), the slot of a zero padded onto psi, and sign[i, J] is 0.
+    """
+    position = _index_position(n, k)
+    lower = multi_indices(n, k - 1)
+    pos = np.full((n, len(lower)), math.comb(n, k), dtype=np.intp)
+    sign = np.zeros((n, len(lower)))
+    for col, J in enumerate(lower):
+        for i in range(1, n + 1):
+            if i not in J:
+                before = sum(1 for j in J if j < i)
+                pos[i - 1, col] = position[tuple(sorted(J + (i,)))]
+                sign[i - 1, col] = -1.0 if before % 2 else 1.0
+    pos.flags.writeable = False
+    sign.flags.writeable = False
+    return pos, sign
+
+
+def _interior_matrix(vec: np.ndarray, n: int, k: int) -> np.ndarray:
+    """(n, C(n, k-1)) matrix whose row i is iota_{e_i} psi, so that
+    iota_u psi = u @ matrix for one degree-k coefficient vector psi."""
+    pos, sign = _interior_table(n, k)
+    return np.append(vec, 0.0)[pos] * sign
+
+
+def _contract_batch(psi: np.ndarray, u: np.ndarray, k: int) -> np.ndarray:
+    """iota_u psi row by row: psi (R, C(n, k)) and u (R, n) give (R, C(n, k-1))."""
+    pos, sign = _interior_table(u.shape[1], k)
+    padded = np.concatenate([psi, np.zeros((psi.shape[0], 1))], axis=1)
+    gathered = padded.take(pos, axis=1)  # (R, n, C(n, k-1))
+    gathered *= sign
+    return (u[:, None, :] @ gathered)[:, 0]
+
+
+def _contract_frames(psi: np.ndarray, U: np.ndarray, k: int) -> np.ndarray:
+    """Contract the columns of frames U (R, n, r) into psi (R, C(n, k)) in
+    order, u_1 first: iota_{u_r} ... iota_{u_1} psi, shape (R, C(n, k-r))."""
+    for c in range(U.shape[2]):
+        psi = _contract_batch(psi, U[:, :, c], k - c)
+    return psi
 
 
 class MultiIndex:
@@ -107,43 +155,37 @@ def _as_key(I) -> tuple[int, ...]:
 class AlternatingForm:
     """Degree-m alternating form on R^n with constant coefficients.
 
-    ``coeffs`` maps strictly increasing multi-indices to reals; evaluation on
-    standard basis vectors e_{i_1}, ..., e_{i_m} returns the coefficient of
-    (i_1, ..., i_m).
+    ``coeffs`` maps strictly increasing multi-indices to reals, or is the
+    dense coefficient vector; evaluation on standard basis vectors
+    e_{i_1}, ..., e_{i_m} returns the coefficient of (i_1, ..., i_m).
+    Ambient dimensions beyond MAX_DIMENSION are rejected.
     """
 
     def __init__(self, n: int, m: int, coeffs=None):
         n, m = int(n), int(m)
         if not 0 <= m <= n:
             raise DimensionMismatchError(f"degree m={m} outside [0, n={n}]")
+        if n > MAX_DIMENSION:
+            raise DimensionMismatchError(
+                f"ambient dimension n={n} exceeds the supported maximum {MAX_DIMENSION}"
+            )
         self._n = n
         self._m = m
-        self._dense = n <= DENSE_LIMIT
-        if self._dense:
-            vec = np.zeros(math.comb(n, m))
-            if coeffs is not None:
-                if isinstance(coeffs, np.ndarray):
-                    if coeffs.shape != vec.shape:
-                        raise DimensionMismatchError(
-                            f"coefficient vector has shape {coeffs.shape}, "
-                            f"expected {vec.shape}"
-                        )
-                    vec = coeffs.astype(float).copy()
-                else:
-                    pos = _index_position(n, m)
-                    for I, c in dict(coeffs).items():
-                        vec[pos[self._check_key(I)]] = float(c)
-            vec.flags.writeable = False
-            self._vec = vec
-            self._map = None
-        else:
-            self._vec = None
-            cmap = {}
-            if coeffs is not None:
+        vec = np.zeros(math.comb(n, m))
+        if coeffs is not None:
+            if isinstance(coeffs, np.ndarray):
+                if coeffs.shape != vec.shape:
+                    raise DimensionMismatchError(
+                        f"coefficient vector has shape {coeffs.shape}, "
+                        f"expected {vec.shape}"
+                    )
+                vec = coeffs.astype(float).copy()
+            else:
+                pos = _index_position(n, m)
                 for I, c in dict(coeffs).items():
-                    if c != 0.0:
-                        cmap[self._check_key(I)] = float(c)
-            self._map = cmap
+                    vec[pos[self._check_key(I)]] = float(c)
+        vec.flags.writeable = False
+        self._vec = vec
 
     def _check_key(self, I) -> tuple[int, ...]:
         key = _as_key(I)
@@ -176,37 +218,23 @@ class AlternatingForm:
     @property
     def vector(self) -> np.ndarray:
         """Dense coefficient vector over lexicographic multi-indices."""
-        if self._dense:
-            return self._vec
-        vec = np.zeros(math.comb(self._n, self._m))
-        pos = _index_position(self._n, self._m)
-        for I, c in self._map.items():
-            vec[pos[I]] = c
-        return vec
+        return self._vec
 
     @property
     def coeffs(self) -> dict[tuple[int, ...], float]:
-        if self._dense:
-            idx = multi_indices(self._n, self._m)
-            return {I: c for I, c in zip(idx, self._vec) if c != 0.0}
-        return dict(self._map)
+        idx = multi_indices(self._n, self._m)
+        return {I: c for I, c in zip(idx, self._vec) if c != 0.0}
 
     def coeff(self, I) -> float:
         key = self._check_key(I)
-        if self._dense:
-            return float(self._vec[_index_position(self._n, self._m)[key]])
-        return self._map.get(key, 0.0)
+        return float(self._vec[_index_position(self._n, self._m)[key]])
 
     def is_zero(self, atol: float = ATOL) -> bool:
-        if self._dense:
-            return bool(np.all(np.abs(self._vec) <= atol))
-        return all(abs(c) <= atol for c in self._map.values())
+        return bool(np.all(np.abs(self._vec) <= atol))
 
     def norm(self) -> float:
         """Euclidean norm of the coefficient vector (not the comass)."""
-        if self._dense:
-            return float(np.linalg.norm(self._vec))
-        return math.sqrt(sum(c * c for c in self._map.values()))
+        return float(np.linalg.norm(self._vec))
 
     def _binary_check(self, other: "AlternatingForm"):
         if not isinstance(other, AlternatingForm):
@@ -219,12 +247,7 @@ class AlternatingForm:
 
     def __add__(self, other):
         self._binary_check(other)
-        if self._dense:
-            return AlternatingForm(self._n, self._m, self._vec + other.vector)
-        out = dict(self._map)
-        for I, c in other.coeffs.items():
-            out[I] = out.get(I, 0.0) + c
-        return AlternatingForm(self._n, self._m, out)
+        return AlternatingForm(self._n, self._m, self._vec + other.vector)
 
     def __sub__(self, other):
         return self + (-other)
@@ -233,12 +256,7 @@ class AlternatingForm:
         return self * (-1.0)
 
     def __mul__(self, scalar):
-        s = float(scalar)
-        if self._dense:
-            return AlternatingForm(self._n, self._m, self._vec * s)
-        return AlternatingForm(
-            self._n, self._m, {I: c * s for I, c in self._map.items()}
-        )
+        return AlternatingForm(self._n, self._m, self._vec * float(scalar))
 
     __rmul__ = __mul__
 
@@ -432,15 +450,10 @@ def contract(eta: SimpleVector, phi: AlternatingForm) -> AlternatingForm:
     r, p = eta.m, phi.m
     if r > p:
         raise DimensionMismatchError(f"cannot contract degree {r} into degree {p}")
-    q = p - r
-    eye = np.eye(phi.n)
-    out = {}
-    for J in multi_indices(phi.n, q):
-        factors = eta.factors + [eye[j - 1] for j in J]
-        val = evaluate(phi, SimpleVector(factors))
-        if val != 0.0:
-            out[J] = val
-    return AlternatingForm(phi.n, q, out)
+    U = eta.matrix[None]
+    psi = U[:, :, 0] @ _interior_matrix(phi.vector, phi.n, p)
+    psi = _contract_frames(psi, U[:, :, 1:], p - 1)
+    return AlternatingForm.from_vector(phi.n, p - r, psi[0])
 
 
 def gram_norm(Q: SimpleVector, g: MetricTensor) -> float:

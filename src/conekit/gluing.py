@@ -52,13 +52,18 @@ class RelativeSpectrum:
 
 @dataclass
 class GluingReport:
-    """Per-grid-point comass measurements and upper bounds for g(s)."""
+    """Per-grid-point comass measurements and upper bounds for g(s).
+
+    ``unconverged_points`` counts grid points whose comass optimizer hit its
+    iteration limit, so their values may sit below the true comass.
+    """
 
     s_grid: np.ndarray
     comass_values: np.ndarray
     ccgp_bounds: np.ndarray
     improved_bounds: np.ndarray
     worst_violation: float
+    unconverged_points: int
     endpoint_comasses: tuple[float, float] = (np.nan, np.nan)
     maximizers: list = field(default_factory=list, repr=False)
 
@@ -202,12 +207,14 @@ def verify_gluing_bound(
     ccgps = np.empty_like(s_grid)
     improveds = np.empty_like(s_grid)
     maximizers = []
+    unconverged = 0
     warm = [c1.maximizer.matrix, c2.maximizer.matrix]
     m = phi.m
     for i, s in enumerate(s_grid):
         gs = glued_metric(g1, g2, s)
         res = comass(phi, gs, warm_starts=warm, **opts)
         comasses[i] = res.value
+        unconverged += not res.converged
         maximizers.append(res.maximizer)
         warm = [res.maximizer.matrix, c2.maximizer.matrix]
         total = 0.0
@@ -226,6 +233,7 @@ def verify_gluing_bound(
         ccgp_bounds=ccgps,
         improved_bounds=improveds,
         worst_violation=worst,
+        unconverged_points=unconverged,
         endpoint_comasses=(c1.value, c2.value),
         maximizers=maximizers,
     )

@@ -89,6 +89,8 @@ def test_comass_rejects_zero_form_and_mismatch():
         comass(AlternatingForm(4, 2), MetricTensor.euclidean(4))
     with pytest.raises(ValueError):
         comass(AlternatingForm.basis(4, (1, 2)), MetricTensor.euclidean(5))
+    with pytest.raises(ValueError, match="degree at least 1"):
+        comass(AlternatingForm(4, 0, {(): 2.0}), MetricTensor.euclidean(4))
 
 
 def test_bruteforce_lower_bound_and_convergence():

@@ -62,17 +62,6 @@ def test_form_arithmetic():
         a + AlternatingForm.basis(4, (1, 2))
 
 
-def test_sparse_storage_beyond_dense_limit():
-    n = 20
-    phi = AlternatingForm(n, 2, {(1, 2): 3.0, (19, 20): -1.0})
-    assert phi.coeff((19, 20)) == -1.0
-    assert phi.coeff((5, 6)) == 0.0
-    Q = SimpleVector.basis(n, (19, 20))
-    assert evaluate(phi, Q) == -1.0
-    psi = phi + phi
-    assert psi.coeff((1, 2)) == 6.0
-
-
 def test_wedge_bilinear_and_anticommutative():
     rng = np.random.default_rng(0)
     n = 5

@@ -96,6 +96,7 @@ def test_cli_comass_job(tmp_path):
     assert code == 0
     report = read_json(str(out / "report.json"))
     assert abs(report["value"] - 1.0) < 1e-8
+    assert report["converged"] is True and 0 < report["iterations"] <= 400
     manifest = read_json(str(out / "manifest.json"))
     assert manifest["command"] == "comass" and manifest["seed"] == 1
     assert "timestamp" in manifest
@@ -118,6 +119,7 @@ def test_cli_glue_sweep_job_and_idempotence(tmp_path):
     assert csv1.decode().count("\n") == 12
     report = read_json(str(out1 / "report.json"))
     assert report["passed"] and report["worst_violation"] <= 1e-6
+    assert report["unconverged_points"] == 0
 
 
 def test_cli_glue_sweep_rejects_uncalibrated_endpoint(tmp_path):
