@@ -1,8 +1,8 @@
 """Certify the cone over S^3(1/sqrt2) x S^3(1/sqrt2) as area-minimizing.
 
 The pipeline samples the scaled product link, extracts a curvature bound
-alpha and the determinant infimum p(t) from finite-difference second
-fundamental forms, lower-bounds the normal injectivity radius, and compares
+alpha and the determinant infimum p(t) from the closed-form shape spectra
+of the round factors, lower-bounds the normal injectivity radius, and compares
 the vanishing angle of the fastest admissible descent with half that
 radius.  The same pipeline is run on the two-circle link, where the
 quadratic departure has no real root and the verdict is inconclusive.

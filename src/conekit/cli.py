@@ -2,8 +2,9 @@
 
 Each invocation runs one job described by a JSON specification file and
 writes its artifacts (a JSON report, CSV tables, certificates) into the
-output directory together with a manifest recording the seed and
-tolerances.  Exit codes: 0 success, 2 precondition or parse failure,
+output directory.  Once the job has returned, a manifest records the
+seed, tolerances, exit code, wall time and numpy/scipy versions, also
+when the job failed.  Exit codes: 0 success, 2 precondition or parse failure,
 3 numeric non-convergence.  The commands only orchestrate library
 operations; no numbers are produced here.
 """
@@ -15,6 +16,7 @@ import sys
 import time
 
 import numpy as np
+import scipy
 
 from . import gluing, lawlor, obstruction, products, serialization as ser
 from .comass import comass as _comass
@@ -24,11 +26,11 @@ EXIT_PRECONDITION = 2
 EXIT_NONCONVERGENCE = 3
 
 
-def _manifest(args, out_dir: str, command: str):
+def _manifest(args, out_dir: str, exit_code: int, wall_s: float):
     ser.write_json(
         os.path.join(out_dir, "manifest.json"),
         {
-            "command": command,
+            "command": args.command,
             "spec": os.path.abspath(args.spec),
             "seed": args.seed,
             "tol": args.tol,
@@ -36,6 +38,10 @@ def _manifest(args, out_dir: str, command: str):
             "control": args.control,
             "normalization": args.normalization,
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
+            "exit_code": exit_code,
+            "wall_s": wall_s,
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
         },
     )
 
@@ -129,7 +135,7 @@ def cmd_vanishing_table(spec, args, out_dir, base_dir):
 def cmd_certify_cone(spec, args, out_dir, base_dir):
     link = _build_product(spec, base_dir, args.seed)
     model = products.curvature_model(link, seed=args.seed + 1)
-    radius = products.normal_radius(link, seed=args.seed + 2)
+    radius = products.normal_radius(link)
     data = products.as_link_data(link, curvature=model, radius=radius)
     verdict = lawlor.check_area_minimizing(
         data, args.control, normalization=args.normalization
@@ -265,17 +271,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+def _run(args, out_dir: str) -> int:
     try:
         spec = ser.read_json(args.spec)
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error: cannot parse spec: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    out_dir = os.path.abspath(args.out)
-    os.makedirs(out_dir, exist_ok=True)
     base_dir = os.path.dirname(os.path.abspath(args.spec))
-    _manifest(args, out_dir, args.command)
     try:
         return COMMANDS[args.command](spec, args, out_dir, base_dir)
     except (KeyError, ValueError) as exc:
@@ -284,6 +286,20 @@ def main(argv=None) -> int:
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGENCE
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
+    out_dir = os.path.abspath(args.out)
+    os.makedirs(out_dir, exist_ok=True)
+    start = time.perf_counter()
+    code = None
+    try:
+        code = _run(args, out_dir)
+    finally:
+        # an exception the CLI does not map leaves exit_code null
+        _manifest(args, out_dir, code, time.perf_counter() - start)
+    return code
 
 
 if __name__ == "__main__":

@@ -191,6 +191,49 @@ def _fastest_rhs(K: float, p_fn):
     return rhs
 
 
+def _descend(K: float, p_fn, t0: float, h0: float, t_end: float, atol: float,
+             rtol: float):
+    """Fastest descent from h(t0) = h0 toward t_end, stopped where the
+    profile reaches the axis or the admissible band collapses onto it.
+
+    Returns the solver result and how it ended: ("hit", t) at an axis hit,
+    including the band and the profile reaching zero together; ("pinch", t)
+    when the band closes while the profile is still positive, so no
+    solution of the slope inequality continues; None at t_end.  A solver
+    failure raises RuntimeError rather than reading as "no hit".
+    """
+
+    def hit(t, h):
+        return h[0]
+
+    def pinch(t, h):
+        p = p_fn(t)
+        return (t * t + 1.0) * p * p - h[0] * h[0]
+
+    for event in (hit, pinch):
+        event.terminal = True
+        event.direction = -1
+    sol = solve_ivp(
+        _fastest_rhs(K, p_fn),
+        (t0, t_end),
+        [h0],
+        method="DOP853",
+        events=[hit, pinch],
+        dense_output=True,
+        atol=atol,
+        rtol=rtol,
+        max_step=0.01,
+    )
+    if sol.status == -1:
+        raise RuntimeError(f"descent ODE failed after t = {sol.t[-1]:.6g}: {sol.message}")
+    if sol.t_events[0].size:
+        return sol, ("hit", float(sol.t_events[0][0]))
+    if sol.t_events[1].size:
+        kind = "hit" if sol.y_events[1][0][0] <= 1e-8 else "pinch"
+        return sol, (kind, float(sol.t_events[1][0]))
+    return sol, None
+
+
 def integrate_fastest(
     model: CurvatureModel,
     *,
@@ -208,7 +251,7 @@ def integrate_fastest(
     h = 1 - a_max t^2 on [0, t_boot] before following the ODE, using an
     embedded adaptive Runge-Kutta pair with terminal event detection at
     h = 0.  Absence of a real quadratic departure or of an axis hit below
-    t_cap yields vanishing_t = None.
+    t_cap yields vanishing_t = None; a solver failure raises RuntimeError.
     """
     K = _factor(model.k, normalization)
     try:
@@ -222,72 +265,22 @@ def integrate_fastest(
         return Profile(t, np.ones_like(t), None, None)
 
     h0 = 1.0 - a_max * t_boot * t_boot
-
-    def hit(t, h):
-        return h[0]
-
-    hit.terminal = True
-    hit.direction = -1
-
-    def pinch(t, h):
-        # admissible band collapses onto the profile while h is still
-        # positive: no solution of the slope inequality continues past here
-        p = model.p_fn(t)
-        return (t * t + 1.0) * p * p - h[0] * h[0]
-
-    pinch.terminal = True
-    pinch.direction = -1
-
-    rhs = _fastest_rhs(K, model.p_fn)
     # deviations from the fastest branch grow like a power of t, so errors
     # committed near the degenerate start are amplified the most; integrate
     # the early leg with a much tighter tolerance than requested
     t_split = min(0.2, 0.5 * (t_boot + t_cap))
     legs = []
-    t_hit = None
-    pinched = False
+    end = None
+    t0 = t_boot
     if t_split > t_boot:
-        early = solve_ivp(
-            rhs,
-            (t_boot, t_split),
-            [h0],
-            method="DOP853",
-            events=[hit, pinch],
-            dense_output=True,
-            atol=1e-3 * atol,
-            rtol=max(1e-3 * rtol, 3e-14),
-            max_step=0.01,
-        )
+        early, end = _descend(K, model.p_fn, t0, h0, t_split, 1e-3 * atol,
+                              max(1e-3 * rtol, 3e-14))
         legs.append(early)
-        if early.t_events[0].size:
-            t_hit = float(early.t_events[0][0])
-        elif early.t_events[1].size:
-            if early.y_events[1][0][0] <= 1e-8:
-                t_hit = float(early.t_events[1][0])
-            else:
-                pinched = True
-        else:
-            t_boot_main, h0_main = float(early.t[-1]), float(early.y[0, -1])
-    else:
-        t_boot_main, h0_main = t_boot, h0
-    if t_hit is None and not pinched:
-        sol = solve_ivp(
-            rhs,
-            (t_boot_main, t_cap),
-            [h0_main],
-            method="DOP853",
-            events=[hit, pinch],
-            dense_output=True,
-            atol=atol,
-            rtol=rtol,
-            max_step=0.01,
-        )
+        t0, h0 = float(early.t[-1]), float(early.y[0, -1])
+    if end is None:
+        sol, end = _descend(K, model.p_fn, t0, h0, t_cap, atol, rtol)
         legs.append(sol)
-        if sol.t_events[0].size:
-            t_hit = float(sol.t_events[0][0])
-        elif sol.t_events[1].size and sol.y_events[1][0][0] <= 1e-8:
-            # the band and the profile reach zero together: an axis hit
-            t_hit = float(sol.t_events[1][0])
+    t_hit = end[1] if end is not None and end[0] == "hit" else None
     theta = float(np.arctan(t_hit)) if t_hit is not None else None
 
     t_end = t_hit if t_hit is not None else float(legs[-1].t[-1])
@@ -402,37 +395,12 @@ def build_smooth_profile(
     if np.max(res) > 1e-12 or hc[-1] <= 0.0:
         raise ValueError("delta too large: quadratic cap violates the inequality")
 
-    def hit(t, h):
-        return h[0]
-
-    hit.terminal = True
-    hit.direction = -1
-
-    def pinch(t, h):
-        p = model.p_fn(t)
-        return (t * t + 1.0) * p * p - h[0] * h[0]
-
-    pinch.terminal = True
-    pinch.direction = -1
-    sol = solve_ivp(
-        _fastest_rhs(K, model.p_fn),
-        (t1, 50.0),
-        [1.0 - a * t1 * t1],
-        method="DOP853",
-        events=[hit, pinch],
-        dense_output=True,
-        atol=1e-10,
-        rtol=1e-10,
-        max_step=0.01,
-    )
-    if sol.t_events[1].size and sol.y_events[1][0][0] > 1e-8:
-        raise ValueError("descent leaves the admissible band before the axis")
-    if sol.t_events[0].size:
-        t_hat = float(sol.t_events[0][0])
-    elif sol.t_events[1].size:
-        t_hat = float(sol.t_events[1][0])
-    else:
+    sol, end = _descend(K, model.p_fn, t1, 1.0 - a * t1 * t1, 50.0, 1e-10, 1e-10)
+    if end is None:
         raise ValueError("descent after the quadratic cap never reaches the axis")
+    if end[0] == "pinch":
+        raise ValueError("descent leaves the admissible band before the axis")
+    t_hat = end[1]
 
     # tangential landing: cubic Hermite from a point shortly before the raw
     # hit to (t2, 0) with zero slope, t2 past the hit but within the gap

@@ -1,4 +1,4 @@
-"""Scaled products of sphere links and their numeric differential geometry.
+"""Scaled products of sphere links and their differential geometry.
 
 The product of links L_i^{k_i} in S^{N_i}, each factor scaled by
 lambda_i = sqrt(k_i / k) with k = sum k_i, is a minimal submanifold of the
@@ -7,11 +7,17 @@ samples them, and extracts the quantities the cone criterion consumes:
 a curvature bound alpha, the determinant infimum p(t), its quadratic
 coefficient p2, and a lower bound for the normal injectivity radius.
 
-Second fundamental forms are computed by finite differences along exact
-great-circle curves of the built-in round-sphere parametrizations; tests
-pin them against the closed-form principal curvatures of two-factor
-products.  General links may be supplied as sampled point/normal data, but
-curvature extraction is only implemented for products of round spheres.
+For a product of round spheres these come in closed form.  The normal
+space at (lambda_i x_i) is spanned by the mixing normals v = (b_i x_i) with
+sum b_i lambda_i = 0, and the shape operator h^v is diagonal with
+eigenvalue -b_i / lambda_i of multiplicity k_i.  So alpha = sqrt(k) for
+unit b, the largest principal curvature is sqrt((k - k_min) / k_min), and
+the normal part of a chord follows from factor inner products alone.
+Second fundamental forms by finite differences along exact great-circle
+curves (``numeric_second_fundamental_form``) are kept only as an oracle
+for these formulas.  General links may be supplied as sampled point/normal
+data, but curvature extraction is only implemented for products of round
+spheres.
 """
 
 from dataclasses import dataclass
@@ -174,28 +180,6 @@ def _tangent_basis(link: ProductLink, xs: list) -> list:
     return basis
 
 
-def _mixing_normals(link: ProductLink, xs: list) -> np.ndarray:
-    """Orthonormal basis (rows) of the span of (b_1 x_1, ..., b_n x_n) with
-    sum b_i lambda_i = 0: the normal directions that mix the factors."""
-    n = link.n_factors
-    d = link.ambient_sphere_dim + 1
-    lam = link.lambdas
-    rows = []
-    for r in range(n - 1):
-        b = np.zeros(n)
-        b[r] = lam[r + 1]
-        b[r + 1] = -lam[r]
-        z = np.zeros(d)
-        for i, sl in enumerate(link.block_slices):
-            z[sl] = b[i] * xs[i]
-        rows.append(z)
-    B = np.asarray(rows)
-    if B.size == 0:
-        return B.reshape(0, d)
-    q, _ = np.linalg.qr(B.T)
-    return q.T
-
-
 def _curve_point(link: ProductLink, xs, direction, s: float) -> np.ndarray:
     """Point of the unit-speed product curve through xs with initial
     velocity given by per-factor tangents (factor great circles)."""
@@ -291,6 +275,14 @@ def _normal_grid(link: ProductLink, rng, count: int) -> np.ndarray:
     return np.vstack([np.asarray(cands), raw])
 
 
+def _shape_spectra(link: ProductLink, bs: np.ndarray) -> np.ndarray:
+    """Principal curvatures of h^v for the mixing normals v = (b_i x_i),
+    one column per row of ``bs``: a (k, len(bs)) table.  Eigenvalue
+    -b_i / lambda_i has multiplicity k_i, the same at every point."""
+    dims = [f.dim for f in link.factors]
+    return np.repeat(-np.asarray(bs).T / link.lambdas[:, None], dims, axis=0)
+
+
 def curvature_model(
     link: ProductLink,
     *,
@@ -299,39 +291,32 @@ def curvature_model(
     seed: int = 1,
     fit_window: float = 0.05,
 ) -> CurvatureModel:
-    """Curvature data of a round-sphere product from sampled shape matrices.
+    """Curvature data of a round-sphere product from its exact shape spectra.
 
-    alpha is the largest Frobenius norm of h^v over the sample grid (the
-    bound the conservative controls require); p(t) is the pointwise minimum
-    of det(I - t h^v) over the same frozen grid; p2 comes from a quadratic
-    fit of p at t = 0.
+    The normal grid of ``_normal_grid`` is drawn ``point_samples`` times
+    from ``seed`` and each unit b enters with both signs.  p(t) is the
+    minimum over that grid of det(I - t h^v) = prod(1 - t mu), taken over
+    the closed-form spectra mu; alpha is the largest Frobenius norm of h^v
+    on the grid, which is sqrt(k) for every unit normal; p2 comes from a
+    quadratic fit of p at t = 0.  No finite differences are involved.
     """
     _require_round(link, "curvature model")
     rng = np.random.default_rng(seed)
     point_samples = min(point_samples, len(link.factor_points[0]))
     if point_samples < 1:
         raise ValueError("no sample points available")
-    shape_mats = []
-    for p_idx in range(point_samples):
-        xs = link.point_tuple(p_idx)
-        S, _ = _sff_vectors(link, xs)
-        for b in _normal_grid(link, rng, normal_samples):
-            v = np.zeros(link.ambient_sphere_dim + 1)
-            for i, sl in enumerate(link.block_slices):
-                v[sl] = b[i] * xs[i]
-            H = S @ v
-            H = 0.5 * (H + H.T)
-            shape_mats.append(H)
-            shape_mats.append(-H)
-    if not shape_mats:
+    bs = np.vstack(
+        [_normal_grid(link, rng, normal_samples) for _ in range(point_samples)]
+    )
+    if bs.size == 0:
         # single totally geodesic factor: no normal directions, flat model
         return CurvatureModel(link.k, 0.0, lambda t: 1.0, 0.0)
-    shape_mats = np.asarray(shape_mats)
-    alpha = float(np.max(np.linalg.norm(shape_mats, axis=(1, 2))))
-    eye = np.eye(link.k)
+    mu = _shape_spectra(link, bs)
+    mu = np.hstack([mu, -mu])
+    alpha = float(np.max(np.linalg.norm(mu, axis=0)))
 
     def p_fn(t):
-        return float(np.min(np.linalg.det(eye - t * shape_mats)))
+        return float((1.0 - t * mu).prod(axis=0).min())
 
     ts = np.linspace(-fit_window, fit_window, 21)
     ps = np.asarray([p_fn(t) for t in ts])
@@ -358,48 +343,40 @@ class NormalRadiusEstimate:
 def normal_radius(
     link: ProductLink,
     *,
-    seed: int = 2,
-    normal_samples: int = 32,
     avoidance_ratio: float = 0.95,
 ) -> NormalRadiusEstimate:
     """Lower bound min(pi/2, focal distance, self-avoidance distance).
 
-    The focal bound is arccot of the largest sampled principal curvature;
-    the self-avoidance bound is half the spherical distance between sample
-    pairs whose connecting chord is predominantly normal to the link
-    (normal component ratio at least ``avoidance_ratio``).
+    The focal bound is arccot of the largest principal curvature, in closed
+    form arctan sqrt(k_min / (k - k_min)): |b_i| / lambda_i peaks on the
+    unit normal closest to the smallest factor's axis.  The self-avoidance
+    bound is half the spherical distance between sample pairs whose chord
+    is predominantly normal to the link (normal component ratio at least
+    ``avoidance_ratio``).  The normal space at p_i is the span of the
+    block-embedded factor points x_l^i with p_i itself projected out, so
+    the normal part of p_j - p_i has squared norm
+    sum_l lambda_l^2 (x_l^i . x_l^j)^2 - (p_i . p_j)^2, symmetric in i and
+    j, and the chord has squared length 2 - 2 p_i . p_j.  Pairs with a
+    chord below 1e-6, where that difference is rounding noise, are skipped.
     """
     _require_round(link, "normal radius")
-    rng = np.random.default_rng(seed)
-    kappa = 0.0
-    for p_idx in range(min(4, len(link.factor_points[0]))):
-        xs = link.point_tuple(p_idx)
-        S, _ = _sff_vectors(link, xs)
-        for b in _normal_grid(link, rng, normal_samples):
-            v = np.zeros(link.ambient_sphere_dim + 1)
-            for i, sl in enumerate(link.block_slices):
-                v[sl] = b[i] * xs[i]
-            H = S @ v
-            kappa = max(kappa, float(np.max(np.abs(np.linalg.eigvalsh(0.5 * (H + H.T))))))
-    focal = np.pi / 2 if kappa == 0.0 else float(np.arctan(1.0 / kappa))
+    dims = [f.dim for f in link.factors]
+    k, k_min = link.k, min(dims)
+    focal = np.pi / 2 if k == k_min else float(np.arctan(np.sqrt(k_min / (k - k_min))))
 
-    pts = link.embedded_points()
-    S_count = len(pts)
-    sparse = S_count < 8
+    S_count = len(link.factor_points[0])
+    dots = np.zeros((S_count, S_count))
+    normal_sq = np.zeros((S_count, S_count))
+    for lam, X in zip(link.lambdas, link.factor_points):
+        G = X @ X.T
+        dots += lam * lam * G
+        normal_sq += lam * lam * G * G
+    normal_sq -= dots * dots
+    chord_sq = 2.0 - 2.0 * dots
+    close = (chord_sq >= 1e-12) & (normal_sq >= avoidance_ratio**2 * chord_sq)
     avoid = np.pi / 2
-    for i in range(S_count):
-        xs = link.point_tuple(i)
-        B = _mixing_normals(link, xs)
-        chords = pts[i + 1 :] - pts[i]
-        norms = np.linalg.norm(chords, axis=1)
-        keep = norms > 1e-9
-        if B.shape[0] == 0 or not np.any(keep):
-            continue
-        ratio = np.linalg.norm(chords[keep] @ B.T, axis=1) / norms[keep]
-        close = ratio >= avoidance_ratio
-        if np.any(close):
-            cosang = np.clip(pts[i + 1 :][keep][close] @ pts[i], -1.0, 1.0)
-            avoid = min(avoid, 0.5 * float(np.min(np.arccos(cosang))))
+    if np.any(close):
+        avoid = 0.5 * float(np.arccos(np.clip(dots[close].max(), -1.0, 1.0)))
     value = min(np.pi / 2, focal, avoid)
     if value == focal and focal <= avoid:
         binding = "focal"
@@ -407,7 +384,7 @@ def normal_radius(
         binding = "self-avoidance"
     else:
         binding = "hemisphere-cap"
-    return NormalRadiusEstimate(value, binding, focal, avoid, sparse)
+    return NormalRadiusEstimate(value, binding, focal, avoid, S_count < 8)
 
 
 def hypersurface_factor(link: ProductLink) -> SphereFactor:

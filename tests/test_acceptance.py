@@ -164,7 +164,7 @@ def _cone_verdict(dims, samples, point_samples, normal_samples, p_exact):
                            samples=samples, seed=0)
     model = curvature_model(link, point_samples=point_samples,
                             normal_samples=normal_samples)
-    radius = normal_radius(link, normal_samples=normal_samples)
+    radius = normal_radius(link)
     p_fn, p2 = p_exact
     data = LinkData(k=link.k, alpha=model.alpha, normal_radius=float(radius),
                     p_fn=p_fn, p2=p2)

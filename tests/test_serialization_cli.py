@@ -100,6 +100,19 @@ def test_cli_comass_job(tmp_path):
     manifest = read_json(str(out / "manifest.json"))
     assert manifest["command"] == "comass" and manifest["seed"] == 1
     assert "timestamp" in manifest
+    assert manifest["exit_code"] == 0 and manifest["wall_s"] >= 0.0
+    assert manifest["numpy"] == np.__version__ and "scipy" in manifest
+
+
+def test_cli_manifest_written_on_precondition_failure(tmp_path):
+    spec = _write_spec(tmp_path / "bad.json",
+                       {"factors": [{"type": "torus", "dim": 1}]})
+    for spec_path, out in ((spec, tmp_path / "bad"),
+                           (str(tmp_path / "none.json"), tmp_path / "none")):
+        assert main(["certify-cone", "--spec", spec_path, "--out", str(out)]) == 2
+        manifest = read_json(str(out / "manifest.json"))
+        assert manifest["exit_code"] == 2
+        assert manifest["command"] == "certify-cone"
 
 
 def test_cli_glue_sweep_job_and_idempotence(tmp_path):
