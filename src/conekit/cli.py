@@ -76,6 +76,7 @@ def cmd_comass(spec, args, out_dir, base_dir):
             "restarts_used": res.restarts_used,
             "iterations": res.iterations,
             "converged": res.converged,
+            "residual": res.residual,
             "maximizer": res.maximizer.matrix.tolist(),
         },
     )
@@ -101,6 +102,7 @@ def cmd_glue_sweep(spec, args, out_dir, base_dir):
             "command": "glue-sweep",
             "worst_violation": report.worst_violation,
             "endpoint_comasses": list(report.endpoint_comasses),
+            "endpoint_methods": list(report.endpoint_methods),
             "unconverged_points": report.unconverged_points,
             "passed": report.worst_violation <= args.tol,
         },

@@ -92,6 +92,27 @@ def _interior_matrix(vec: np.ndarray, n: int, k: int) -> np.ndarray:
     return np.append(vec, 0.0)[pos] * sign
 
 
+@lru_cache(maxsize=None)
+def _hodge_table(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """(pos, sign) with (*psi)_J = sign[J] * psi[pos[J]] for degree-m psi,
+    J running over the degree-(n - m) multi-indices and pos[J] the slot of
+    the complement I of J; sign[J] is the sign of the shuffle (I, J)."""
+    position = _index_position(n, m)
+    pos, sign = [], []
+    for J in multi_indices(n, n - m):
+        I = tuple(i for i in range(1, n + 1) if i not in J)
+        pos.append(position[I])
+        sign.append(float(_merge_sign(I, J)[1]))
+    return np.array(pos, dtype=np.intp), np.array(sign)
+
+
+def _hodge_star(vec: np.ndarray, n: int, m: int) -> np.ndarray:
+    """Euclidean Hodge star of a degree-m coefficient vector: the degree-(n - m)
+    form with (*psi)(W) = psi(U) whenever [U | W] is in SO(n)."""
+    pos, sign = _hodge_table(n, m)
+    return vec[pos] * sign
+
+
 def _contract_batch(psi: np.ndarray, u: np.ndarray, k: int) -> np.ndarray:
     """iota_u psi row by row: psi (R, C(n, k)) and u (R, n) give (R, C(n, k-1))."""
     pos, sign = _interior_table(u.shape[1], k)
@@ -477,11 +498,11 @@ def pullback(A: np.ndarray, phi: AlternatingForm) -> AlternatingForm:
         raise DimensionMismatchError(
             f"cannot pull a degree-{phi.m} form back to R^{k}"
         )
-    rows_src = _index_rows(phi.n, phi.m)
-    cols_dst = _index_rows(k, phi.m)
-    vec = phi.vector
-    out = np.zeros(len(cols_dst))
-    for pos, J in enumerate(cols_dst):
-        sub = A[:, J]  # (n, m)
-        out[pos] = float(np.linalg.det(sub[rows_src, :]) @ vec)
-    return AlternatingForm.from_vector(k, phi.m, out)
+    m = phi.m
+    if m == 0:
+        return AlternatingForm.from_vector(k, 0, phi.vector)
+    # coefficient J is phi evaluated on the frame (A e_j for j in J)
+    frames = A[:, _index_rows(k, m)].transpose(1, 0, 2)  # (C(k, m), n, m)
+    psi = frames[:, :, 0] @ _interior_matrix(phi.vector, phi.n, m)
+    out = _contract_frames(psi, frames[:, :, 1:], m - 1)[:, 0]
+    return AlternatingForm.from_vector(k, m, out)

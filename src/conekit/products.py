@@ -334,7 +334,6 @@ class NormalRadiusEstimate:
     binding: str
     focal_bound: float
     avoidance_bound: float
-    sparse: bool
 
     def __float__(self):
         return self.value
@@ -384,7 +383,7 @@ def normal_radius(
         binding = "self-avoidance"
     else:
         binding = "hemisphere-cap"
-    return NormalRadiusEstimate(value, binding, focal, avoid, S_count < 8)
+    return NormalRadiusEstimate(value, binding, focal, avoid)
 
 
 def hypersurface_factor(link: ProductLink) -> SphereFactor:

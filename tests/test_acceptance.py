@@ -8,6 +8,7 @@ from itertools import combinations
 import numpy as np
 
 from conekit.comass import (
+    _optimize,
     adapted_base_metric,
     adapted_metric,
     comass,
@@ -60,7 +61,8 @@ def _simons_p(t):
 
 
 def test_comass_optimizer_and_sampler_match_closed_form():
-    # 100 random 2-forms, half in R^4 and half in R^6: optimizer within
+    # 100 random 2-forms, half in R^4 and half in R^6: the optimizer, called
+    # directly since comass takes the closed form in degree 2, within
     # relative 1e-4 of the singular-value oracle, sampler within 2% below
     rng = np.random.default_rng(100)
     start = time.time()
@@ -69,7 +71,7 @@ def test_comass_optimizer_and_sampler_match_closed_form():
         phi = AlternatingForm(n, 2, rng.standard_normal(math.comb(n, 2)))
         g = _random_spd(rng, n)
         exact = comass_analytic(phi, g)
-        opt = comass(phi, g, restarts=8, seed=trial).value
+        opt = _optimize(phi, g, restarts=8, seed=trial).value
         assert abs(opt - exact) <= 1e-4 * exact
         sampled = comass_bruteforce(phi, g, 100000, seed=trial)
         assert sampled <= exact * (1.0 + 1e-9)
@@ -83,7 +85,7 @@ def test_interpolated_metrics_never_raise_comass():
     # below the endpoint-energy bound sqrt((1-s) c1^2 + s c2^2)
     rng = np.random.default_rng(200)
     grid = np.linspace(0.0, 1.0, 11)
-    opts = {"restarts": 2, "max_iters": 100, "tol": 1e-8}
+    opts = {"restarts": 2, "max_iters": 100, "tol": 1e-6}
     worst = -np.inf
     for trial in range(500):
         m = int(rng.integers(1, 4))

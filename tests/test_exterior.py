@@ -152,14 +152,17 @@ def test_pullback_rotation_and_chain():
 
 def test_pullback_consistent_with_evaluate():
     rng = np.random.default_rng(6)
-    phi = AlternatingForm(5, 2, rng.standard_normal(10))
     A = rng.standard_normal((5, 3))
-    pb = pullback(A, phi)
-    for _ in range(5):
-        M = rng.standard_normal((3, 2))
-        lhs = evaluate(pb, SimpleVector.from_matrix(M))
-        rhs = evaluate(phi, SimpleVector.from_matrix(A @ M))
-        assert abs(lhs - rhs) < 1e-10
+    # a degree-0 form is a constant and pulls back to itself
+    assert pullback(A, AlternatingForm(5, 0, {(): 2.5})).coeff(()) == 2.5
+    for m in (1, 2, 3):
+        phi = AlternatingForm(5, m, rng.standard_normal(math.comb(5, m)))
+        pb = pullback(A, phi)
+        for _ in range(5):
+            M = rng.standard_normal((3, m))
+            lhs = evaluate(pb, SimpleVector.from_matrix(M))
+            rhs = evaluate(phi, SimpleVector.from_matrix(A @ M))
+            assert abs(lhs - rhs) < 1e-10
 
 
 def test_metric_validation():

@@ -118,15 +118,20 @@ def test_dimension_beyond_limit_rejected(tmp_path):
 def test_comass_reports_convergence():
     phi = AlternatingForm(4, 1, np.array([1.0, 2.0, -0.5, 0.0]))
     g = MetricTensor.euclidean(4)
-    done = comass_mod.comass(phi, g, restarts=8, seed=0)
+    done = comass_mod._optimize(phi, g, restarts=8, seed=0)
     assert done.converged and 0 < done.iterations < 400
     assert abs(done.value - math.sqrt(5.25)) < 1e-10
-    cut = comass_mod.comass(phi, g, restarts=8, seed=0, max_iters=3)
+    cut = comass_mod._optimize(phi, g, restarts=8, seed=0, max_iters=3)
     assert not cut.converged and cut.iterations == 3
 
-    kahler = AlternatingForm(4, 2, {(1, 2): 1.0, (3, 4): 1.0})
-    g2 = MetricTensor.diagonal([0.5, 2.0, 1.0, 1.0])
+    # (4, 2) takes the closed form, so the sweep runs on the (6, 3)
+    # special Lagrangian form Re dz1 ^ dz2 ^ dz3
+    slag = AlternatingForm(6, 3, {(1, 3, 5): 1.0, (1, 4, 6): -1.0,
+                                  (2, 3, 6): -1.0, (2, 4, 5): -1.0})
+    g6 = MetricTensor.euclidean(6)
+    # A^T A for A = diag(sqrt 2, 1 / sqrt 2, 1) in SL(3, C), which fixes the form
+    g2 = MetricTensor.diagonal([2.0, 2.0, 0.5, 0.5, 1.0, 1.0])
     grid = [0.0, 0.5, 1.0]
-    report = verify_gluing_bound(kahler, g, g2, grid,
+    report = verify_gluing_bound(slag, g6, g2, grid,
                                  comass_opts={"restarts": 4, "max_iters": 3})
     assert report.unconverged_points == len(grid)

@@ -96,7 +96,9 @@ def test_cli_comass_job(tmp_path):
     assert code == 0
     report = read_json(str(out / "report.json"))
     assert abs(report["value"] - 1.0) < 1e-8
-    assert report["converged"] is True and 0 < report["iterations"] <= 400
+    # a degree-2 form takes the closed form
+    assert report["method"] == "exact" and report["iterations"] == 0
+    assert report["converged"] is True and report["residual"] == 0.0
     manifest = read_json(str(out / "manifest.json"))
     assert manifest["command"] == "comass" and manifest["seed"] == 1
     assert "timestamp" in manifest
@@ -133,6 +135,7 @@ def test_cli_glue_sweep_job_and_idempotence(tmp_path):
     report = read_json(str(out1 / "report.json"))
     assert report["passed"] and report["worst_violation"] <= 1e-6
     assert report["unconverged_points"] == 0
+    assert report["endpoint_methods"] == ["exact", "exact"]
 
 
 def test_cli_glue_sweep_rejects_uncalibrated_endpoint(tmp_path):
