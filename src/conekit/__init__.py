@@ -15,7 +15,6 @@ from .comass import (
     comass,
     comass_analytic,
     comass_bruteforce,
-    comass_via_min,
     decompose,
 )
 from .exterior import (
@@ -74,7 +73,6 @@ from .products import (
     hypersurface_factor,
     minimal_product,
     normal_radius,
-    numeric_second_fundamental_form,
     replication_search,
 )
 

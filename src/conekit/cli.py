@@ -118,13 +118,19 @@ def cmd_vanishing_table(spec, args, out_dir, base_dir):
     for k in ks:
         for alpha in alphas:
             for control in controls:
+                # theta comes from the public vanishing_angle, the entry point
+                # perfbench/tracer.py records; only a lane without a hit is
+                # descended again, to name how it ended
                 theta = lawlor.vanishing_angle(
                     control, alpha, k, normalization=args.normalization
                 )
-                rows.append((k, alpha, control, theta, theta is not None))
+                end = "hit" if theta is not None else lawlor._angle(
+                    control, alpha, k, normalization=args.normalization
+                )[1]
+                rows.append((k, alpha, control, theta, theta is not None, end))
     ser.write_csv(
         os.path.join(out_dir, "vanishing_table.csv"),
-        ["k", "alpha", "control", "theta", "converged"],
+        ["k", "alpha", "control", "theta", "converged", "end"],
         rows,
     )
     ser.write_json(
@@ -153,6 +159,7 @@ def cmd_certify_cone(spec, args, out_dir, base_dir):
             "radius_binding": radius.binding,
             "control": verdict.control,
             "theta": verdict.theta_used,
+            "descent_end": verdict.end,
             "R_half": verdict.R_half,
             "margin": verdict.margin,
             "passes": verdict.passes,

@@ -13,14 +13,12 @@ small (Absil, Mahony and Sepulchre, Optimization Algorithms on Matrix
 Manifolds, 2008).  Restarts are vectorized and merged by max,
 deterministic for a fixed seed.
 
-Every frame evaluation and gradient, here and in the independent checks,
-goes through one batched interior-product kernel from ``exterior``:
+Every frame evaluation and gradient goes through one batched interior-product kernel from ``exterior``:
 phi(u_1, ..., u_m) = iota_{u_m} ... iota_{u_1} phi, where each iota is a
 gather through a signed index table plus a batched mat-vec, so memory stays
 O(R n C(n, m-1)) for R frames.
 
-Independent ground truth comes from a seeded brute-force sampler and from
-the reformulation of the comass as 1 / min {Gram norm : phi(Q) = 1}.
+An independent lower bound comes from a seeded brute-force sampler.
 
 Also provides the canonical decomposition of a form with respect to a simple
 m-vector it evaluates to 1 on, the adapted metric that renormalizes the
@@ -34,7 +32,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import null_space
-from scipy.optimize import minimize
 
 from .exterior import (
     AlternatingForm,
@@ -55,7 +52,6 @@ __all__ = [
     "Decomposition",
     "comass",
     "comass_bruteforce",
-    "comass_via_min",
     "comass_analytic",
     "decompose",
     "adapted_base_metric",
@@ -390,64 +386,6 @@ def comass_bruteforce(
             best_frame = V[top]
         spread *= 0.5
     return best_val
-
-
-def comass_via_min(
-    phi: AlternatingForm,
-    g: MetricTensor,
-    *,
-    restarts: int = 12,
-    seed: int = 0,
-    tol: float = 1e-12,
-) -> float:
-    """1 / min ||Q||_g over the constraint set {Q simple : phi(Q) = 1}."""
-    _check_pair(phi, g)
-    if phi.is_zero():
-        raise ValueError("constraint set phi(Q)=1 is empty for the zero form")
-    n, m = phi.n, phi.m
-    first = _interior_matrix(phi.vector, n, m)
-    gmat = g.matrix
-    rng = np.random.default_rng(seed)
-
-    def _eval1(V):
-        return float(_eval_batch(first, V[None])[0])
-
-    def _grad1(V):
-        return _grad_batch(first, V[None])[0]
-
-    def objective(x):
-        V = x.reshape(n, m)
-        G = V.T @ gmat @ V
-        det = np.linalg.det(G)
-        jac = 2.0 * gmat @ V @ (det * np.linalg.pinv(G))
-        return det, jac.ravel()
-
-    def constraint(x):
-        return _eval1(x.reshape(n, m)) - 1.0
-
-    def constraint_jac(x):
-        return _grad1(x.reshape(n, m)).ravel()
-
-    best_gram2 = np.inf
-    for _ in range(restarts):
-        V0 = rng.standard_normal((n, m))
-        val = _eval1(V0)
-        if abs(val) < 1e-8:
-            continue
-        V0[:, 0] /= val
-        res = minimize(
-            lambda x: objective(x)[0],
-            V0.ravel(),
-            jac=lambda x: objective(x)[1],
-            constraints=[{"type": "eq", "fun": constraint, "jac": constraint_jac}],
-            method="SLSQP",
-            options={"maxiter": 300, "ftol": tol},
-        )
-        if res.success and abs(constraint(res.x)) < 1e-8:
-            best_gram2 = min(best_gram2, float(res.fun))
-    if not np.isfinite(best_gram2) or best_gram2 <= 0.0:
-        raise RuntimeError("constrained minimization failed on all restarts")
-    return 1.0 / math.sqrt(best_gram2)
 
 
 def comass_analytic(phi: AlternatingForm, g: MetricTensor) -> float:

@@ -20,13 +20,28 @@ variant is the default.
 Curvature inputs can be exact (p supplied) or conservative controls built
 from a bound alpha on the norm of the second fundamental form:
 F(alpha,t,k+1) and the coarser (1-alpha t) e^(alpha t).
+
+The descent ODE is scalar, so it is integrated by a loop over Python floats
+that follows scipy's DOP853 (Hairer, Norsett and Wanner, Solving Ordinary
+Differential Equations I, II.10) rule for rule: the same tableau, error
+norm and step-size control, so its results differ from ``solve_ivp``'s only
+by rounding.  The 7th-order dense output is built only for the steps where
+an event is located or a profile is sampled.
+Every descent records how it ended ("hit", "pinch", "no-departure" or
+"t_cap") and what it cost (accepted steps, right-hand-side calls).
 """
 
+import math
+import sys
+import warnings
+from bisect import bisect_left
 from dataclasses import dataclass
+from operator import mul
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate._ivp import dop853_coefficients as _dop
+from scipy.optimize import brentq
 
 __all__ = [
     "CurvatureModel",
@@ -45,6 +60,22 @@ __all__ = [
 ]
 
 NORMALIZATIONS = ("k-plus-1", "k")
+DESCENT_ENDS = ("hit", "pinch", "no-departure", "t_cap")
+
+# DOP853 coefficients as Python floats: row s of _A holds the s weights of
+# stage s, and rows 13-15 are the extra stages of the dense output
+_STAGES = _dop.N_STAGES
+_A = [[float(a) for a in row[:s]] for s, row in enumerate(_dop.A)]
+_B = [float(b) for b in _dop.B]
+_C = [float(c) for c in _dop.C]
+_E3 = [float(e) for e in _dop.E3]
+_E5 = [float(e) for e in _dop.E5]
+_D = [[float(d) for d in row] for row in _dop.D]
+_ERROR_ORDER = 7
+_ERROR_EXPONENT = -1.0 / (_ERROR_ORDER + 1)
+_MAX_STEP = 0.01
+_EVENT_TOL = 4.0 * sys.float_info.epsilon
+_MIN_RTOL = 100.0 * sys.float_info.epsilon
 
 
 def _factor(k: int, normalization: str) -> float:
@@ -82,21 +113,29 @@ class CurvatureModel:
 
 @dataclass(frozen=True)
 class Profile:
-    """Sampled descent profile h(t) with its axis-hit location, if any."""
+    """Sampled descent profile h(t) with its axis-hit location, if any, how
+    the descent ended (one of DESCENT_ENDS) and its accepted steps and
+    right-hand-side calls."""
 
     t_samples: np.ndarray
     h_values: np.ndarray
     vanishing_t: Optional[float]
     theta: Optional[float]
+    end: Optional[str] = None
+    steps: int = 0
+    rhs_calls: int = 0
 
     def __post_init__(self):
         if abs(self.h_values[0] - 1.0) > 1e-9 or self.t_samples[0] != 0.0:
             raise ValueError("profile must start at h(0) = 1")
+        if self.end is not None and self.end not in DESCENT_ENDS:
+            raise ValueError(f"unknown descent end {self.end!r}")
 
 
 @dataclass(frozen=True)
 class CriterionVerdict:
-    """Outcome of comparing a vanishing angle with half the normal radius."""
+    """Outcome of comparing a vanishing angle with half the normal radius,
+    and how the descent behind the angle ended."""
 
     theta_used: Optional[float]
     control: str
@@ -104,6 +143,7 @@ class CriterionVerdict:
     passes: bool
     margin: Optional[float]
     status: str
+    end: str
 
 
 @dataclass(frozen=True)
@@ -182,56 +222,202 @@ def second_order_coeffs(
     return float(a_min), float(a_max)
 
 
-def _fastest_rhs(K: float, p_fn):
+def _descent_rhs(K: float, p_fn):
+    """Slope of the fastest descent at (t, h), with the band value
+    (1+t^2) p^2 - h^2 whose sign change is the pinch event.  A non-finite
+    p or band raises rather than being clamped into the band."""
+
     def rhs(t, h):
-        p = p_fn(t)
-        disc = max((t * t + 1.0) * p * p - h[0] * h[0], 0.0)
-        return [K * (t * h[0] - np.sqrt(disc)) / (t * t + 1.0)]
+        p = float(p_fn(t))
+        q = t * t + 1.0
+        disc = q * p * p - h * h
+        if not math.isfinite(disc):
+            raise RuntimeError(
+                f"descent ODE failed at t = {t:.6g}: p = {p!r}, h = {h!r} "
+                "give a non-finite right-hand side"
+            )
+        return K * (t * h - (math.sqrt(disc) if disc > 0.0 else 0.0)) / q, disc
 
     return rhs
 
 
-def _descend(K: float, p_fn, t0: float, h0: float, t_end: float, atol: float,
-             rtol: float):
+class _Descent:
+    """One adaptive DOP853 run: its nodes (ts, ys), the stage slopes of
+    every accepted step, how it ended, and its dense output on demand.
+
+    ``end`` is ("hit", t) or ("pinch", t) when an event stopped the run at
+    t, which is then the last node, and None when it reached its end point.
+    The 7th-order interpolant of a step, with its three extra stages, is
+    built the first time the step is evaluated.
+    """
+
+    def __init__(self, rhs, t0: float, h0: float):
+        self.rhs = rhs
+        self.ts, self.ys = [t0], [h0]
+        self.steps = []  # (t_old, h, y_old, y_new, stage slopes K_0..K_12)
+        self.end = None
+        self.rhs_calls = 0
+        self._coeffs = {}
+
+    def _interpolant(self, i: int) -> list:
+        F = self._coeffs.get(i)
+        if F is None:
+            t, h, y, y_new, K = self.steps[i]
+            K = list(K)
+            for s in range(_STAGES + 1, len(_A)):
+                K.append(self.rhs(t + _C[s] * h, y + sum(map(mul, K, _A[s])) * h)[0])
+            self.rhs_calls += len(_A) - _STAGES - 1
+            dy = y_new - y
+            F = [dy, h * K[0] - dy, 2.0 * dy - h * (K[_STAGES] + K[0])]
+            F += [h * sum(map(mul, row, K)) for row in _D]
+            self._coeffs[i] = F
+        return F
+
+    def _at(self, i: int, t):
+        """Dense output of step i at t (a float or an array)."""
+        t_old, h, y_old = self.steps[i][:3]
+        x = (t - t_old) / h
+        y = 0.0
+        for j, f in enumerate(reversed(self._interpolant(i))):
+            y = (y + f) * (x if j % 2 == 0 else 1.0 - x)
+        return y + y_old
+
+    def __call__(self, t):
+        """Dense output at t; a node belongs to the step that ends there."""
+        last = len(self.steps) - 1
+        if np.ndim(t) == 0:
+            return float(self._at(min(max(bisect_left(self.ts, t) - 1, 0), last), t))
+        t = np.asarray(t, dtype=float)
+        seg = np.clip(np.searchsorted(self.ts, t, side="left") - 1, 0, last)
+        out = np.empty_like(t)
+        for i in np.unique(seg):
+            mask = seg == i
+            out[mask] = self._at(int(i), t[mask])
+        return out
+
+
+def _descend(rhs, t0: float, h0: float, t_end: float, atol: float, rtol: float) -> _Descent:
     """Fastest descent from h(t0) = h0 toward t_end, stopped where the
     profile reaches the axis or the admissible band collapses onto it.
 
-    Returns the solver result and how it ended: ("hit", t) at an axis hit,
-    including the band and the profile reaching zero together; ("pinch", t)
-    when the band closes while the profile is still positive, so no
-    solution of the slope inequality continues; None at t_end.  A solver
-    failure raises RuntimeError rather than reading as "no hit".
+    A scalar DOP853 loop with the tableau, error norm and step-size control
+    of scipy's ``solve_ivp(method="DOP853", max_step=0.01)``: its initial
+    step selection, safety factor 0.9, step factors within [0.2, 10], no
+    growth right after a rejected step, and failure below ten spacings of
+    t.  Like ``solve_ivp``, it raises an rtol below 100 eps to 100 eps with
+    a warning.  The run ends ("hit", t) at an axis hit, including the band
+    and the profile reaching zero together; ("pinch", t) when the band
+    closes while the profile is still positive, so no solution of the slope
+    inequality continues; None at t_end.  Event times are roots of the
+    dense output found by ``brentq`` at xtol 4 eps.  A non-finite value or
+    a step below the minimum raises RuntimeError rather than reading as
+    "no hit".
     """
+    if rtol < _MIN_RTOL:
+        warnings.warn(f"rtol {rtol!r} is too small; using {_MIN_RTOL!r}", stacklevel=3)
+        rtol = _MIN_RTOL
+    run = _Descent(rhs, t0, h0)
+    t, y = t0, h0
+    f, g_pinch = rhs(t, y)
+    # initial step (Hairer, Norsett and Wanner, Solving ODEs I, II.4)
+    scale = atol + abs(y) * rtol
+    d0, d1 = abs(y) / scale, abs(f) / scale
+    span = t_end - t
+    step0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, span)
+    d2 = abs(rhs(t + step0, y + step0 * f)[0] - f) / scale / step0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        step1 = max(1e-6, step0 * 1e-3)
+    else:
+        step1 = (0.01 / max(d1, d2)) ** (1.0 / (_ERROR_ORDER + 1))
+    h_abs = min(100.0 * step0, step1, span, _MAX_STEP)
+    calls = 2
+    while t < t_end:
+        min_step = 10.0 * (math.nextafter(t, math.inf) - t)
+        h_abs = min(max(h_abs, min_step), _MAX_STEP)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                raise RuntimeError(
+                    f"descent ODE failed after t = {t:.6g}: required step size "
+                    "is less than spacing between numbers"
+                )
+            t_new = min(t + h_abs, t_end)
+            h = t_new - t
+            K = [f]
+            for s in range(1, _STAGES):
+                K.append(rhs(t + _C[s] * h, y + sum(map(mul, K, _A[s])) * h)[0])
+            y_new = y + h * sum(map(mul, K, _B))
+            f_new, g_new = rhs(t + h, y_new)
+            K.append(f_new)
+            calls += _STAGES
+            scale = atol + max(abs(y), abs(y_new)) * rtol
+            err5 = sum(map(mul, K, _E5)) / scale
+            err3 = sum(map(mul, K, _E3)) / scale
+            e5, e3 = err5 * err5, err3 * err3
+            err = 0.0 if e5 == 0.0 and e3 == 0.0 else h * e5 / math.sqrt(e5 + 0.01 * e3)
+            if not math.isfinite(err):
+                raise RuntimeError(f"descent ODE failed after t = {t:.6g}: error norm {err!r}")
+            if err < 1.0:
+                factor = 10.0 if err == 0.0 else min(10.0, 0.9 * err ** _ERROR_EXPONENT)
+                h_abs = h * (min(1.0, factor) if rejected else factor)
+                break
+            h_abs = h * max(0.2, 0.9 * err ** _ERROR_EXPONENT)
+            rejected = True
+        run.steps.append((t, h, y, y_new, K))
+        run.ts.append(t_new)
+        run.ys.append(y_new)
+        # terminal events, both crossing downward: h = 0 and the band closing
+        i = len(run.steps) - 1
+        events = []
+        if y >= 0.0 and y_new <= 0.0:
+            events.append((lambda s: run._at(i, s), "hit"))
+        if g_pinch >= 0.0 and g_new <= 0.0:
+            events.append((lambda s: rhs(s, run._at(i, s))[1], "pinch"))
+        roots = [(brentq(g, t, t_new, xtol=_EVENT_TOL, rtol=_EVENT_TOL), kind)
+                 for g, kind in events]
+        if roots:
+            t_ev, kind = min(roots, key=lambda r: r[0])
+            if kind == "pinch" and run._at(i, t_ev) <= 1e-8:
+                kind = "hit"
+            run.ts[-1], run.ys[-1] = t_ev, run._at(i, t_ev)
+            run.end = (kind, t_ev)
+            break
+        t, y, f, g_pinch = t_new, y_new, f_new, g_new
+    run.rhs_calls += calls
+    return run
 
-    def hit(t, h):
-        return h[0]
 
-    def pinch(t, h):
-        p = p_fn(t)
-        return (t * t + 1.0) * p * p - h[0] * h[0]
+def _fastest(model: CurvatureModel, normalization: str = "k-plus-1", t_boot: float = 1e-3,
+             t_cap: float = 50.0, atol: float = 1e-10, rtol: float = 1e-10):
+    """The fastest descent from h(0) = 1: (a_max, runs, (end, t_end)).
 
-    for event in (hit, pinch):
-        event.terminal = True
-        event.direction = -1
-    sol = solve_ivp(
-        _fastest_rhs(K, p_fn),
-        (t0, t_end),
-        [h0],
-        method="DOP853",
-        events=[hit, pinch],
-        dense_output=True,
-        atol=atol,
-        rtol=rtol,
-        max_step=0.01,
-    )
-    if sol.status == -1:
-        raise RuntimeError(f"descent ODE failed after t = {sol.t[-1]:.6g}: {sol.message}")
-    if sol.t_events[0].size:
-        return sol, ("hit", float(sol.t_events[0][0]))
-    if sol.t_events[1].size:
-        kind = "hit" if sol.y_events[1][0][0] <= 1e-8 else "pinch"
-        return sol, (kind, float(sol.t_events[1][0]))
-    return sol, None
+    a_max is None without a real quadratic departure; with a_max <= 0 the
+    profile never leaves 1.  Both end "no-departure" with no runs.  Otherwise
+    the runs are the early and the main leg and the end is "hit", "pinch"
+    or "t_cap" with the time it was reached.
+    """
+    try:
+        _, a_max = second_order_coeffs(model.k, model.p2, normalization)
+    except ValueError:
+        return None, [], ("no-departure", None)
+    if a_max <= 0.0:
+        # non-descending branch (k = 1 with p2 = 0)
+        return a_max, [], ("no-departure", None)
+    rhs = _descent_rhs(_factor(model.k, normalization), model.p_fn)
+    h0 = 1.0 - a_max * t_boot * t_boot
+    # deviations from the fastest branch grow like a power of t, so errors
+    # committed near the degenerate start are amplified the most; integrate
+    # the early leg with a much tighter tolerance than requested
+    t_split = min(0.2, 0.5 * (t_boot + t_cap))
+    runs = []
+    t0 = t_boot
+    if t_split > t_boot:
+        runs.append(_descend(rhs, t0, h0, t_split, 1e-3 * atol, max(1e-3 * rtol, 3e-14)))
+        t0, h0 = runs[0].ts[-1], runs[0].ys[-1]
+    if not runs or runs[0].end is None:
+        runs.append(_descend(rhs, t0, h0, t_cap, atol, rtol))
+    end = runs[-1].end or ("t_cap", runs[-1].ts[-1])
+    return a_max, runs, end
 
 
 def integrate_fastest(
@@ -244,47 +430,29 @@ def integrate_fastest(
     rtol: float = 1e-10,
     grid_points: int = 4001,
 ) -> Profile:
-    """Fastest admissible descent from h(0) = 1.
+    """Fastest admissible descent from h(0) = 1, sampled on a grid.
 
     The start is a degenerate double root (the slope interval at (0,1) is
     the single point 0), so the integration bootstraps with the series
-    h = 1 - a_max t^2 on [0, t_boot] before following the ODE, using an
-    embedded adaptive Runge-Kutta pair with terminal event detection at
-    h = 0.  Absence of a real quadratic departure or of an axis hit below
-    t_cap yields vanishing_t = None; a solver failure raises RuntimeError.
+    h = 1 - a_max t^2 on [0, t_boot], then follows the ODE with a scalar
+    DOP853 loop: up to t = 0.2 at 1e-3 times the requested tolerances
+    (rtol at least 3e-14), after that at the requested ones.  h is sampled
+    from the steps' dense output on grid_points points up to where the
+    descent stopped.  ``end`` records how the
+    descent stopped: "hit", "pinch", "no-departure" (no real quadratic
+    departure, or one that does not descend) or "t_cap"; only a hit sets
+    vanishing_t and theta.  A solver failure raises RuntimeError.
     """
-    K = _factor(model.k, normalization)
-    try:
-        _, a_max = second_order_coeffs(model.k, model.p2, normalization)
-    except ValueError:
+    a_max, runs, (end, t_stop) = _fastest(model, normalization, t_boot, t_cap, atol, rtol)
+    if a_max is None:
         t = np.linspace(0.0, t_boot, 16)
-        return Profile(t, np.ones_like(t), None, None)
-    if a_max <= 0.0:
-        # non-descending branch (k = 1 with p2 = 0): h never leaves 1
+        return Profile(t, np.ones_like(t), None, None, end)
+    if not runs:
         t = np.linspace(0.0, t_cap, grid_points)
-        return Profile(t, np.ones_like(t), None, None)
+        return Profile(t, np.ones_like(t), None, None, end)
+    t_hit = t_stop if end == "hit" else None
 
-    h0 = 1.0 - a_max * t_boot * t_boot
-    # deviations from the fastest branch grow like a power of t, so errors
-    # committed near the degenerate start are amplified the most; integrate
-    # the early leg with a much tighter tolerance than requested
-    t_split = min(0.2, 0.5 * (t_boot + t_cap))
-    legs = []
-    end = None
-    t0 = t_boot
-    if t_split > t_boot:
-        early, end = _descend(K, model.p_fn, t0, h0, t_split, 1e-3 * atol,
-                              max(1e-3 * rtol, 3e-14))
-        legs.append(early)
-        t0, h0 = float(early.t[-1]), float(early.y[0, -1])
-    if end is None:
-        sol, end = _descend(K, model.p_fn, t0, h0, t_cap, atol, rtol)
-        legs.append(sol)
-    t_hit = end[1] if end is not None and end[0] == "hit" else None
-    theta = float(np.arctan(t_hit)) if t_hit is not None else None
-
-    t_end = t_hit if t_hit is not None else float(legs[-1].t[-1])
-    ts = np.linspace(0.0, t_end, grid_points)
+    ts = np.linspace(0.0, t_stop, grid_points)
     hs = np.empty_like(ts)
     boot = ts <= t_boot
     hs[boot] = 1.0 - a_max * ts[boot] ** 2
@@ -293,16 +461,18 @@ def integrate_fastest(
         vals = np.empty(int(rest.sum()))
         tr = ts[rest]
         lo = 0.0
-        for leg in legs:
-            hi = leg.t[-1]
+        for run in runs:
+            hi = run.ts[-1]
             mask = (tr > lo) & (tr <= hi + 1e-15)
             if np.any(mask):
-                vals[mask] = leg.sol(np.minimum(tr[mask], hi))[0]
+                vals[mask] = run(np.minimum(tr[mask], hi))
             lo = hi
         hs[rest] = np.clip(vals, 0.0, None)
     if t_hit is not None:
         hs[-1] = 0.0
-    return Profile(ts, hs, t_hit, theta)
+    theta = math.atan(t_hit) if t_hit is not None else None
+    return Profile(ts, hs, t_hit, theta, end, sum(len(r.ts) - 1 for r in runs),
+                   sum(r.rhs_calls for r in runs))
 
 
 def verify_profile(
@@ -330,17 +500,39 @@ def verify_profile(
 
 
 def _control_model(control: str, alpha: float, k: int, p_fn=None, p2=None):
+    """Curvature model of a control; F and c get scalar closures that
+    evaluate f_control and c_control in the same order of operations."""
     if control == "F":
-        return CurvatureModel(
-            k, alpha, lambda t: f_control(alpha, t, k), -0.5 * alpha * alpha
-        )
+        a, s1, s2 = float(alpha), math.sqrt(k / (k + 1.0)), math.sqrt(k * (k + 1.0))
+
+        def f_scalar(t):
+            at = a * t
+            return (1.0 - at * s1) * (1.0 + at / s2) ** k
+
+        return CurvatureModel(k, alpha, f_scalar, -0.5 * alpha * alpha)
     if control == "c":
-        return CurvatureModel(k, alpha, lambda t: c_control(alpha, t), -0.5 * alpha * alpha)
+        a = float(alpha)
+
+        def c_scalar(t):
+            at = a * t
+            return (1.0 - at) * math.exp(at)
+
+        return CurvatureModel(k, alpha, c_scalar, -0.5 * alpha * alpha)
     if control == "custom":
         if p_fn is None or p2 is None:
             raise ValueError("custom control requires p_fn and p2")
         return CurvatureModel(k, alpha, p_fn, p2)
     raise ValueError(f"unknown control {control!r}")
+
+
+def _angle(control: str, alpha: float, k: int, p_fn=None, p2=None, *,
+           normalization: str = "k-plus-1", **integrate_opts):
+    """(theta, end) of the fastest descent under the chosen curvature input:
+    the vanishing angle, None without a hit, and how the descent ended (one
+    of DESCENT_ENDS)."""
+    model = _control_model(control, alpha, k, p_fn, p2)
+    _, _, (end, t_stop) = _fastest(model, normalization, **integrate_opts)
+    return (math.atan(t_stop) if end == "hit" else None), end
 
 
 def vanishing_angle(
@@ -354,10 +546,14 @@ def vanishing_angle(
     **integrate_opts,
 ) -> Optional[float]:
     """Polar angle arctan(t0) where the fastest descent hits zero under the
-    chosen curvature input; None when no descent or no hit exists."""
-    model = _control_model(control, alpha, k, p_fn, p2)
-    prof = integrate_fastest(model, normalization=normalization, **integrate_opts)
-    return prof.theta
+    chosen curvature input; None when no descent or no hit exists.
+
+    Runs the same descent as ``integrate_fastest``, with its t_boot, t_cap,
+    atol and rtol options, but samples no profile (so it takes no
+    grid_points).
+    """
+    return _angle(control, alpha, k, p_fn, p2, normalization=normalization,
+                  **integrate_opts)[0]
 
 
 def build_smooth_profile(
@@ -395,12 +591,13 @@ def build_smooth_profile(
     if np.max(res) > 1e-12 or hc[-1] <= 0.0:
         raise ValueError("delta too large: quadratic cap violates the inequality")
 
-    sol, end = _descend(K, model.p_fn, t1, 1.0 - a * t1 * t1, 50.0, 1e-10, 1e-10)
-    if end is None:
+    rhs = _descent_rhs(K, model.p_fn)
+    run = _descend(rhs, t1, 1.0 - a * t1 * t1, 50.0, 1e-10, 1e-10)
+    if run.end is None:
         raise ValueError("descent after the quadratic cap never reaches the axis")
-    if end[0] == "pinch":
+    if run.end[0] == "pinch":
         raise ValueError("descent leaves the admissible band before the axis")
-    t_hat = end[1]
+    t_hat = run.end[1]
 
     # tangential landing: cubic Hermite from a point shortly before the raw
     # hit to (t2, 0) with zero slope, t2 past the hit but within the gap
@@ -410,8 +607,8 @@ def build_smooth_profile(
         ta = t_hat - w
         if ta <= t1:
             continue
-        ha = float(sol.sol(ta)[0])
-        da = float(_fastest_rhs(K, model.p_fn)(ta, [ha])[0])
+        ha = run(ta)
+        da = rhs(ta, ha)[0]
         tb = t_hat + w
         span = tb - ta
         u = lambda t: (t - ta) / span
@@ -441,10 +638,11 @@ def build_smooth_profile(
     seg3 = ts >= ta
     seg2 = ~(seg1 | seg3)
     hs[seg1] = 1.0 - a * ts[seg1] ** 2
-    hs[seg2] = sol.sol(ts[seg2])[0]
+    hs[seg2] = run(ts[seg2])
     hs[seg3] = np.clip([blend(t) for t in ts[seg3]], 0.0, None)
     hs[-1] = 0.0
-    return Profile(ts, hs, float(t_land), float(np.arctan(t_land)))
+    return Profile(ts, hs, float(t_land), float(np.arctan(t_land)), "hit",
+                   len(run.ts) - 1, run.rhs_calls)
 
 
 def check_area_minimizing(
@@ -462,7 +660,7 @@ def check_area_minimizing(
     """
     if link.normal_radius is None or not np.isfinite(link.normal_radius):
         raise ValueError("link is missing a normal radius")
-    theta = vanishing_angle(
+    theta, end = _angle(
         control,
         link.alpha,
         link.k,
@@ -473,7 +671,7 @@ def check_area_minimizing(
     )
     R_half = 0.5 * link.normal_radius
     if theta is None:
-        return CriterionVerdict(None, control, R_half, False, None, "inconclusive")
+        return CriterionVerdict(None, control, R_half, False, None, "inconclusive", end)
     margin = R_half - theta
     passes = theta <= R_half
     if abs(margin) < 1e-6:
@@ -482,4 +680,4 @@ def check_area_minimizing(
         status = "passes"
     else:
         status = "inconclusive"
-    return CriterionVerdict(theta, control, R_half, passes, margin, status)
+    return CriterionVerdict(theta, control, R_half, passes, margin, status, end)

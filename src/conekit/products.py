@@ -13,11 +13,8 @@ sum b_i lambda_i = 0, and the shape operator h^v is diagonal with
 eigenvalue -b_i / lambda_i of multiplicity k_i.  So alpha = sqrt(k) for
 unit b, the largest principal curvature is sqrt((k - k_min) / k_min), and
 the normal part of a chord follows from factor inner products alone.
-Second fundamental forms by finite differences along exact great-circle
-curves (``numeric_second_fundamental_form``) are kept only as an oracle
-for these formulas.  General links may be supplied as sampled point/normal
-data, but curvature extraction is only implemented for products of round
-spheres.
+General links may be supplied as sampled point/normal data, but curvature
+extraction is only implemented for products of round spheres.
 """
 
 from dataclasses import dataclass
@@ -33,7 +30,6 @@ __all__ = [
     "ProductLink",
     "NormalRadiusEstimate",
     "minimal_product",
-    "numeric_second_fundamental_form",
     "curvature_model",
     "normal_radius",
     "hypersurface_factor",
@@ -165,95 +161,6 @@ def minimal_product(
 def _require_round(link: ProductLink, what: str):
     if not all(f.is_round for f in link.factors):
         raise ValueError(f"{what} requires all factors to be round spheres")
-
-
-def _tangent_basis(link: ProductLink, xs: list) -> list:
-    """Orthonormal tangent basis of the product at the point with factor
-    coordinates xs, as (factor index, unit factor tangent) pairs."""
-    basis = []
-    for i, x in enumerate(xs):
-        # Householder QR completes x to an orthogonal frame; the columns
-        # after the first are an orthonormal tangent basis at x
-        q, _ = np.linalg.qr(np.column_stack([x, np.eye(x.size)[:, : x.size - 1]]))
-        for a in range(1, x.size):
-            basis.append((i, q[:, a]))
-    return basis
-
-
-def _curve_point(link: ProductLink, xs, direction, s: float) -> np.ndarray:
-    """Point of the unit-speed product curve through xs with initial
-    velocity given by per-factor tangents (factor great circles)."""
-    d = link.ambient_sphere_dim + 1
-    out = np.zeros(d)
-    for i, sl in enumerate(link.block_slices):
-        lam = link.lambdas[i]
-        w = direction.get(i)
-        if w is None:
-            out[sl] = lam * xs[i]
-        else:
-            speed = np.linalg.norm(w)
-            ang = speed * s / lam
-            out[sl] = lam * (np.cos(ang) * xs[i] + np.sin(ang) * (w / speed))
-    return out
-
-
-def _sff_vectors(link: ProductLink, xs: list, eps: float = 1e-4):
-    """Vector-valued second fundamental form at xs: a (k, k, d) array whose
-    contraction with a unit normal v gives the k x k shape matrix h^v."""
-    basis = _tangent_basis(link, xs)
-    k = link.k
-    d = link.ambient_sphere_dim + 1
-    x0 = _curve_point(link, xs, {}, 0.0)
-
-    def accel(direction):
-        p = _curve_point(link, xs, direction, eps)
-        m = _curve_point(link, xs, direction, -eps)
-        return (p + m - 2.0 * x0) / (eps * eps)
-
-    diag = []
-    for i, u in basis:
-        diag.append(accel({i: u}))
-    S = np.zeros((k, k, d))
-    for a in range(k):
-        S[a, a] = diag[a]
-    inv_sqrt2 = 1.0 / np.sqrt(2.0)
-    for a in range(k):
-        ia, ua = basis[a]
-        for b in range(a + 1, k):
-            ib, ub = basis[b]
-            if ia == ib:
-                combo = {ia: inv_sqrt2 * (ua + ub)}
-            else:
-                combo = {ia: inv_sqrt2 * ua, ib: inv_sqrt2 * ub}
-            cross = accel(combo) - 0.5 * (diag[a] + diag[b])
-            S[a, b] = cross
-            S[b, a] = cross
-    return S, basis
-
-
-def numeric_second_fundamental_form(
-    link: ProductLink, x, v: np.ndarray
-) -> np.ndarray:
-    """Shape matrix h^v at a sample point, by finite differences.
-
-    ``x`` is either a sample index or a list of per-factor unit points;
-    ``v`` must be a unit vector normal to the link and tangent to the
-    ambient sphere at that point.
-    """
-    _require_round(link, "second fundamental form")
-    xs = link.point_tuple(x) if isinstance(x, (int, np.integer)) else list(x)
-    v = np.asarray(v, dtype=float)
-    x0 = _curve_point(link, xs, {}, 0.0)
-    if abs(np.linalg.norm(v) - 1.0) > 1e-8 or abs(v @ x0) > 1e-8:
-        raise ValueError("v must be a unit vector orthogonal to the point")
-    S, basis = _sff_vectors(link, xs)
-    for i, u in basis:
-        emb = np.zeros(v.size)
-        emb[link.block_slices[i]] = u
-        if abs(v @ emb) > 1e-8:
-            raise ValueError("v has a tangential component")
-    H = S @ v
-    return 0.5 * (H + H.T)
 
 
 def _normal_grid(link: ProductLink, rng, count: int) -> np.ndarray:

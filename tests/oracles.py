@@ -1,0 +1,227 @@
+"""Second implementations kept only to test the library against.
+
+Each one computes a quantity conekit now obtains another way: the descent
+ODE by scipy's ``solve_ivp`` instead of the scalar DOP853 loop, comass by a
+constrained minimization, and shape matrices by finite differences along
+great-circle curves instead of the closed-form spectra.
+"""
+
+import math
+
+import numpy as np
+from scipy.integrate import solve_ivp
+from scipy.optimize import minimize
+
+from conekit.comass import _check_pair, _eval_batch, _grad_batch
+from conekit.exterior import AlternatingForm, MetricTensor, _interior_matrix
+from conekit.products import ProductLink, _require_round
+
+
+# ---------------------------------------------------------------------------
+# descent ODE
+
+
+class SolveIvpDescent:
+    """A ``solve_ivp`` result in the shape of ``lawlor._Descent``: nodes,
+    end, right-hand-side count and dense output."""
+
+    def __init__(self, sol, end):
+        self.sol = sol
+        self.ts, self.ys = list(sol.t), list(sol.y[0])
+        self.end = end
+        self.rhs_calls = sol.nfev
+
+    def __call__(self, t):
+        out = self.sol.sol(t)[0]
+        return float(out) if np.ndim(t) == 0 else out
+
+
+def descend_solve_ivp(rhs, t0, h0, t_end, atol, rtol):
+    """The descent as conekit integrated it before the scalar loop:
+    ``solve_ivp`` with DOP853, terminal hit and pinch events and dense
+    output.  Drop-in for ``lawlor._descend``; ``rhs`` returns (slope, band).
+    """
+
+    def hit(t, h):
+        return h[0]
+
+    def pinch(t, h):
+        return rhs(t, h[0])[1]
+
+    for event in (hit, pinch):
+        event.terminal = True
+        event.direction = -1
+    sol = solve_ivp(
+        lambda t, h: [rhs(t, h[0])[0]],
+        (t0, t_end),
+        [h0],
+        method="DOP853",
+        events=[hit, pinch],
+        dense_output=True,
+        atol=atol,
+        rtol=rtol,
+        max_step=0.01,
+    )
+    if sol.status == -1:
+        raise RuntimeError(f"descent ODE failed after t = {sol.t[-1]:.6g}: {sol.message}")
+    if sol.t_events[0].size:
+        return SolveIvpDescent(sol, ("hit", float(sol.t_events[0][0])))
+    if sol.t_events[1].size:
+        kind = "hit" if sol.y_events[1][0][0] <= 1e-8 else "pinch"
+        return SolveIvpDescent(sol, (kind, float(sol.t_events[1][0])))
+    return SolveIvpDescent(sol, None)
+
+
+# ---------------------------------------------------------------------------
+# comass
+
+
+def comass_via_min(
+    phi: AlternatingForm,
+    g: MetricTensor,
+    *,
+    restarts: int = 12,
+    seed: int = 0,
+    tol: float = 1e-12,
+) -> float:
+    """1 / min ||Q||_g over the constraint set {Q simple : phi(Q) = 1}."""
+    _check_pair(phi, g)
+    if phi.is_zero():
+        raise ValueError("constraint set phi(Q)=1 is empty for the zero form")
+    n, m = phi.n, phi.m
+    first = _interior_matrix(phi.vector, n, m)
+    gmat = g.matrix
+    rng = np.random.default_rng(seed)
+
+    def _eval1(V):
+        return float(_eval_batch(first, V[None])[0])
+
+    def _grad1(V):
+        return _grad_batch(first, V[None])[0]
+
+    def objective(x):
+        V = x.reshape(n, m)
+        G = V.T @ gmat @ V
+        det = np.linalg.det(G)
+        jac = 2.0 * gmat @ V @ (det * np.linalg.pinv(G))
+        return det, jac.ravel()
+
+    def constraint(x):
+        return _eval1(x.reshape(n, m)) - 1.0
+
+    def constraint_jac(x):
+        return _grad1(x.reshape(n, m)).ravel()
+
+    best_gram2 = np.inf
+    for _ in range(restarts):
+        V0 = rng.standard_normal((n, m))
+        val = _eval1(V0)
+        if abs(val) < 1e-8:
+            continue
+        V0[:, 0] /= val
+        res = minimize(
+            lambda x: objective(x)[0],
+            V0.ravel(),
+            jac=lambda x: objective(x)[1],
+            constraints=[{"type": "eq", "fun": constraint, "jac": constraint_jac}],
+            method="SLSQP",
+            options={"maxiter": 300, "ftol": tol},
+        )
+        if res.success and abs(constraint(res.x)) < 1e-8:
+            best_gram2 = min(best_gram2, float(res.fun))
+    if not np.isfinite(best_gram2) or best_gram2 <= 0.0:
+        raise RuntimeError("constrained minimization failed on all restarts")
+    return 1.0 / math.sqrt(best_gram2)
+
+
+# ---------------------------------------------------------------------------
+# second fundamental forms of round products
+
+
+def _tangent_basis(link: ProductLink, xs: list) -> list:
+    """Orthonormal tangent basis of the product at the point with factor
+    coordinates xs, as (factor index, unit factor tangent) pairs."""
+    basis = []
+    for i, x in enumerate(xs):
+        # Householder QR completes x to an orthogonal frame; the columns
+        # after the first are an orthonormal tangent basis at x
+        q, _ = np.linalg.qr(np.column_stack([x, np.eye(x.size)[:, : x.size - 1]]))
+        for a in range(1, x.size):
+            basis.append((i, q[:, a]))
+    return basis
+
+
+def _curve_point(link: ProductLink, xs, direction, s: float) -> np.ndarray:
+    """Point of the unit-speed product curve through xs with initial
+    velocity given by per-factor tangents (factor great circles)."""
+    d = link.ambient_sphere_dim + 1
+    out = np.zeros(d)
+    for i, sl in enumerate(link.block_slices):
+        lam = link.lambdas[i]
+        w = direction.get(i)
+        if w is None:
+            out[sl] = lam * xs[i]
+        else:
+            speed = np.linalg.norm(w)
+            ang = speed * s / lam
+            out[sl] = lam * (np.cos(ang) * xs[i] + np.sin(ang) * (w / speed))
+    return out
+
+
+def _sff_vectors(link: ProductLink, xs: list, eps: float = 1e-4):
+    """Vector-valued second fundamental form at xs: a (k, k, d) array whose
+    contraction with a unit normal v gives the k x k shape matrix h^v."""
+    basis = _tangent_basis(link, xs)
+    k = link.k
+    d = link.ambient_sphere_dim + 1
+    x0 = _curve_point(link, xs, {}, 0.0)
+
+    def accel(direction):
+        p = _curve_point(link, xs, direction, eps)
+        m = _curve_point(link, xs, direction, -eps)
+        return (p + m - 2.0 * x0) / (eps * eps)
+
+    diag = []
+    for i, u in basis:
+        diag.append(accel({i: u}))
+    S = np.zeros((k, k, d))
+    for a in range(k):
+        S[a, a] = diag[a]
+    inv_sqrt2 = 1.0 / np.sqrt(2.0)
+    for a in range(k):
+        ia, ua = basis[a]
+        for b in range(a + 1, k):
+            ib, ub = basis[b]
+            if ia == ib:
+                combo = {ia: inv_sqrt2 * (ua + ub)}
+            else:
+                combo = {ia: inv_sqrt2 * ua, ib: inv_sqrt2 * ub}
+            cross = accel(combo) - 0.5 * (diag[a] + diag[b])
+            S[a, b] = cross
+            S[b, a] = cross
+    return S, basis
+
+
+def numeric_second_fundamental_form(
+    link: ProductLink, x, v: np.ndarray
+) -> np.ndarray:
+    """Shape matrix h^v at a sample point, by finite differences.
+
+    ``x`` is either a sample index or a list of per-factor unit points;
+    ``v`` must be a unit vector normal to the link and tangent to the
+    ambient sphere at that point.
+    """
+    _require_round(link, "second fundamental form")
+    xs = link.point_tuple(x) if isinstance(x, (int, np.integer)) else list(x)
+    v = np.asarray(v, dtype=float)
+    x0 = _curve_point(link, xs, {}, 0.0)
+    if abs(np.linalg.norm(v) - 1.0) > 1e-8 or abs(v @ x0) > 1e-8:
+        raise ValueError("v must be a unit vector orthogonal to the point")
+    S, basis = _sff_vectors(link, xs)
+    for i, u in basis:
+        emb = np.zeros(v.size)
+        emb[link.block_slices[i]] = u
+        if abs(v @ emb) > 1e-8:
+            raise ValueError("v has a tangential component")
+    H = S @ v
+    return 0.5 * (H + H.T)

@@ -13,7 +13,6 @@ from conekit.comass import (
     comass,
     comass_analytic,
     comass_bruteforce,
-    comass_via_min,
     decompose,
 )
 from conekit.exterior import (
@@ -25,6 +24,7 @@ from conekit.exterior import (
     multi_indices,
     wedge,
 )
+from oracles import comass_via_min
 
 
 def _random_spd(rng, n):

@@ -1,0 +1,180 @@
+"""The scalar DOP853 descent loop against the ``solve_ivp`` integrator it
+replaced, its end reasons and counts, and the scalar control closures."""
+
+import math
+
+import numpy as np
+import pytest
+
+from conekit import lawlor
+from conekit.lawlor import (
+    DESCENT_ENDS,
+    CurvatureModel,
+    LinkData,
+    build_smooth_profile,
+    c_control,
+    check_area_minimizing,
+    f_control,
+    integrate_fastest,
+    second_order_coeffs,
+    vanishing_angle,
+)
+from conekit.products import SphereFactor, curvature_model, minimal_product
+from oracles import descend_solve_ivp
+
+NORMALIZATIONS = ("k-plus-1", "k")
+KS = (1, 2, 3, 4, 5, 6, 8, 10, 12, 16, 20, 25, 30)
+
+
+def _s3xs3():
+    link = minimal_product([SphereFactor.round(3)] * 2, samples=20, seed=0)
+    model = curvature_model(link, point_samples=4, normal_samples=16, seed=1)
+    return model.k, model.p_fn, model.p2
+
+
+def _cases():
+    """(control, alpha, k, p_fn, p2, normalization): the F and c controls on
+    k = 1..30 at alpha in {0, 1/2, 1, sqrt k}, and custom p from the S3 x S3
+    spectra and (1 - t^2)^6, each under both slope divisors."""
+    cases = [(control, alpha, k, None, None, nz)
+             for k in KS for alpha in (0.0, 0.5, 1.0, math.sqrt(k))
+             for control in ("F", "c") for nz in NORMALIZATIONS]
+    k, p_fn, p2 = _s3xs3()
+    for nz in NORMALIZATIONS:
+        cases.append(("custom", math.sqrt(k), k, p_fn, p2, nz))
+        cases.append(("custom", math.sqrt(12), 12, lambda t: (1.0 - t * t) ** 6, -6.0, nz))
+    return cases
+
+
+def _with_oracle(monkeypatch, fn, *args, **kwargs):
+    with monkeypatch.context() as patch:
+        patch.setattr(lawlor, "_descend", descend_solve_ivp)
+        return fn(*args, **kwargs)
+
+
+def test_theta_matches_solve_ivp_oracle(monkeypatch):
+    cases = _cases()
+    assert len(cases) >= 200
+    ends = set()
+    for control, alpha, k, p_fn, p2, nz in cases:
+        args = (control, alpha, k, p_fn, p2)
+        theta, end = lawlor._angle(*args, normalization=nz)
+        theta_ref, end_ref = _with_oracle(monkeypatch, lawlor._angle, *args, normalization=nz)
+        assert vanishing_angle(*args, normalization=nz) == theta
+        assert end == end_ref, (args, nz)
+        assert (theta is None) == (theta_ref is None) == (end != "hit")
+        if theta is not None:
+            assert abs(theta - theta_ref) <= 1e-9, (args, nz)
+        ends.add(end)
+    assert ends == {"hit", "pinch", "no-departure"}
+
+
+def _simons():
+    return CurvatureModel(6, math.sqrt(6), lambda t: (1 - t * t) ** 3 if abs(t) < 1 else 0.0,
+                          -3.0)
+
+
+@pytest.mark.parametrize("model, tol", [
+    (_simons(), 1e-9),
+    (lawlor._control_model("F", math.sqrt(6), 6), 1e-9),
+    (lawlor._control_model("c", 1.0, 4), 1e-9),
+    (CurvatureModel(4, 0.0, lambda t: 1.0, 0.0), 1e-9),
+    # pinches before the axis; near the closing band each integrator is
+    # about 1e-9 from a solve_ivp run at tolerance 1e-13 (solve_ivp 1.1e-9,
+    # the loop 0.93e-9), on opposite sides, so the two differ by 1.7e-9
+    (lawlor._control_model("F", 1.5, 4), 2e-9),
+], ids=["simons", "F-sqrt6-k6", "c-1-k4", "flat-k4", "F-pinch"])
+def test_profile_grid_matches_oracle(monkeypatch, model, tol):
+    prof = integrate_fastest(model)
+    ref = _with_oracle(monkeypatch, integrate_fastest, model)
+    assert prof.end == ref.end and prof.steps == ref.steps
+    np.testing.assert_allclose(prof.t_samples, ref.t_samples, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(prof.h_values, ref.h_values, rtol=0, atol=tol)
+
+
+def test_smooth_profile_grid_matches_oracle(monkeypatch):
+    model = _simons()
+    a_min, a_max = second_order_coeffs(6, -3.0)
+    for frac, delta, gap in ((0.5, 0.05, 0.02), (0.9, 0.04, 0.005)):
+        a = a_min + frac * (a_max - a_min)
+        prof = build_smooth_profile(model, a, delta, gap)
+        ref = _with_oracle(monkeypatch, build_smooth_profile, model, a, delta, gap)
+        assert abs(prof.theta - ref.theta) <= 1e-9
+        np.testing.assert_allclose(prof.t_samples, ref.t_samples, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(prof.h_values, ref.h_values, rtol=0, atol=1e-9)
+
+
+def test_scalar_controls_equal_vectorized():
+    ts = np.linspace(0.0, 1.5, 151)
+    for k in range(1, 31):
+        for alpha in (0.0, 0.5, 1.0, math.sqrt(k), 3.7):
+            for control, ref in (("F", f_control(alpha, ts, k)), ("c", c_control(alpha, ts))):
+                p = lawlor._control_model(control, alpha, k).p_fn
+                got = np.array([p(float(t)) for t in ts])
+                assert isinstance(got[0].item(), float)
+                np.testing.assert_allclose(got, ref, rtol=1e-15, atol=0)
+
+
+def test_profile_end_reasons_and_counts():
+    hit = integrate_fastest(_simons())
+    assert hit.end == "hit" and hit.theta is not None
+    assert hit.steps > 0 and hit.rhs_calls >= 2 + 12 * hit.steps
+    pinch = integrate_fastest(lawlor._control_model("F", 1.5, 4))
+    assert pinch.end == "pinch" and pinch.theta is None and pinch.steps > 0
+    # no real departure (k = 2, p2 = -1) and a non-descending one (k = 1, p2 = 0)
+    for model in (CurvatureModel(2, math.sqrt(2), lambda t: 1.0 - t * t, -1.0),
+                  CurvatureModel(1, 0.0, lambda t: 1.0, 0.0)):
+        flat = integrate_fastest(model)
+        assert flat.end == "no-departure" and flat.steps == flat.rhs_calls == 0
+    capped = integrate_fastest(CurvatureModel(4, 0.0, lambda t: 1.0, 0.0), t_cap=0.3)
+    assert capped.end == "t_cap" and capped.theta is None
+    assert capped.t_samples[-1] == 0.3 and capped.h_values[-1] > 0.0
+    with pytest.raises(ValueError, match="descent end"):
+        lawlor.Profile(np.zeros(2), np.ones(2), None, None, "landed")
+    assert set(DESCENT_ENDS) == {"hit", "pinch", "no-departure", "t_cap"}
+
+
+def test_verdict_carries_descent_end():
+    simons = LinkData(6, math.sqrt(6), math.pi / 4, _simons().p_fn, -3.0)
+    assert check_area_minimizing(simons, "custom").end == "hit"
+    clifford = LinkData(2, math.sqrt(2), math.pi / 4, lambda t: 1.0 - t * t, -1.0)
+    assert check_area_minimizing(clifford, "custom").end == "no-departure"
+    assert check_area_minimizing(LinkData(4, 1.5, 0.5), "F").end == "pinch"
+
+
+def _rough(t):
+    """p(0) = 1, then values up to 2e12 that change completely between
+    neighbouring floats, so no step is small enough."""
+    return 1.0 + 1e12 * (1.0 - math.cos(1e20 * t))
+
+
+def test_step_floor_raises_like_solve_ivp(monkeypatch):
+    model = CurvatureModel(6, math.sqrt(6), _rough, -3.0)
+    with pytest.raises(RuntimeError, match="descent ODE failed.*step size"):
+        integrate_fastest(model)
+    with pytest.raises(RuntimeError, match="descent ODE failed.*step size"):
+        _with_oracle(monkeypatch, integrate_fastest, model)
+
+
+def test_non_finite_error_norm_raises(monkeypatch):
+    # a right-hand side without _descent_rhs's own finiteness check, whose
+    # slope is inf after t0: the error estimate is inf - inf; solve_ivp
+    # rejects such steps until its step floor
+    def rhs(t, h):
+        return (math.inf if t > 1e-3 else -1.0), 1.0
+
+    with pytest.raises(RuntimeError, match="descent ODE failed.*error norm nan"):
+        lawlor._descend(rhs, 1e-3, 0.5, 0.2, 1e-10, 1e-10)
+    with pytest.raises(RuntimeError, match="descent ODE failed.*step size"):
+        with np.errstate(invalid="ignore", over="ignore"):
+            descend_solve_ivp(rhs, 1e-3, 0.5, 0.2, 1e-10, 1e-10)
+
+
+def test_rtol_floor_matches_solve_ivp(monkeypatch):
+    floor = 100 * np.finfo(float).eps
+    with pytest.warns(UserWarning, match="rtol"):
+        low = integrate_fastest(_simons(), rtol=1e-16)
+    assert low.theta == integrate_fastest(_simons(), rtol=floor).theta
+    with pytest.warns(UserWarning, match="rtol"):
+        ref = _with_oracle(monkeypatch, integrate_fastest, _simons(), rtol=1e-16)
+    assert abs(low.theta - ref.theta) <= 1e-9

@@ -14,9 +14,9 @@ from conekit.products import (
     hypersurface_factor,
     minimal_product,
     normal_radius,
-    numeric_second_fundamental_form,
     replication_search,
 )
+from oracles import numeric_second_fundamental_form
 
 
 def _clifford():

@@ -159,11 +159,15 @@ def test_cli_vanishing_table(tmp_path):
     out = tmp_path / "out"
     assert main(["vanishing-table", "--spec", spec, "--out", str(out)]) == 0
     lines = (out / "vanishing_table.csv").read_text().splitlines()
-    assert lines[0] == "k,alpha,control,theta,converged"
+    header = lines[0].split(",")
+    assert header == ["k", "alpha", "control", "theta", "converged", "end"]
     assert len(lines) == 9
+    rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
     # k = 2 at alpha = 1 has no admissible descent: theta empty, flag False
-    empty = [l for l in lines[1:] if l.endswith(",False")]
-    assert all(l.split(",")[3] == "" for l in empty)
+    empty = [r for r in rows if r["converged"] == "False"]
+    assert empty and all(r["theta"] == "" for r in empty)
+    assert all(r["end"] == "no-departure" for r in empty)
+    assert all(r["end"] == "hit" for r in rows if r["converged"] == "True")
 
 
 def test_cli_certify_cone_passes_for_equal_three_spheres(tmp_path):
@@ -181,6 +185,7 @@ def test_cli_certify_cone_passes_for_equal_three_spheres(tmp_path):
     assert main(["certify-cone", "--spec", spec, "--out", str(out)]) == 0
     report = read_json(str(out / "report.json"))
     assert report["passes"] and report["status"] == "passes"
+    assert report["descent_end"] == "hit"
     assert abs(report["alpha"] - np.sqrt(6)) < 1e-6
     assert abs(report["normal_radius"] - np.pi / 4) < 1e-6
 
@@ -201,6 +206,8 @@ def test_cli_certify_cone_inconclusive_for_two_circles(tmp_path):
     report = read_json(str(out / "report.json"))
     assert not report["passes"] and report["status"] == "inconclusive"
     assert report["theta"] is None
+    # k = 2 with p2 = -1: no real quadratic departure from h(0) = 1
+    assert report["descent_end"] == "no-departure"
 
 
 def test_cli_obstruct_job(tmp_path):

@@ -16,17 +16,17 @@ from conekit.lawlor import (
     check_area_minimizing,
     integrate_fastest,
     second_order_coeffs,
+    vanishing_angle,
 )
 from conekit.products import (
     SphereFactor,
     _normal_grid,
-    _sff_vectors,
     _shape_spectra,
     curvature_model,
     minimal_product,
     normal_radius,
-    numeric_second_fundamental_form,
 )
+from oracles import _sff_vectors, numeric_second_fundamental_form
 
 PRODUCTS = [(1, 1), (1, 3), (2, 3), (3, 3), (1, 2, 3), (1, 1, 1, 1), (2, 2, 4)]
 
@@ -222,6 +222,15 @@ def test_ode_failure_raises():
     late = CurvatureModel(6, math.sqrt(6), _nan_after(0.2), -3.0)
     with pytest.raises(RuntimeError):
         build_smooth_profile(late, 0.5 * (a_min + a_max), 0.05, 0.02)
+
+
+def test_ode_failure_in_early_leg_raises():
+    # p turns NaN at t = 0.05, inside the tighter-tolerance leg up to 0.2
+    model = CurvatureModel(6, math.sqrt(6), _nan_after(0.05), -3.0)
+    with pytest.raises(RuntimeError, match="descent ODE failed"):
+        integrate_fastest(model)
+    with pytest.raises(RuntimeError, match="descent ODE failed"):
+        vanishing_angle("custom", math.sqrt(6), 6, model.p_fn, -3.0)
 
 
 def test_cli_ode_failure_exits_three_with_manifest(tmp_path, monkeypatch):
