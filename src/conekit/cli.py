@@ -142,7 +142,7 @@ def cmd_vanishing_table(spec, args, out_dir, base_dir):
 
 def cmd_certify_cone(spec, args, out_dir, base_dir):
     link = _build_product(spec, base_dir, args.seed)
-    model = products.curvature_model(link, seed=args.seed + 1)
+    model = products.curvature_model(link)
     radius = products.normal_radius(link)
     data = products.as_link_data(link, curvature=model, radius=radius)
     verdict = lawlor.check_area_minimizing(
@@ -152,6 +152,7 @@ def cmd_certify_cone(spec, args, out_dir, base_dir):
         os.path.join(out_dir, "report.json"),
         {
             "command": "certify-cone",
+            "inputs": "exact",
             "k": link.k,
             "alpha": model.alpha,
             "p2": model.p2,
@@ -200,7 +201,6 @@ def cmd_replicate(spec, args, out_dir, base_dir):
         base,
         int(spec["n_max"]),
         args.control,
-        seed=args.seed,
         normalization=args.normalization,
     )
     rows = [

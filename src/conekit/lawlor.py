@@ -101,8 +101,8 @@ class CurvatureModel:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("link dimension k must be >= 1")
-        if self.alpha < 0.0:
-            raise ValueError("alpha must be nonnegative")
+        if not (math.isfinite(self.alpha) and self.alpha >= 0.0):
+            raise ValueError(f"alpha must be finite and >= 0, got {self.alpha!r}")
         if abs(self.p_fn(0.0) - 1.0) > 1e-10:
             raise ValueError("p(0) must equal 1")
         if self.p2 > 1e-8:

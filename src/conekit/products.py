@@ -2,23 +2,25 @@
 
 The product of links L_i^{k_i} in S^{N_i}, each factor scaled by
 lambda_i = sqrt(k_i / k) with k = sum k_i, is a minimal submanifold of the
-unit sphere S^(sum N_i + n - 1).  This module assembles such products,
-samples them, and extracts the quantities the cone criterion consumes:
-a curvature bound alpha, the determinant infimum p(t), its quadratic
-coefficient p2, and a lower bound for the normal injectivity radius.
+unit sphere S^(sum N_i + n - 1).  This module assembles such products and
+computes the quantities the cone criterion consumes: a curvature bound
+alpha, the determinant infimum p(t), its quadratic coefficient p2, and the
+normal radius.
 
-For a product of round spheres these come in closed form.  The normal
-space at (lambda_i x_i) is spanned by the mixing normals v = (b_i x_i) with
-sum b_i lambda_i = 0, and the shape operator h^v is diagonal with
-eigenvalue -b_i / lambda_i of multiplicity k_i.  So alpha = sqrt(k) for
-unit b, the largest principal curvature is sqrt((k - k_min) / k_min), and
-the normal part of a chord follows from factor inner products alone.
+For a product of round spheres all four are exact and nothing is sampled.
+The normal space at (lambda_i x_i) is spanned by the mixing normals
+v = (b_i x_i) with sum b_i lambda_i = 0, and the shape operator h^v is
+diagonal with eigenvalue -b_i / lambda_i of multiplicity k_i.  So
+alpha = sqrt(k) for unit b, p(t) is a minimum of at most k - 1 closed-form
+terms with p2 = -k/2, and the normal radius is arcsin(lambda_min).
 General links may be supplied as sampled point/normal data, but curvature
 extraction is only implemented for products of round spheres.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -85,13 +87,14 @@ class SphereFactor:
 
 @dataclass
 class ProductLink:
-    """A scaled product link with aligned per-factor sample points."""
+    """A scaled product link.  Its aligned per-factor sample points are
+    drawn on first use, so a link whose points are never read draws none."""
 
     factors: list
     lambdas: np.ndarray
     k: int
     ambient_sphere_dim: int
-    factor_points: list
+    samples: int
     seed: int
 
     @property
@@ -104,6 +107,23 @@ class ProductLink:
         for f in self.factors:
             out.append(slice(at, at + f.ambient + 1))
             at += f.ambient + 1
+        return out
+
+    @cached_property
+    def factor_points(self) -> list:
+        """``samples`` points per factor from one generator seeded with
+        ``seed``, factor by factor: a subsample (with replacement when the
+        factor has fewer points) of a sampled factor, uniform points of a
+        round one."""
+        rng = np.random.default_rng(self.seed)
+        out = []
+        for f in self.factors:
+            if f.points is None:
+                out.append(_sphere_samples(rng, self.samples, f.ambient))
+            else:
+                idx = rng.choice(len(f.points), size=self.samples,
+                                 replace=len(f.points) < self.samples)
+                out.append(f.points[idx])
         return out
 
     def embedded_points(self) -> np.ndarray:
@@ -128,32 +148,27 @@ def minimal_product(
     """Assemble the scaled product of the given factor links.
 
     Scaling factors are sqrt(k_i / k) with exact rational squares, so the
-    concatenated samples land on the unit sphere to rounding error.
+    concatenated samples land on the unit sphere to rounding error.  The
+    ``samples`` points per factor are drawn only when ``factor_points`` is
+    first read: by a sampled computation such as ``hypersurface_factor``,
+    whose Gauss image feeds the obstruction, but never by the exact
+    curvature data of round factors.
     """
     factors = list(factors)
     if not factors:
         raise ValueError("need at least one factor")
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
     k = sum(f.dim for f in factors)
     assert sum(Fraction(f.dim, k) for f in factors) == 1
     lambdas = np.array([np.sqrt(f.dim / k) for f in factors])
     ambient = sum(f.ambient for f in factors) + len(factors) - 1
-    rng = np.random.default_rng(seed)
-    factor_points = []
-    for f in factors:
-        if f.points is not None:
-            if len(f.points) >= samples:
-                idx = rng.choice(len(f.points), size=samples, replace=False)
-            else:
-                idx = rng.choice(len(f.points), size=samples, replace=True)
-            factor_points.append(f.points[idx])
-        else:
-            factor_points.append(_sphere_samples(rng, samples, f.ambient))
     return ProductLink(
         factors=factors,
         lambdas=lambdas,
         k=k,
         ambient_sphere_dim=ambient,
-        factor_points=factor_points,
+        samples=samples,
         seed=seed,
     )
 
@@ -163,134 +178,76 @@ def _require_round(link: ProductLink, what: str):
         raise ValueError(f"{what} requires all factors to be round spheres")
 
 
-def _normal_grid(link: ProductLink, rng, count: int) -> np.ndarray:
-    """Unit b-vectors orthogonal to (lambda_i): axis-aligned extremals of
-    each coordinate plus random directions."""
-    n = link.n_factors
-    lam = link.lambdas
-    if n == 1:
-        return np.zeros((0, 1))
-    cands = []
-    for i in range(n):
-        b = -lam[i] * lam
-        b[i] += 1.0
-        cands.append(b / np.linalg.norm(b))
-    raw = rng.standard_normal((count, n))
-    raw -= np.outer(raw @ lam, lam)
-    norms = np.linalg.norm(raw, axis=1)
-    raw = raw[norms > 1e-8] / norms[norms > 1e-8, None]
-    return np.vstack([np.asarray(cands), raw])
+def curvature_model(link: ProductLink) -> CurvatureModel:
+    """Exact curvature data of a round-sphere product; nothing is sampled.
 
+    A unit mixing normal has shape eigenvalues -beta_i, beta_i = b_i /
+    lambda_i with multiplicity k_i, where sum k_i beta_i = 0 and
+    sum k_i beta_i^2 = k.  So |h^v| = sqrt(k) for every unit normal, which
+    is alpha, and p(t) is the minimum over these beta of
+    prod (1 + t beta_i)^k_i.  Where log p is stationary on that sphere,
+    k t / (1 + t beta_i) = 2 nu beta_i + eta is one quadratic in beta_i, so
+    the beta_i take two values: a on a proper subset of the factors, of
+    dimension sum j, and -b on the rest.  The constraints fix
+    a = sqrt((k - j) / j) and b = sqrt(j / (k - j)), hence
 
-def _shape_spectra(link: ProductLink, bs: np.ndarray) -> np.ndarray:
-    """Principal curvatures of h^v for the mixing normals v = (b_i x_i),
-    one column per row of ``bs``: a (k, len(bs)) table.  Eigenvalue
-    -b_i / lambda_i has multiplicity k_i, the same at every point."""
-    dims = [f.dim for f in link.factors]
-    return np.repeat(-np.asarray(bs).T / link.lambdas[:, None], dims, axis=0)
+        p(t) = min_j (1 + a t)^j (1 - b t)^(k - j)
 
-
-def curvature_model(
-    link: ProductLink,
-    *,
-    point_samples: int = 6,
-    normal_samples: int = 32,
-    seed: int = 1,
-    fit_window: float = 0.05,
-) -> CurvatureModel:
-    """Curvature data of a round-sphere product from its exact shape spectra.
-
-    The normal grid of ``_normal_grid`` is drawn ``point_samples`` times
-    from ``seed`` and each unit b enters with both signs.  p(t) is the
-    minimum over that grid of det(I - t h^v) = prod(1 - t mu), taken over
-    the closed-form spectra mu; alpha is the largest Frobenius norm of h^v
-    on the grid, which is sqrt(k) for every unit normal; p2 comes from a
-    quadratic fit of p at t = 0.  No finite differences are involved.
+    over the proper subset sums j.  This is exact for 0 <= t < t_focal,
+    where every factor is positive; the descent ends by t_focal, because
+    p(t_focal) = 0 closes the band, and beyond it ``p_fn`` is the same
+    formula's polynomial extension.  Every term is 1 - (k/2) t^2 + O(t^3),
+    so p2 = -k/2.
     """
     _require_round(link, "curvature model")
-    rng = np.random.default_rng(seed)
-    point_samples = min(point_samples, len(link.factor_points[0]))
-    if point_samples < 1:
-        raise ValueError("no sample points available")
-    bs = np.vstack(
-        [_normal_grid(link, rng, normal_samples) for _ in range(point_samples)]
-    )
-    if bs.size == 0:
+    k = link.k
+    sums = {0}
+    for f in link.factors:
+        sums |= {s + f.dim for s in sums}
+    terms = [(j, k - j, math.sqrt((k - j) / j), math.sqrt(j / (k - j)))
+             for j in sorted(sums - {0, k})]
+    if not terms:
         # single totally geodesic factor: no normal directions, flat model
-        return CurvatureModel(link.k, 0.0, lambda t: 1.0, 0.0)
-    mu = _shape_spectra(link, bs)
-    mu = np.hstack([mu, -mu])
-    alpha = float(np.max(np.linalg.norm(mu, axis=0)))
+        return CurvatureModel(k, 0.0, lambda t: 1.0, 0.0)
 
     def p_fn(t):
-        return float((1.0 - t * mu).prod(axis=0).min())
+        return min((1.0 + a * t) ** j * (1.0 - b * t) ** m for j, m, a, b in terms)
 
-    ts = np.linspace(-fit_window, fit_window, 21)
-    ps = np.asarray([p_fn(t) for t in ts])
-    p2 = float(np.polyfit(ts, ps, 2)[0])
-    p2 = min(p2, 0.0)
-    return CurvatureModel(link.k, alpha, p_fn, p2)
+    return CurvatureModel(k, math.sqrt(k), p_fn, -0.5 * k)
 
 
 @dataclass(frozen=True)
 class NormalRadiusEstimate:
-    """Lower bound for the normal injectivity radius, recording which of
-    the constituent bounds was binding."""
+    """Normal radius of a round-sphere product and the distance that sets
+    it: "focal", or "hemisphere-cap" for a single factor."""
 
     value: float
     binding: str
-    focal_bound: float
-    avoidance_bound: float
 
     def __float__(self):
         return self.value
 
 
-def normal_radius(
-    link: ProductLink,
-    *,
-    avoidance_ratio: float = 0.95,
-) -> NormalRadiusEstimate:
-    """Lower bound min(pi/2, focal distance, self-avoidance distance).
+def normal_radius(link: ProductLink) -> NormalRadiusEstimate:
+    """Exact normal radius arcsin(lambda_min) of a round-sphere product.
 
-    The focal bound is arccot of the largest principal curvature, in closed
-    form arctan sqrt(k_min / (k - k_min)): |b_i| / lambda_i peaks on the
-    unit normal closest to the smallest factor's axis.  The self-avoidance
-    bound is half the spherical distance between sample pairs whose chord
-    is predominantly normal to the link (normal component ratio at least
-    ``avoidance_ratio``).  The normal space at p_i is the span of the
-    block-embedded factor points x_l^i with p_i itself projected out, so
-    the normal part of p_j - p_i has squared norm
-    sum_l lambda_l^2 (x_l^i . x_l^j)^2 - (p_i . p_j)^2, symmetric in i and
-    j, and the chord has squared length 2 - 2 p_i . p_j.  Pairs with a
-    chord below 1e-6, where that difference is rounding noise, are skipped.
+    The normal radius, the reach of Federer (Curvature measures, 1959), is
+    the smaller of the focal distance and half the shortest geodesic chord
+    normal to the link at both ends.  The focal distance is arccot of the
+    largest principal curvature sqrt((k - k_min) / k_min), that is
+    arctan sqrt(k_min / (k - k_min)) = arcsin(lambda_min).  A normal
+    geodesic from (lambda_i x_i) stays in the span of the x_i, so the chords
+    normal at both ends join it to the points (+-lambda_i x_i); the shortest
+    flips the smallest factor and has length 2 arcsin(lambda_min).  The two
+    distances coincide, and the focal one is reported.  A single factor is
+    a great sphere, totally geodesic, with normal radius pi/2.
     """
     _require_round(link, "normal radius")
-    dims = [f.dim for f in link.factors]
-    k, k_min = link.k, min(dims)
-    focal = np.pi / 2 if k == k_min else float(np.arctan(np.sqrt(k_min / (k - k_min))))
-
-    S_count = len(link.factor_points[0])
-    dots = np.zeros((S_count, S_count))
-    normal_sq = np.zeros((S_count, S_count))
-    for lam, X in zip(link.lambdas, link.factor_points):
-        G = X @ X.T
-        dots += lam * lam * G
-        normal_sq += lam * lam * G * G
-    normal_sq -= dots * dots
-    chord_sq = 2.0 - 2.0 * dots
-    close = (chord_sq >= 1e-12) & (normal_sq >= avoidance_ratio**2 * chord_sq)
-    avoid = np.pi / 2
-    if np.any(close):
-        avoid = 0.5 * float(np.arccos(np.clip(dots[close].max(), -1.0, 1.0)))
-    value = min(np.pi / 2, focal, avoid)
-    if value == focal and focal <= avoid:
-        binding = "focal"
-    elif value == avoid:
-        binding = "self-avoidance"
-    else:
-        binding = "hemisphere-cap"
-    return NormalRadiusEstimate(value, binding, focal, avoid)
+    if link.n_factors == 1:
+        return NormalRadiusEstimate(math.pi / 2, "hemisphere-cap")
+    k_min = min(f.dim for f in link.factors)
+    value = float(np.arctan(np.sqrt(k_min / (link.k - k_min))))
+    return NormalRadiusEstimate(value, "focal")
 
 
 def hypersurface_factor(link: ProductLink) -> SphereFactor:
@@ -314,10 +271,9 @@ def as_link_data(
     *,
     curvature: Optional[CurvatureModel] = None,
     radius: Optional[NormalRadiusEstimate] = None,
-    **opts,
 ) -> LinkData:
     """Bundle the criterion inputs, computing anything not supplied."""
-    model = curvature if curvature is not None else curvature_model(link, **opts)
+    model = curvature if curvature is not None else curvature_model(link)
     R = radius if radius is not None else normal_radius(link)
     return LinkData(
         k=link.k,
@@ -333,19 +289,17 @@ def replication_search(
     n_max: int,
     control: str = "F",
     *,
-    seed: int = 0,
-    samples: int = 200,
     normalization: str = "k-plus-1",
 ) -> dict:
     """Smallest number of copies of the base link whose product cone the
-    criterion certifies, scanning n = 2 .. n_max."""
+    criterion certifies, scanning n = 2 .. n_max.  The curvature data of
+    each product is exact, so no samples are drawn."""
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
     verdicts = []
     n_pass = None
     for n in range(2, n_max + 1):
-        link = minimal_product([base] * n, samples=samples, seed=seed + n)
-        data = as_link_data(link, seed=seed + n)
+        data = as_link_data(minimal_product([base] * n))
         verdict = check_area_minimizing(data, control, normalization=normalization)
         verdicts.append((n, verdict))
         if verdict.passes and n_pass is None:

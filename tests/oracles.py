@@ -2,8 +2,10 @@
 
 Each one computes a quantity conekit now obtains another way: the descent
 ODE by scipy's ``solve_ivp`` instead of the scalar DOP853 loop, comass by a
-constrained minimization, and shape matrices by finite differences along
-great-circle curves instead of the closed-form spectra.
+constrained minimization, shape matrices by finite differences along
+great-circle curves instead of the closed-form spectra, p(t) by a dense
+search over unit normals instead of its Lagrange formula, and the normal
+radius from explicit chords between link points instead of arcsin(lambda_min).
 """
 
 import math
@@ -225,3 +227,73 @@ def numeric_second_fundamental_form(
             raise ValueError("v has a tangential component")
     H = S @ v
     return 0.5 * (H + H.T)
+
+
+# ---------------------------------------------------------------------------
+# exact curvature data of round products
+
+
+def shape_spectrum(link: ProductLink, b) -> np.ndarray:
+    """Principal curvatures of h^v for the mixing normal v = (b_i x_i): the
+    eigenvalue -b_i / lambda_i with multiplicity k_i, at every point."""
+    dims = [f.dim for f in link.factors]
+    return np.repeat(-np.asarray(b, dtype=float) / link.lambdas, dims)
+
+
+def unit_mixing_normals(link: ProductLink, rng, count: int) -> np.ndarray:
+    """``count`` random unit b orthogonal to (lambda_i).  The projection is
+    applied twice: once leaves a draw nearly parallel to lambda with a
+    rounding residue along it that normalization blows up."""
+    lam = link.lambdas
+    b = rng.standard_normal((count, link.n_factors))
+    for _ in range(2):
+        b -= np.outer(b @ lam, lam)
+    return b / np.linalg.norm(b, axis=1, keepdims=True)
+
+
+def p_by_normal_search(link: ProductLink, ts, rng, count: int = 100_000) -> np.ndarray:
+    """p(t) = min det(I - t h^v) over ``count`` random unit mixing normals,
+    each with both signs, for every t in ``ts``: an upper bound that tends
+    to p(t) as the normals fill the sphere."""
+    b = unit_mixing_normals(link, rng, count)
+    beta = np.vstack([b, -b]) / link.lambdas  # h^v has eigenvalues -beta_i
+    dims = np.array([f.dim for f in link.factors])
+    return np.array([float(np.prod((1.0 + t * beta) ** dims, axis=1).min())
+                     for t in ts])
+
+
+def _embed(link: ProductLink, xs) -> np.ndarray:
+    return np.concatenate([lam * x for lam, x in zip(link.lambdas, xs)])
+
+
+def geodesic_chord(link: ProductLink, xs, ys):
+    """Half the great-circle distance between the link points with factor
+    coordinates xs and ys, and the largest norm, at either end, of the
+    chord's unit direction projected on the link's tangent space there
+    (the part of each factor block orthogonal to that factor's point).  The
+    chord is normal to the link at both ends when that norm is 0."""
+    p, q = _embed(link, xs), _embed(link, ys)
+    c = float(np.clip(p @ q, -1.0, 1.0))
+    tangential = 0.0
+    for start, end, coords in ((p, q, xs), (q, p, ys)):
+        u = end - c * start
+        u /= np.linalg.norm(u)
+        parts = [u[sl] - (u[sl] @ z) * z for sl, z in zip(link.block_slices, coords)]
+        tangential = max(tangential, float(np.linalg.norm(np.concatenate(parts))))
+    return 0.5 * math.acos(c), tangential
+
+
+def double_normal_chords(link: ProductLink, xs) -> list:
+    """(flipped factors, half length, tangential part) of the chord from the
+    point xs to each point that negates the factors of a nonempty proper
+    subset and keeps the rest.  Every normal geodesic from xs lies in the
+    span of the factor points, so these are the chords from xs that can be
+    normal at both ends; flipping every factor gives the antipode, at half
+    length pi/2, which no normal radius of a product exceeds."""
+    out = []
+    n = link.n_factors
+    for mask in range(1, 2 ** n - 1):
+        flipped = tuple(i for i in range(n) if mask >> i & 1)
+        ys = [-x if i in flipped else x for i, x in enumerate(xs)]
+        out.append((flipped, *geodesic_chord(link, xs, ys)))
+    return out

@@ -1,12 +1,14 @@
 """End-to-end acceptance gate: frozen oracle values and property sweeps
 covering every public pipeline at its contracted tolerances."""
 
+import json
 import math
 import time
 from itertools import combinations
 
 import numpy as np
 
+from conekit.cli import main
 from conekit.comass import (
     _optimize,
     adapted_base_metric,
@@ -161,11 +163,10 @@ def test_vanishing_angles_converge_and_are_ordered():
                 assert thetas["c"] > thetas["F"]
 
 
-def _cone_verdict(dims, samples, point_samples, normal_samples, p_exact):
+def _cone_verdict(dims, samples, p_exact):
     link = minimal_product([SphereFactor.round(d) for d in dims],
                            samples=samples, seed=0)
-    model = curvature_model(link, point_samples=point_samples,
-                            normal_samples=normal_samples)
+    model = curvature_model(link)
     radius = normal_radius(link)
     p_fn, p2 = p_exact
     data = LinkData(k=link.k, alpha=model.alpha, normal_radius=float(radius),
@@ -176,16 +177,15 @@ def _cone_verdict(dims, samples, point_samples, normal_samples, p_exact):
 def test_cone_verdicts_with_density_stability():
     start = time.time()
     clifford_p = (lambda t: max(1.0 - t * t, 0.0), -1.0)
-    for samples, pts, nors in ((40, 6, 32), (80, 12, 64)):
-        verdict, model, radius = _cone_verdict((3, 3), samples, pts, nors,
+    for samples in (40, 80):
+        verdict, model, radius = _cone_verdict((3, 3), samples,
                                                (_simons_p, -3.0))
         assert verdict.passes and verdict.status == "passes"
         assert abs(model.alpha - math.sqrt(6)) < 1e-6
         assert abs(float(radius) - math.pi / 4) < 1e-6
         assert abs(verdict.R_half - math.pi / 8) < 1e-6
 
-        verdict, model, radius = _cone_verdict((1, 1), samples, pts, nors,
-                                               clifford_p)
+        verdict, model, radius = _cone_verdict((1, 1), samples, clifford_p)
         assert not verdict.passes and verdict.status == "inconclusive"
         assert abs(model.alpha - math.sqrt(2)) < 1e-6
         assert abs(float(radius) - math.pi / 4) < 1e-6
@@ -285,9 +285,18 @@ def test_wedge_comass_bound_random_pairs():
         assert scaled <= 1.0 + 1e-9
 
 
-def test_replication_count_is_twelve_and_seed_stable():
-    for seed in (0, 1000):
-        out = replication_search(SphereFactor.round(1), 12, "F", seed=seed)
-        assert out["n_pass"] == 12
-        statuses = {n: v.passes for n, v in out["verdicts"]}
-        assert statuses[11] is False and statuses[12] is True
+def test_replication_count_is_twelve_and_seed_stable(tmp_path):
+    out = replication_search(SphereFactor.round(1), 12, "F")
+    assert out["n_pass"] == 12
+    statuses = {n: v.passes for n, v in out["verdicts"]}
+    assert statuses[11] is False and statuses[12] is True
+    # the curvature data are exact, so the CLI seed changes no byte
+    spec = tmp_path / "circles.json"
+    spec.write_text(json.dumps({"base": {"type": "sphere", "dim": 1}, "n_max": 12}))
+    tables = []
+    for seed in ("0", "1000"):
+        out_dir = tmp_path / seed
+        assert main(["replicate", "--spec", str(spec), "--out", str(out_dir),
+                     "--control", "F", "--seed", seed]) == 0
+        tables.append((out_dir / "replication.csv").read_bytes())
+    assert tables[0] == tables[1]

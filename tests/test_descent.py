@@ -28,14 +28,15 @@ KS = (1, 2, 3, 4, 5, 6, 8, 10, 12, 16, 20, 25, 30)
 
 def _s3xs3():
     link = minimal_product([SphereFactor.round(3)] * 2, samples=20, seed=0)
-    model = curvature_model(link, point_samples=4, normal_samples=16, seed=1)
+    model = curvature_model(link)
     return model.k, model.p_fn, model.p2
 
 
 def _cases():
     """(control, alpha, k, p_fn, p2, normalization): the F and c controls on
-    k = 1..30 at alpha in {0, 1/2, 1, sqrt k}, and custom p from the S3 x S3
-    spectra and (1 - t^2)^6, each under both slope divisors."""
+    k = 1..30 at alpha in {0, 1/2, 1, sqrt k}, and custom p from the exact S3 x S3
+    curvature model, (1 - t^2)^3, and (1 - t^2)^6, each under both slope
+    divisors."""
     cases = [(control, alpha, k, None, None, nz)
              for k in KS for alpha in (0.0, 0.5, 1.0, math.sqrt(k))
              for control in ("F", "c") for nz in NORMALIZATIONS]

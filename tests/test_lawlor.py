@@ -324,3 +324,6 @@ def test_curvature_model_validation():
         CurvatureModel(4, 1.0, lambda t: 1.0, 0.5)
     with pytest.raises(ValueError):
         CurvatureModel(0, 1.0, lambda t: 1.0, 0.0)
+    for alpha in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            CurvatureModel(4, alpha, lambda t: 1.0, 0.0)

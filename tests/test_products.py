@@ -1,4 +1,4 @@
-"""Tests for scaled sphere products and their sampled curvature data."""
+"""Tests for scaled sphere products and their exact curvature data."""
 
 import math
 
@@ -56,6 +56,31 @@ def test_minimal_product_assembly():
     assert len(tup) == 2 and tup[0].size == 2 and tup[1].size == 4
 
 
+def test_round_products_draw_no_samples():
+    # the exact curvature data read no sample point, and points drawn on
+    # first read follow one generator factor by factor, the order that
+    # obstruct certificates depend on
+    circle = SphereFactor(dim=1, ambient=2, points=np.eye(3)[:2],
+                          normals=np.eye(3)[[1, 0]])
+    simons = minimal_product([SphereFactor.round(3)] * 2, samples=5, seed=9)
+    as_link_data(simons)
+    assert "factor_points" not in vars(simons)
+    link = minimal_product([SphereFactor.round(3), circle,
+                            SphereFactor.round(2)], samples=5, seed=9)
+    assert "factor_points" not in vars(link)
+    rng = np.random.default_rng(9)
+    first = rng.standard_normal((5, 4))
+    picks = rng.choice(2, size=5, replace=True)
+    last = rng.standard_normal((5, 3))
+    pts = link.factor_points
+    unit = np.linalg.norm
+    np.testing.assert_array_equal(pts[0], first / unit(first, axis=1, keepdims=True))
+    np.testing.assert_array_equal(pts[1], circle.points[picks])
+    np.testing.assert_array_equal(pts[2], last / unit(last, axis=1, keepdims=True))
+    with pytest.raises(ValueError, match="samples"):
+        minimal_product([SphereFactor.round(1)], samples=0)
+
+
 def test_clifford_shape_matrix_eigenvalues():
     link = _clifford()
     xs = link.point_tuple(0)
@@ -99,22 +124,20 @@ def test_sff_rejects_bad_normals():
 
 
 def test_curvature_model_clifford():
-    model = curvature_model(_clifford(), point_samples=4, normal_samples=16)
+    model = curvature_model(_clifford())
     assert model.k == 2
-    assert abs(model.alpha - math.sqrt(2)) < 1e-6
-    assert abs(model.p2 + 1.0) < 1e-5
+    assert model.alpha == math.sqrt(2)
+    assert model.p2 == -1.0
     for t in (0.0, 0.3, 0.7):
-        assert abs(model.p_fn(t) - (1.0 - t * t)) < 1e-5
+        assert abs(model.p_fn(t) - (1.0 - t * t)) < 1e-15
 
 
 def test_curvature_model_equal_three_spheres():
-    model = curvature_model(_simons(), point_samples=3, normal_samples=16)
+    model = curvature_model(_simons())
     assert model.k == 6
-    assert abs(model.alpha - math.sqrt(6)) < 1e-6
-    # quadratic fit of (1 - t^2)^3 over the default window carries a small
-    # quartic bias, so p2 is only good to about one percent
-    assert abs(model.p2 + 3.0) < 1e-2
-    assert abs(model.p_fn(0.5) - 0.421875) < 1e-5
+    assert model.alpha == math.sqrt(6)
+    assert model.p2 == -3.0
+    assert abs(model.p_fn(0.5) - 0.421875) < 1e-15
 
 
 def test_curvature_model_single_round_factor():
@@ -128,13 +151,12 @@ def test_normal_radius_clifford_is_quarter_pi():
     assert isinstance(est, NormalRadiusEstimate)
     assert abs(float(est) - math.pi / 4) < 1e-6
     assert est.binding == "focal"
-    assert abs(est.focal_bound - math.pi / 4) < 1e-6
 
 
 def test_normal_radius_totally_geodesic_equator():
     link = minimal_product([SphereFactor.round(3)], samples=10, seed=6)
     est = normal_radius(link)
-    assert abs(float(est) - math.pi / 2) < 1e-12
+    assert float(est) == math.pi / 2 and est.binding == "hemisphere-cap"
 
 
 def test_hypersurface_factor_round_trip():
@@ -152,7 +174,7 @@ def test_hypersurface_factor_round_trip():
 
 def test_as_link_data_bundles_inputs():
     link = _clifford()
-    data = as_link_data(link, point_samples=3, normal_samples=8)
+    data = as_link_data(link)
     assert data.k == 2
     assert abs(data.alpha - math.sqrt(2)) < 1e-6
     assert abs(data.normal_radius - math.pi / 4) < 1e-6
@@ -161,8 +183,7 @@ def test_as_link_data_bundles_inputs():
 
 def test_replication_search_small_products_fail():
     # a few circles are far too curved relative to their normal radius
-    out = replication_search(SphereFactor.round(1), 4, "F", seed=0,
-                             samples=40)
+    out = replication_search(SphereFactor.round(1), 4, "F")
     assert out["n_pass"] is None
     assert [n for n, _ in out["verdicts"]] == [2, 3, 4]
     assert all(not v.passes for _, v in out["verdicts"])

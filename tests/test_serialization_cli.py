@@ -117,6 +117,17 @@ def test_cli_manifest_written_on_precondition_failure(tmp_path):
         assert manifest["command"] == "certify-cone"
 
 
+@pytest.mark.parametrize("alpha", [float("nan"), float("inf")])
+def test_cli_vanishing_table_rejects_non_finite_alpha(tmp_path, alpha):
+    # json writes these as the NaN and Infinity literals, which it reads back
+    spec = _write_spec(tmp_path / "table.json",
+                       {"ks": [4], "alphas": [alpha], "controls": ["F", "c"]})
+    out = tmp_path / "out"
+    assert main(["vanishing-table", "--spec", spec, "--out", str(out)]) == 2
+    assert read_json(str(out / "manifest.json"))["exit_code"] == 2
+    assert not (out / "vanishing_table.csv").exists()
+
+
 def test_cli_glue_sweep_job_and_idempotence(tmp_path):
     spec = _write_spec(
         tmp_path / "glue.json",

@@ -1,8 +1,9 @@
-"""Closed-form curvature data of round-sphere products against the
-finite-difference and per-point oracles they replace."""
+"""Exact curvature data of round-sphere products against the
+finite-difference, dense-search and explicit-chord oracles they replace."""
 
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,13 +21,19 @@ from conekit.lawlor import (
 )
 from conekit.products import (
     SphereFactor,
-    _normal_grid,
-    _shape_spectra,
     curvature_model,
     minimal_product,
     normal_radius,
 )
-from oracles import _sff_vectors, numeric_second_fundamental_form
+from oracles import (
+    _sff_vectors,
+    double_normal_chords,
+    geodesic_chord,
+    numeric_second_fundamental_form,
+    p_by_normal_search,
+    shape_spectrum,
+    unit_mixing_normals,
+)
 
 PRODUCTS = [(1, 1), (1, 3), (2, 3), (3, 3), (1, 2, 3), (1, 1, 1, 1), (2, 2, 4)]
 
@@ -43,34 +50,28 @@ def _normal(link, xs, b):
     return v
 
 
-def _random_unit_normals(link, rng, count):
-    lam = link.lambdas
-    b = rng.standard_normal((count, link.n_factors))
-    b -= np.outer(b @ lam, lam)
-    return b / np.linalg.norm(b, axis=1, keepdims=True)
+def _t_focal(link):
+    return math.tan(normal_radius(link).value)
 
 
 @pytest.mark.parametrize("dims", PRODUCTS)
 def test_spectra_match_finite_difference_eigenvalues(dims):
     link = _link(dims)
     rng = np.random.default_rng(sum(dims))
-    bs = _random_unit_normals(link, rng, 4)
-    table = _shape_spectra(link, bs)
-    assert table.shape == (link.k, 4)
-    for col, b in enumerate(bs):
-        xs = link.point_tuple(int(rng.integers(len(link.factor_points[0]))))
+    for b in unit_mixing_normals(link, rng, 4):
+        xs = link.point_tuple(int(rng.integers(link.samples)))
         H = numeric_second_fundamental_form(link, xs, _normal(link, xs, b))
-        np.testing.assert_allclose(np.sort(table[:, col]),
+        np.testing.assert_allclose(np.sort(shape_spectrum(link, b)),
                                    np.linalg.eigvalsh(H), atol=1e-6)
 
 
 @pytest.mark.parametrize("dims", PRODUCTS)
 def test_every_row_norm_is_sqrt_k(dims):
     link = _link(dims)
-    bs = _normal_grid(link, np.random.default_rng(5), 64)
-    norms = np.linalg.norm(_shape_spectra(link, bs), axis=0)
+    bs = unit_mixing_normals(link, np.random.default_rng(5), 64)
+    norms = [np.linalg.norm(shape_spectrum(link, b)) for b in bs]
     np.testing.assert_allclose(norms, math.sqrt(link.k), rtol=0, atol=1e-12)
-    assert abs(curvature_model(link).alpha - math.sqrt(link.k)) <= 1e-12
+    assert curvature_model(link).alpha == math.sqrt(link.k)
 
 
 def test_cli_simons_alpha_is_sqrt_six(tmp_path):
@@ -84,30 +85,89 @@ def test_cli_simons_alpha_is_sqrt_six(tmp_path):
     assert report["status"] == "passes"
 
 
-def _determinant_oracle(link, point_samples, normal_samples, seed):
-    """p(t) as the minimum of det(I - t h^v) over finite-difference shape
-    matrices on the same normal draws as curvature_model."""
-    rng = np.random.default_rng(seed)
-    mats = []
-    for p_idx in range(point_samples):
-        xs = link.point_tuple(p_idx)
-        S, _ = _sff_vectors(link, xs)
-        for b in _normal_grid(link, rng, normal_samples):
-            H = S @ _normal(link, xs, b)
-            H = 0.5 * (H + H.T)
-            mats.extend([H, -H])
-    mats = np.asarray(mats)
-    eye = np.eye(link.k)
-    return lambda t: float(np.min(np.linalg.det(eye - t * mats)))
+@pytest.mark.parametrize("dims", [(2, 4), (1, 3, 5)])
+def test_cli_certify_report_says_inputs_are_exact(tmp_path, dims):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"factors": [{"type": "sphere", "dim": d}
+                                            for d in dims], "samples": 60}))
+    out = tmp_path / "out"
+    assert main(["certify-cone", "--spec", str(spec), "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["inputs"] == "exact"
+    assert report["p2"] == -sum(dims) / 2
+    assert report["alpha"] == math.sqrt(sum(dims))
+    assert report["radius_binding"] == "focal"
+    R = math.asin(math.sqrt(min(dims) / sum(dims)))
+    assert abs(report["normal_radius"] - R) <= 1e-15
+
+
+def _stationary_normals(link):
+    """The unit mixing normals where log p is stationary: beta_i = b_i /
+    lambda_i is sqrt((k - j)/j) on the factors of a proper subset, of
+    dimension j, and -sqrt(j/(k - j)) on the rest."""
+    k, n = link.k, link.n_factors
+    out = []
+    for mask in range(1, 2 ** n - 1):
+        inside = np.array([mask >> i & 1 for i in range(n)], dtype=bool)
+        j = sum(f.dim for f, s in zip(link.factors, inside) if s)
+        beta = np.where(inside, math.sqrt((k - j) / j), -math.sqrt(j / (k - j)))
+        out.append(beta * link.lambdas)
+    return out
 
 
 @pytest.mark.parametrize("dims", [(1, 1), (1, 2), (2, 3), (1, 1, 1), (1, 1, 2)])
 def test_p_fn_matches_determinant_oracle(dims):
+    # p(t) is the least det(I - t h^v) over the stationary normals, with
+    # h^v the finite-difference shape matrix
     link = _link(dims)
-    model = curvature_model(link, point_samples=4, normal_samples=16, seed=3)
-    oracle = _determinant_oracle(link, 4, 16, 3)
-    for t in np.linspace(0.0, 1.0, 21):
-        assert abs(model.p_fn(t) - oracle(t)) <= 1e-6
+    xs = link.point_tuple(0)
+    S, _ = _sff_vectors(link, xs)
+    mats = []
+    for b in _stationary_normals(link):
+        assert abs(np.linalg.norm(b) - 1.0) <= 1e-12 and abs(b @ link.lambdas) <= 1e-12
+        H = S @ _normal(link, xs, b)
+        mats.append(0.5 * (H + H.T))
+    eye = np.eye(link.k)
+    model = curvature_model(link)
+    for t in np.linspace(0.0, _t_focal(link), 21):
+        oracle = float(np.min(np.linalg.det(eye - t * np.asarray(mats))))
+        assert abs(model.p_fn(t) - oracle) <= 1e-6
+
+
+PRODUCT_DRAWS = [tuple(int(d) for d in np.random.default_rng(s).integers(1, 6, n))
+                 for s, n in ((0, 2), (1, 3), (2, 3), (3, 4), (4, 4))]
+
+
+@pytest.mark.parametrize("dims", PRODUCT_DRAWS)
+def test_p_fn_is_the_infimum_over_dense_normals(dims):
+    # no unit normal of 1e5 random ones goes below the exact p, and the
+    # best of them comes within 1e-4 of it
+    link = _link(dims)
+    model = curvature_model(link)
+    ts = np.linspace(0.0, _t_focal(link), 10, endpoint=False)[1:]
+    search = p_by_normal_search(link, ts, np.random.default_rng(sum(dims)))
+    exact = np.array([model.p_fn(t) for t in ts])
+    assert np.all(exact - search <= 1e-12 * np.abs(search))
+    assert np.all(search - exact <= 1e-4)
+
+
+@pytest.mark.parametrize("dims", PRODUCTS + [(1, 5), (2, 2, 2, 3)])
+def test_p2_is_minus_half_k(dims):
+    link = _link(dims)
+    k = link.k
+    model = curvature_model(link)
+    assert abs(model.p2 + k / 2) <= 1e-15
+    # every term (1 + a t)^j (1 - b t)^(k-j) is 1 + 0 t - (k/2) t^2 + ...,
+    # in exact arithmetic: a b = 1, a^2 = (k-j)/j, b^2 = j/(k-j)
+    for b in _stationary_normals(link):
+        j = sum(f.dim for f, x in zip(link.factors, b) if x > 0)
+        a2, b2 = Fraction(k - j, j), Fraction(j, k - j)
+        assert j * j * a2 == (k - j) ** 2 * b2  # the linear terms cancel
+        c2 = (Fraction(j * (j - 1), 2) * a2
+              + Fraction((k - j) * (k - j - 1), 2) * b2 - j * (k - j))
+        assert c2 == Fraction(-k, 2)
+    h = 1e-5
+    assert abs((model.p_fn(h) - 1.0) / h ** 2 + k / 2) <= 1e-3 * k
 
 
 @pytest.mark.parametrize("dims", PRODUCTS + [(3,), (1, 5), (2, 2, 2, 3)])
@@ -116,95 +176,96 @@ def test_focal_bound_closed_form(dims):
     k, k_min = sum(dims), min(dims)
     est = normal_radius(link)
     if len(dims) == 1:
-        assert est.focal_bound == math.pi / 2
+        assert est.value == math.pi / 2 and est.binding == "hemisphere-cap"
         return
     expected = math.atan(math.sqrt(k_min / (k - k_min)))
-    assert abs(est.focal_bound - expected) <= 1e-12
-    # the largest principal curvature sits on an axis-extremal normal of the
-    # grid, where the finite-difference shape matrix agrees with it
-    bs = _normal_grid(link, np.random.default_rng(0), 0)
-    kappa = np.max(np.abs(_shape_spectra(link, bs)))
+    assert abs(est.value - expected) <= 1e-12 and est.binding == "focal"
+    assert abs(est.value - math.asin(min(link.lambdas))) <= 1e-12
+    # the largest principal curvature sits on the normal closest to the
+    # smallest factor's axis, where the finite-difference shape matrix
+    # agrees with it, and no random normal exceeds it
+    axes = []
+    for i in range(link.n_factors):
+        b = -link.lambdas[i] * link.lambdas
+        b[i] += 1.0
+        axes.append(b / np.linalg.norm(b))
+    kappa = max(np.max(np.abs(shape_spectrum(link, b))) for b in axes)
     assert abs(math.atan(1.0 / kappa) - expected) <= 1e-12
+    randoms = unit_mixing_normals(link, np.random.default_rng(0), 200)
+    assert max(np.max(np.abs(shape_spectrum(link, b))) for b in randoms) <= kappa + 1e-12
     xs = link.point_tuple(0)
     fd = max(np.max(np.abs(np.linalg.eigvalsh(
         numeric_second_fundamental_form(link, xs, _normal(link, xs, b)))))
-        for b in bs)
+        for b in axes)
     assert abs(fd - kappa) <= 1e-6
+    # and p closes the band there
+    assert abs(curvature_model(link).p_fn(math.tan(est.value))) <= 1e-12
 
 
-def _avoidance_oracle(link, avoidance_ratio=0.95):
-    """Self-avoidance bound by the per-point loop: an orthonormal basis of
-    the mixing normals at each sample by QR, chords projected onto it."""
-    n, lam = link.n_factors, link.lambdas
-    pts = link.embedded_points()
-    avoid = math.pi / 2
-    for i in range(len(pts)):
-        xs = link.point_tuple(i)
-        rows = []
-        for r in range(n - 1):
-            b = np.zeros(n)
-            b[r], b[r + 1] = lam[r + 1], -lam[r]
-            rows.append(_normal(link, xs, b))
-        B = np.linalg.qr(np.asarray(rows).T)[0].T
-        chords = pts[i + 1:] - pts[i]
-        norms = np.linalg.norm(chords, axis=1)
-        keep = norms > 1e-9
-        if not np.any(keep):
-            continue
-        ratio = np.linalg.norm(chords[keep] @ B.T, axis=1) / norms[keep]
-        close = ratio >= avoidance_ratio
-        if np.any(close):
-            cosang = np.clip(pts[i + 1:][keep][close] @ pts[i], -1.0, 1.0)
-            avoid = min(avoid, 0.5 * float(np.min(np.arccos(cosang))))
-    return avoid
+@pytest.mark.parametrize("dims", [(1,) * 12, (1, 2, 3), (3, 3), (2, 2, 2, 2)],
+                         ids=["12-circles", "S1xS2xS3", "S3xS3", "S2^4"])
+def test_normal_radius_matches_double_normal_oracle(dims):
+    # half the shortest chord normal to the link at both ends, over every
+    # such chord from a sample point, is the normal radius
+    link = _link(dims, samples=5, seed=sum(dims))
+    chords = double_normal_chords(link, link.point_tuple(3))
+    assert max(tangential for *_, tangential in chords) <= 1e-12
+    flipped, half, _ = min(chords, key=lambda chord: chord[1])
+    assert abs(normal_radius(link).value - half) <= 1e-12
+    assert len(flipped) == 1 and link.factors[flipped[0]].dim == min(dims)
 
 
-def _near_antipodal(copies, turned, delta=0.05, samples=30, seed=0):
+NEAR_ANTIPODAL = [(12, 1), (20, 1), (4, 1), (20, 2), (40, 2)]
+DELTA = 0.05
+
+
+def _near_antipodal(copies, turned, samples=30, seed=0):
     """Product of circles whose samples 0 and 1 agree in every factor but
-    the first ``turned``, where they are antipodal up to an angle delta."""
+    the first ``turned``, where they are antipodal up to an angle DELTA."""
     link = _link((1,) * copies, samples=samples, seed=seed)
-    c, s = math.cos(math.pi - delta), math.sin(math.pi - delta)
+    c, s = math.cos(math.pi - DELTA), math.sin(math.pi - DELTA)
     for i, pts in enumerate(link.factor_points):
         x = pts[0]
         pts[1] = [c * x[0] - s * x[1], s * x[0] + c * x[1]] if i < turned else x
     return link
 
 
-@pytest.mark.parametrize("copies", [12, 20])
-def test_avoidance_bound_binds_on_near_antipodal_pair(copies):
-    # the pair's chord has normal ratio about sqrt(1 - 1/copies) >= 0.95;
-    # exactly antipodal, half its angle would tie the focal bound, and
-    # turning it by delta shortens the chord, so self-avoidance binds
-    link = _near_antipodal(copies, 1)
-    est = normal_radius(link)
-    assert abs(est.avoidance_bound - _avoidance_oracle(link)) <= 1e-12
-    assert est.avoidance_bound < est.focal_bound - 1e-5
-    assert est.binding == "self-avoidance" and est.value == est.avoidance_bound
-
-
-@pytest.mark.parametrize("link", [
-    _near_antipodal(40, 2),  # normal ratio sqrt(1 - 2/40), chord too long
-    _near_antipodal(20, 2),  # normal ratio sqrt(1 - 2/20) < 0.95
-    _near_antipodal(4, 1),  # normal ratio sqrt(3)/2 < 0.95
-    _link((1,) * 12, samples=60, seed=4),
-    _link((1, 2, 3), samples=80, seed=1),
-    _link((3, 3), samples=40, seed=0),
-    _link((2, 2, 2, 2), samples=50, seed=2),
-], ids=["40-circles-2-turned", "20-circles-2-turned", "4-circles-1-turned",
-        "12-circles", "S1xS2xS3", "S3xS3", "S2^4"])
-def test_avoidance_bound_matches_oracle_when_not_binding(link):
-    est = normal_radius(link)
-    assert abs(est.avoidance_bound - _avoidance_oracle(link)) <= 1e-12
-    assert est.avoidance_bound > est.focal_bound
-    assert est.binding == "focal"
+@pytest.mark.parametrize("copies, turned", NEAR_ANTIPODAL,
+                         ids=[f"{c}-circles-{t}-turned" for c, t in NEAR_ANTIPODAL])
+def test_near_antipodal_sample_pair_is_not_a_double_normal(copies, turned):
+    # the pair a sampled self-avoidance sweep would take: its chord is
+    # shorter than the reach when one factor is turned, but it has a
+    # tangential part, while the exactly antipodal pair is a double normal
+    # no shorter than the normal radius
+    link = _near_antipodal(copies, turned)
+    R = normal_radius(link).value
+    assert abs(R - math.asin(math.sqrt(1.0 / copies))) <= 1e-12
+    xs = link.point_tuple(0)
+    half, tangential = geodesic_chord(link, xs, link.point_tuple(1))
+    expected = 0.5 * math.acos(1.0 - turned * (1.0 + math.cos(DELTA)) / copies)
+    assert abs(half - expected) <= 1e-12
+    assert tangential > 0.01
+    if turned == 1:
+        assert half < R - 1e-5
+    flipped = [-x if i < turned else x for i, x in enumerate(xs)]
+    half, tangential = geodesic_chord(link, xs, flipped)
+    assert tangential <= 1e-12 and half >= R - 1e-12
+    assert (abs(half - R) <= 1e-12) == (turned == 1)
 
 
 def test_avoidance_bound_finite_without_binding():
+    # the 2-turned pair in 40 circles is a chord of finite half length, below
+    # pi/2 and in closed form, yet longer than the reach and not normal, so
+    # the focal distance still sets the normal radius
     link = _near_antipodal(40, 2)
+    half, tangential = geodesic_chord(link, link.point_tuple(0), link.point_tuple(1))
+    assert half < math.pi / 2
+    expected = 0.5 * math.acos(1.0 - 2.0 * (1.0 + math.cos(DELTA)) / 40)
+    assert abs(half - expected) <= 1e-12
+    assert tangential > 0.01
     est = normal_radius(link)
-    assert est.avoidance_bound < math.pi / 2
-    expected = 0.5 * math.acos(1.0 - 2.0 * (1.0 + math.cos(0.05)) / 40)
-    assert abs(est.avoidance_bound - expected) <= 1e-12
+    assert est.binding == "focal" and est.value < half
+    assert abs(est.value - math.atan(math.sqrt(1.0 / 39))) <= 1e-12
 
 
 def _nan_after(t_stop):
