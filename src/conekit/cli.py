@@ -76,6 +76,7 @@ def cmd_comass(spec, args, out_dir, base_dir):
             "restarts_used": res.restarts_used,
             "iterations": res.iterations,
             "converged": res.converged,
+            "restarts_at_max": res.restarts_at_max,
             "residual": res.residual,
             "maximizer": res.maximizer.matrix.tolist(),
         },
@@ -161,6 +162,7 @@ def cmd_certify_cone(spec, args, out_dir, base_dir):
             "control": verdict.control,
             "theta": verdict.theta_used,
             "descent_end": verdict.end,
+            "descent_start": {"t": verdict.t_start, "order": verdict.series_order},
             "R_half": verdict.R_half,
             "margin": verdict.margin,
             "passes": verdict.passes,

@@ -63,10 +63,11 @@ __all__ = [
 @dataclass(frozen=True)
 class ComassResult:
     """``method`` is "exact" (closed form) or "optimizer".  ``iterations``
-    counts ascent steps; ``converged`` is False when ``max_iters`` ran out
-    before every restart met the gradient stop.  ``residual`` is the
-    relative Riemannian gradient norm |grad f| / |f| at the returned frame,
-    0.0 on the exact path."""
+    counts ascent steps.  ``converged`` describes the returned restart: it
+    is False when that restart ran out of ``max_iters`` before meeting the
+    gradient stop.  ``restarts_at_max`` counts the restarts, returned or
+    not, that did so.  ``residual`` is the relative Riemannian gradient norm
+    |grad f| / |f| at the returned frame, 0.0 on the exact path."""
 
     value: float
     maximizer: SimpleVector
@@ -75,6 +76,7 @@ class ComassResult:
     iterations: int
     converged: bool
     residual: float
+    restarts_at_max: int = 0
 
 
 @dataclass(frozen=True)
@@ -267,9 +269,9 @@ def _optimize(
     U^T G = f I and that gradient is G - f U.  At the default ``tol`` the
     value is within about 1e-12 relative of the maximum the restart climbs
     to.  Rounding keeps the residual above about 5e-8, so a smaller ``tol``
-    runs to ``max_iters`` and returns ``converged=False``.  ``warm_starts``
-    takes n x m factor matrices (in original coordinates), appended to the
-    random restarts.
+    runs every restart to ``max_iters`` and returns ``converged=False``.
+    ``warm_starts`` takes n x m factor matrices (in original coordinates),
+    appended to the random restarts.
     """
     n, m = phi.n, phi.m
     first = _interior_matrix(_whitened_vector(phi, g), n, m)
@@ -314,6 +316,8 @@ def _optimize(
     final_U[active], final_f[active] = U, f
 
     best = int(np.argmax(final_f))
+    at_max = np.zeros(R, dtype=bool)
+    at_max[active] = True
     V_best = np.linalg.solve(LT, final_U[best])  # g-orthonormal columns
     return ComassResult(
         value=float(final_f[best]),
@@ -321,8 +325,9 @@ def _optimize(
         method="optimizer",
         restarts_used=R,
         iterations=iterations,
-        converged=active.size == 0,
+        converged=not at_max[best],
         residual=float(residual[best]),
+        restarts_at_max=int(active.size),
     )
 
 

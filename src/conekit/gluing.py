@@ -54,8 +54,8 @@ class RelativeSpectrum:
 class GluingReport:
     """Per-grid-point comass measurements and upper bounds for g(s).
 
-    ``unconverged_points`` counts grid points whose comass optimizer hit its
-    iteration limit, so their values may sit below the true comass.
+    ``unconverged_points`` counts grid points whose returned comass restart
+    hit its iteration limit, so their values may sit below the true comass.
     ``endpoint_methods`` says how each endpoint comass was obtained
     ("exact" or "optimizer").
     """

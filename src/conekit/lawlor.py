@@ -21,14 +21,26 @@ Curvature inputs can be exact (p supplied) or conservative controls built
 from a bound alpha on the norm of the second fundamental form:
 F(alpha,t,k+1) and the coarser (1-alpha t) e^(alpha t).
 
-The descent ODE is scalar, so it is integrated by a loop over Python floats
-that follows scipy's DOP853 (Hairer, Norsett and Wanner, Solving Ordinary
+The descent starts from the exact Taylor series of its fastest branch.
+With u = h'/K the descent equality reads (h - t u)^2 + u^2 = p^2, a
+polynomial identity in the coefficients of h and p with no square root:
+h = 1 - a_max t^2 + ..., and for n >= 3 the coefficient of t^n solves one
+linear equation whose pivot 2 - n (1 + r/K), r = sqrt((K-2)^2 + 8 p2), is at
+most 2 - n.  When the model carries p's Taylor coefficients (the F and c
+controls, and round-sphere products) the series runs to order 30 and the
+ODE takes over where its last two terms fall below 1e-17, at most t = 0.2;
+a model with only p2 keeps the order-2 series 1 - a_max t^2 and a start at
+t = 1e-3.
+
+From there the descent ODE is integrated by a loop over Python floats that
+follows scipy's DOP853 (Hairer, Norsett and Wanner, Solving Ordinary
 Differential Equations I, II.10) rule for rule: the same tableau, error
 norm and step-size control, so its results differ from ``solve_ivp``'s only
 by rounding.  The 7th-order dense output is built only for the steps where
 an event is located or a profile is sampled.
-Every descent records how it ended ("hit", "pinch", "no-departure" or
-"t_cap") and what it cost (accepted steps, right-hand-side calls).
+Every descent records where it started and the order of its series, how it
+ended ("hit", "pinch", "no-departure" or "t_cap") and what it cost
+(accepted steps, right-hand-side calls).
 """
 
 import math
@@ -36,8 +48,9 @@ import sys
 import warnings
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import chain
 from operator import mul
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 from scipy.integrate._ivp import dop853_coefficients as _dop
@@ -52,6 +65,7 @@ __all__ = [
     "c_control",
     "slope_interval",
     "second_order_coeffs",
+    "descent_series",
     "integrate_fastest",
     "build_smooth_profile",
     "verify_profile",
@@ -77,6 +91,17 @@ _MAX_STEP = 0.01
 _EVENT_TOL = 4.0 * sys.float_info.epsilon
 _MIN_RTOL = 100.0 * sys.float_info.epsilon
 
+# series start: order of the Taylor series of the fastest branch, the size
+# its last two terms may reach at the start, the latest start, the start of
+# the order-2 series used when a model carries no Taylor data, the allowed
+# mismatch of Taylor data and p_fn, and how often a start may be halved
+SERIES_ORDER = 30
+_SERIES_TAIL = 1e-17
+T_SERIES_MAX = 0.2
+_T_BOOT_QUADRATIC = 1e-3
+_TAYLOR_RTOL = 1e-13
+_START_HALVINGS = 40
+
 
 def _factor(k: int, normalization: str) -> float:
     """Slope divisor in the calibration inequality / descent ODE."""
@@ -91,12 +116,19 @@ def _factor(k: int, normalization: str) -> float:
 class CurvatureModel:
     """Curvature data of a k-dimensional link: a bound alpha on the second
     fundamental form, the determinant infimum p(t), and its quadratic
-    Taylor coefficient p2 at t = 0."""
+    Taylor coefficient p2 at t = 0.
+
+    ``taylor`` optionally holds p's Taylor coefficients at 0, starting
+    1, 0, p2, with p equal to their polynomial up to rounding wherever the
+    descent can start (a polynomial p, or a series truncated far beyond
+    order 30).  The descent then starts from its order-30 series; without
+    them it starts from 1 - a_max t^2."""
 
     k: int
     alpha: float
     p_fn: Callable[[float], float]
     p2: float
+    taylor: Optional[tuple] = None
 
     def __post_init__(self):
         if self.k < 1:
@@ -109,13 +141,30 @@ class CurvatureModel:
             raise ValueError("p2 must be <= 0")
         if self.p2 > 0.0:
             object.__setattr__(self, "p2", 0.0)
+        if self.taylor is not None:
+            taylor = tuple(float(c) for c in self.taylor)
+            if len(taylor) < 3 or taylor[:3] != (1.0, 0.0, self.p2):
+                raise ValueError("Taylor data must start with 1, 0, p2")
+            if not all(math.isfinite(c) for c in taylor):
+                raise ValueError("Taylor data must be finite")
+            object.__setattr__(self, "taylor", taylor)
+
+    def check_taylor(self, t: float):
+        """Reject Taylor data that disagrees with p_fn at t by more than
+        1e-13 relative."""
+        series, value = _horner(self.taylor, t), float(self.p_fn(t))
+        if not abs(series - value) <= _TAYLOR_RTOL * abs(value):
+            raise ValueError(
+                f"Taylor data give p({t:.6g}) = {series!r} but p_fn gives {value!r}"
+            )
 
 
 @dataclass(frozen=True)
 class Profile:
     """Sampled descent profile h(t) with its axis-hit location, if any, how
-    the descent ended (one of DESCENT_ENDS) and its accepted steps and
-    right-hand-side calls."""
+    the descent ended (one of DESCENT_ENDS), its accepted steps and
+    right-hand-side calls, and where the ODE took over from the series
+    start and that series' order (None without a descent)."""
 
     t_samples: np.ndarray
     h_values: np.ndarray
@@ -124,6 +173,8 @@ class Profile:
     end: Optional[str] = None
     steps: int = 0
     rhs_calls: int = 0
+    t_start: Optional[float] = None
+    series_order: Optional[int] = None
 
     def __post_init__(self):
         if abs(self.h_values[0] - 1.0) > 1e-9 or self.t_samples[0] != 0.0:
@@ -135,7 +186,8 @@ class Profile:
 @dataclass(frozen=True)
 class CriterionVerdict:
     """Outcome of comparing a vanishing angle with half the normal radius,
-    and how the descent behind the angle ended."""
+    how the descent behind the angle ended, and where it started and from
+    which series order (None without a descent)."""
 
     theta_used: Optional[float]
     control: str
@@ -144,17 +196,21 @@ class CriterionVerdict:
     margin: Optional[float]
     status: str
     end: str
+    t_start: Optional[float] = None
+    series_order: Optional[int] = None
 
 
 @dataclass(frozen=True)
 class LinkData:
-    """Minimal inputs the criterion needs about a link."""
+    """Minimal inputs the criterion needs about a link, with the optional
+    Taylor data of p as in ``CurvatureModel``."""
 
     k: int
     alpha: float
     normal_radius: float
     p_fn: Optional[Callable[[float], float]] = None
     p2: Optional[float] = None
+    taylor: Optional[tuple] = None
 
 
 def f_control(alpha: float, t, k: int):
@@ -220,6 +276,78 @@ def second_order_coeffs(
     a_min = (K / 4.0) * ((K - 2.0) - root)
     a_max = (K / 4.0) * ((K - 2.0) + root)
     return float(a_min), float(a_max)
+
+
+def _horner(coeffs, t):
+    """Value at t (a float or an array) of the polynomial with these
+    coefficients, lowest order first."""
+    y = 0.0
+    for c in reversed(coeffs):
+        y = y * t + c
+    return y
+
+
+def _series_pivot(n: int, K: float, a_max: float) -> float:
+    """Coefficient of c_n in the order-n equation of the fastest branch,
+    scaled by K^2: 2 K (K - n) - 4 n a_max = K^2 (2 - n (1 + r/K))."""
+    return 2.0 * K * (K - n) - 4.0 * n * a_max
+
+
+def descent_series(taylor, K: float, a_max: float, order: int = SERIES_ORDER) -> list:
+    """Taylor coefficients c_0..c_order of the fastest descent at t = 0.
+
+    ``taylor`` holds p's coefficients from order 0 (missing ones are 0),
+    K is the slope divisor and a_max the fastest quadratic departure.  The
+    descent equality times K^2 is A^2 + U^2 = K^2 p^2 with A = K h - t h',
+    U = h', whose coefficients are A_n = (K - n) c_n and U_n = (n+1) c_{n+1}.
+    At order n >= 3 it is linear in c_n:
+
+        pivot_n c_n = K^2 [p^2]_n - sum_{i=1}^{n-1} A_i A_{n-i} - sum_{i=2}^{n-2} U_i U_{n-i}
+
+    with pivot_n = 2 K (K - n) - 4 n a_max = K^2 (2 - n (1 + r/K)) and
+    2 - n (1 + r/K) <= 2 - n, so the fastest branch is never resonant.  The
+    sums are rounded once (``math.fsum``).
+    """
+    p = list(taylor[: order + 1]) + [0.0] * (order + 1 - len(taylor))
+    c = [1.0, 0.0, -a_max]
+    A = [K, 0.0, -a_max * (K - 2.0)]
+    U = [0.0, -2.0 * a_max]
+    KK = K * K
+    for n in range(3, order + 1):
+        rest = math.fsum(chain(map(mul, A[1:n], A[n - 1:0:-1]),
+                               map(mul, U[2:n - 1], U[n - 2:1:-1])))
+        cn = (KK * math.fsum(map(mul, p[:n + 1], p[n::-1])) - rest) / _series_pivot(n, K, a_max)
+        c.append(cn)
+        A.append(cn * (K - n))
+        U.append(n * cn)
+    return c
+
+
+def _series_t_boot(coeffs: list) -> float:
+    """Where the ODE takes over from the series: 1e-3 for the order-2
+    series, else where the last two terms fall to 1e-17, at most 0.2."""
+    order = len(coeffs) - 1
+    if order <= 2:
+        return _T_BOOT_QUADRATIC
+    tail = max(abs(coeffs[-2]), abs(coeffs[-1]))
+    t = T_SERIES_MAX if tail == 0.0 else (_SERIES_TAIL / tail) ** (1.0 / (order - 1))
+    return min(t, T_SERIES_MAX)
+
+
+def _series_start(coeffs: list, rhs, t_boot: Optional[float]):
+    """(t, h) where the ODE takes over from the series, with h > 0 and the
+    band (1+t^2) p^2 - h^2 open, so the start lies before the descent's hit
+    or pinch.  The series' own choice of t is halved until it does; a given
+    t_boot that does not raises ValueError."""
+    t = _series_t_boot(coeffs) if t_boot is None else t_boot
+    for _ in range(_START_HALVINGS):
+        h = _horner(coeffs, t)
+        if h > 0.0 and rhs(t, h)[1] > 0.0:
+            return t, h
+        if t_boot is not None:
+            break
+        t *= 0.5
+    raise ValueError(f"series start at t = {t:.6g} gives h = {h!r} outside the open band")
 
 
 def _descent_rhs(K: float, p_fn):
@@ -387,24 +515,47 @@ def _descend(rhs, t0: float, h0: float, t_end: float, atol: float, rtol: float) 
     return run
 
 
-def _fastest(model: CurvatureModel, normalization: str = "k-plus-1", t_boot: float = 1e-3,
-             t_cap: float = 50.0, atol: float = 1e-10, rtol: float = 1e-10):
-    """The fastest descent from h(0) = 1: (a_max, runs, (end, t_end)).
+class _Start(NamedTuple):
+    """Series start of a descent: the Taylor coefficients of h and the t
+    where the ODE takes over."""
+
+    coeffs: list
+    t: float
+
+    @property
+    def order(self) -> int:
+        return len(self.coeffs) - 1
+
+
+def _fastest(model: CurvatureModel, normalization: str = "k-plus-1",
+             t_boot: Optional[float] = None, t_cap: float = 50.0,
+             atol: float = 1e-10, rtol: float = 1e-10):
+    """The fastest descent from h(0) = 1: (a_max, start, runs, (end, t_end)).
 
     a_max is None without a real quadratic departure; with a_max <= 0 the
-    profile never leaves 1.  Both end "no-departure" with no runs.  Otherwise
-    the runs are the early and the main leg and the end is "hit", "pinch"
-    or "t_cap" with the time it was reached.
+    profile never leaves 1.  Both end "no-departure" with no start and no
+    runs.  Otherwise start is the series of h with the t where the ODE
+    takes over (the series' own choice when t_boot is None), the runs are
+    the early and the main leg, and the end is "hit", "pinch" or "t_cap"
+    with the time it was reached.  Taylor data that disagree with p_fn at
+    the start, and a given t_boot past the hit or pinch, raise ValueError.
     """
     try:
         _, a_max = second_order_coeffs(model.k, model.p2, normalization)
     except ValueError:
-        return None, [], ("no-departure", None)
+        return None, None, [], ("no-departure", None)
     if a_max <= 0.0:
         # non-descending branch (k = 1 with p2 = 0)
-        return a_max, [], ("no-departure", None)
-    rhs = _descent_rhs(_factor(model.k, normalization), model.p_fn)
-    h0 = 1.0 - a_max * t_boot * t_boot
+        return a_max, None, [], ("no-departure", None)
+    K = _factor(model.k, normalization)
+    if model.taylor is None:
+        coeffs = [1.0, 0.0, -a_max]
+    else:
+        coeffs = descent_series(model.taylor, K, a_max)
+    rhs = _descent_rhs(K, model.p_fn)
+    t_boot, h0 = _series_start(coeffs, rhs, t_boot)
+    if model.taylor is not None:
+        model.check_taylor(t_boot)
     # deviations from the fastest branch grow like a power of t, so errors
     # committed near the degenerate start are amplified the most; integrate
     # the early leg with a much tighter tolerance than requested
@@ -417,14 +568,14 @@ def _fastest(model: CurvatureModel, normalization: str = "k-plus-1", t_boot: flo
     if not runs or runs[0].end is None:
         runs.append(_descend(rhs, t0, h0, t_cap, atol, rtol))
     end = runs[-1].end or ("t_cap", runs[-1].ts[-1])
-    return a_max, runs, end
+    return a_max, _Start(coeffs, t_boot), runs, end
 
 
 def integrate_fastest(
     model: CurvatureModel,
     *,
     normalization: str = "k-plus-1",
-    t_boot: float = 1e-3,
+    t_boot: Optional[float] = None,
     t_cap: float = 50.0,
     atol: float = 1e-10,
     rtol: float = 1e-10,
@@ -433,19 +584,26 @@ def integrate_fastest(
     """Fastest admissible descent from h(0) = 1, sampled on a grid.
 
     The start is a degenerate double root (the slope interval at (0,1) is
-    the single point 0), so the integration bootstraps with the series
-    h = 1 - a_max t^2 on [0, t_boot], then follows the ODE with a scalar
-    DOP853 loop: up to t = 0.2 at 1e-3 times the requested tolerances
-    (rtol at least 3e-14), after that at the requested ones.  h is sampled
-    from the steps' dense output on grid_points points up to where the
-    descent stopped.  ``end`` records how the
-    descent stopped: "hit", "pinch", "no-departure" (no real quadratic
-    departure, or one that does not descend) or "t_cap"; only a hit sets
-    vanishing_t and theta.  A solver failure raises RuntimeError.
+    the single point 0), so the integration starts from the Taylor series
+    of the fastest branch on [0, t_boot]: of order 30 when the model
+    carries p's Taylor data, with t_boot where its last two terms fall to
+    1e-17 (at most 0.2), and 1 - a_max t^2 up to t_boot = 1e-3 otherwise;
+    either t_boot is halved until h > 0 inside the open band there.  A
+    given t_boot overrides either, and raises ValueError if it lies past
+    the hit or pinch.  Then it follows the ODE with a scalar DOP853 loop:
+    up to t = 0.2 at 1e-3 times the requested tolerances (rtol at least
+    3e-14), after that at the requested ones.  h is sampled from the series on [0, t_boot] and from
+    the steps' dense output after it, on grid_points points up to where the
+    descent stopped.  ``end`` records how the descent stopped: "hit",
+    "pinch", "no-departure" (no real quadratic departure, or one that does
+    not descend) or "t_cap"; only a hit sets vanishing_t and theta.
+    ``t_start`` and ``series_order`` record the start.  A solver failure
+    raises RuntimeError.
     """
-    a_max, runs, (end, t_stop) = _fastest(model, normalization, t_boot, t_cap, atol, rtol)
+    a_max, start, runs, (end, t_stop) = _fastest(model, normalization, t_boot, t_cap,
+                                                 atol, rtol)
     if a_max is None:
-        t = np.linspace(0.0, t_boot, 16)
+        t = np.linspace(0.0, _T_BOOT_QUADRATIC if t_boot is None else t_boot, 16)
         return Profile(t, np.ones_like(t), None, None, end)
     if not runs:
         t = np.linspace(0.0, t_cap, grid_points)
@@ -454,8 +612,8 @@ def integrate_fastest(
 
     ts = np.linspace(0.0, t_stop, grid_points)
     hs = np.empty_like(ts)
-    boot = ts <= t_boot
-    hs[boot] = 1.0 - a_max * ts[boot] ** 2
+    boot = ts <= start.t
+    hs[boot] = _horner(start.coeffs, ts[boot])
     rest = ~boot
     if np.any(rest):
         vals = np.empty(int(rest.sum()))
@@ -472,7 +630,7 @@ def integrate_fastest(
         hs[-1] = 0.0
     theta = math.atan(t_hit) if t_hit is not None else None
     return Profile(ts, hs, t_hit, theta, end, sum(len(r.ts) - 1 for r in runs),
-                   sum(r.rhs_calls for r in runs))
+                   sum(r.rhs_calls for r in runs), start.t, start.order)
 
 
 def verify_profile(
@@ -499,9 +657,32 @@ def verify_profile(
     return {"ok": worst <= 1e-6, "worst_margin": worst, "margins": margins}
 
 
-def _control_model(control: str, alpha: float, k: int, p_fn=None, p2=None):
+def _f_taylor(alpha: float, k: int) -> tuple:
+    """Coefficients of the F control, the polynomial
+    (1 - alpha sqrt(k/(k+1)) t) (1 + alpha t / sqrt(k(k+1)))^k of degree k+1,
+    whose t and t^2 coefficients are exactly 0 and -alpha^2/2."""
+    lead, b = alpha * math.sqrt(k / (k + 1.0)), alpha / math.sqrt(k * (k + 1.0))
+    binom = [math.comb(k, i) * b**i for i in range(k + 1)] + [0.0]
+    out = [binom[i] - lead * binom[i - 1] for i in range(1, k + 2)]
+    return (1.0, 0.0, -0.5 * alpha * alpha, *out[2:])
+
+
+def _c_taylor(alpha: float) -> tuple:
+    """Coefficients alpha^n (1 - n) / n! of the c control (1 - alpha t) e^(alpha t)
+    through order SERIES_ORDER; the rest of the series is below 1e-30 where
+    the descent starts."""
+    out, term = [1.0, 0.0], alpha
+    for n in range(2, SERIES_ORDER + 1):
+        term *= alpha / n
+        out.append((1 - n) * term)
+    out[2] = -0.5 * alpha * alpha
+    return tuple(out)
+
+
+def _control_model(control: str, alpha: float, k: int, p_fn=None, p2=None, taylor=None):
     """Curvature model of a control; F and c get scalar closures that
-    evaluate f_control and c_control in the same order of operations."""
+    evaluate f_control and c_control in the same order of operations, and
+    their Taylor coefficients."""
     if control == "F":
         a, s1, s2 = float(alpha), math.sqrt(k / (k + 1.0)), math.sqrt(k * (k + 1.0))
 
@@ -509,7 +690,7 @@ def _control_model(control: str, alpha: float, k: int, p_fn=None, p2=None):
             at = a * t
             return (1.0 - at * s1) * (1.0 + at / s2) ** k
 
-        return CurvatureModel(k, alpha, f_scalar, -0.5 * alpha * alpha)
+        return CurvatureModel(k, alpha, f_scalar, -0.5 * alpha * alpha, _f_taylor(a, k))
     if control == "c":
         a = float(alpha)
 
@@ -517,22 +698,23 @@ def _control_model(control: str, alpha: float, k: int, p_fn=None, p2=None):
             at = a * t
             return (1.0 - at) * math.exp(at)
 
-        return CurvatureModel(k, alpha, c_scalar, -0.5 * alpha * alpha)
+        return CurvatureModel(k, alpha, c_scalar, -0.5 * alpha * alpha, _c_taylor(a))
     if control == "custom":
         if p_fn is None or p2 is None:
             raise ValueError("custom control requires p_fn and p2")
-        return CurvatureModel(k, alpha, p_fn, p2)
+        return CurvatureModel(k, alpha, p_fn, p2, taylor)
     raise ValueError(f"unknown control {control!r}")
 
 
 def _angle(control: str, alpha: float, k: int, p_fn=None, p2=None, *,
-           normalization: str = "k-plus-1", **integrate_opts):
-    """(theta, end) of the fastest descent under the chosen curvature input:
-    the vanishing angle, None without a hit, and how the descent ended (one
-    of DESCENT_ENDS)."""
-    model = _control_model(control, alpha, k, p_fn, p2)
-    _, _, (end, t_stop) = _fastest(model, normalization, **integrate_opts)
-    return (math.atan(t_stop) if end == "hit" else None), end
+           taylor=None, normalization: str = "k-plus-1", **integrate_opts):
+    """(theta, end, start) of the fastest descent under the chosen
+    curvature input: the vanishing angle, None without a hit; how the
+    descent ended (one of DESCENT_ENDS); and its series start (None
+    without a descent)."""
+    model = _control_model(control, alpha, k, p_fn, p2, taylor)
+    _, start, _, (end, t_stop) = _fastest(model, normalization, **integrate_opts)
+    return (math.atan(t_stop) if end == "hit" else None), end, start
 
 
 def vanishing_angle(
@@ -550,7 +732,8 @@ def vanishing_angle(
 
     Runs the same descent as ``integrate_fastest``, with its t_boot, t_cap,
     atol and rtol options, but samples no profile (so it takes no
-    grid_points).
+    grid_points).  F and c start from their order-30 series; a custom p,
+    given without Taylor data, from 1 - a_max t^2.
     """
     return _angle(control, alpha, k, p_fn, p2, normalization=normalization,
                   **integrate_opts)[0]
@@ -660,18 +843,21 @@ def check_area_minimizing(
     """
     if link.normal_radius is None or not np.isfinite(link.normal_radius):
         raise ValueError("link is missing a normal radius")
-    theta, end = _angle(
+    theta, end, start = _angle(
         control,
         link.alpha,
         link.k,
         p_fn=link.p_fn,
         p2=link.p2,
+        taylor=link.taylor,
         normalization=normalization,
         **integrate_opts,
     )
     R_half = 0.5 * link.normal_radius
+    origin = (start.t, start.order) if start is not None else (None, None)
     if theta is None:
-        return CriterionVerdict(None, control, R_half, False, None, "inconclusive", end)
+        return CriterionVerdict(None, control, R_half, False, None, "inconclusive", end,
+                                *origin)
     margin = R_half - theta
     passes = theta <= R_half
     if abs(margin) < 1e-6:
@@ -680,4 +866,4 @@ def check_area_minimizing(
         status = "passes"
     else:
         status = "inconclusive"
-    return CriterionVerdict(theta, control, R_half, passes, margin, status, end)
+    return CriterionVerdict(theta, control, R_half, passes, margin, status, end, *origin)

@@ -20,7 +20,7 @@ extraction is only implemented for products of round spheres.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Optional
 
 import numpy as np
@@ -198,6 +198,15 @@ def curvature_model(link: ProductLink) -> CurvatureModel:
     p(t_focal) = 0 closes the band, and beyond it ``p_fn`` is the same
     formula's polynomial extension.  Every term is 1 - (k/2) t^2 + O(t^3),
     so p2 = -k/2.
+
+    Near 0 p is the term j* = k - k_min, the largest proper sum, so its
+    polynomial's coefficients are the model's Taylor data.  With
+    u = j / k, d/dt log q_j = -k t / (1 + t (1 - 2u) / sqrt(u (1 - u)) - t^2),
+    and (1 - 2u) / sqrt(u (1 - u)) strictly decreases in u.  So on
+    [0, t_focal), where the denominator of j* is positive, every other
+    denominator is larger and q_j* <= q_j.  The descent ends before t_focal
+    and its series start lies before its end, so the Taylor data are p
+    wherever they are read.
     """
     _require_round(link, "curvature model")
     k = link.k
@@ -208,12 +217,28 @@ def curvature_model(link: ProductLink) -> CurvatureModel:
              for j in sorted(sums - {0, k})]
     if not terms:
         # single totally geodesic factor: no normal directions, flat model
-        return CurvatureModel(k, 0.0, lambda t: 1.0, 0.0)
+        return CurvatureModel(k, 0.0, lambda t: 1.0, 0.0, (1.0, 0.0, 0.0))
 
     def p_fn(t):
         return min((1.0 + a * t) ** j * (1.0 - b * t) ** m for j, m, a, b in terms)
 
-    return CurvatureModel(k, math.sqrt(k), p_fn, -0.5 * k)
+    j_star, m_star = terms[-1][:2]
+    taylor = (1.0, 0.0, -0.5 * k, *_term_taylor(j_star, m_star)[3:])
+    return CurvatureModel(k, math.sqrt(k), p_fn, -0.5 * k, taylor)
+
+
+@cache
+def _term_taylor(j: int, m: int) -> tuple:
+    """Coefficients, lowest order first, of the term
+    q_j = (1 + a t)^j (1 - b t)^m of ``curvature_model``: the integer
+    polynomial (1 + m s)^j (1 - j s)^m, expanded exactly, at
+    s = t / sqrt(j m), so each is one rounded integer over sqrt(j m)^n."""
+    coeffs = [1]
+    for root, power in ((m, j), (-j, m)):
+        for _ in range(power):
+            coeffs = [x + root * y for x, y in zip(coeffs + [0], [0] + coeffs)]
+    scale = math.sqrt(j * m)
+    return tuple(float(c) / scale**n for n, c in enumerate(coeffs))
 
 
 @dataclass(frozen=True)
@@ -281,6 +306,7 @@ def as_link_data(
         normal_radius=float(R),
         p_fn=model.p_fn,
         p2=model.p2,
+        taylor=model.taylor,
     )
 
 

@@ -1,7 +1,9 @@
 """Second implementations kept only to test the library against.
 
 Each one computes a quantity conekit now obtains another way: the descent
-ODE by scipy's ``solve_ivp`` instead of the scalar DOP853 loop, comass by a
+ODE by scipy's ``solve_ivp`` instead of the scalar DOP853 loop, the descent
+from the order-2 start 1 - a_max t^2 at t = 1e-3 that the order-30 series
+start replaced, a tight reference descent from an order-40 series, comass by a
 constrained minimization, shape matrices by finite differences along
 great-circle curves instead of the closed-form spectra, p(t) by a dense
 search over unit normals instead of its Lagrange formula, and the normal
@@ -14,6 +16,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.optimize import minimize
 
+from conekit import lawlor
 from conekit.comass import _check_pair, _eval_batch, _grad_batch
 from conekit.exterior import AlternatingForm, MetricTensor, _interior_matrix
 from conekit.products import ProductLink, _require_round
@@ -72,6 +75,55 @@ def descend_solve_ivp(rhs, t0, h0, t_end, atol, rtol):
         kind = "hit" if sol.y_events[1][0][0] <= 1e-8 else "pinch"
         return SolveIvpDescent(sol, (kind, float(sol.t_events[1][0])))
     return SolveIvpDescent(sol, None)
+
+
+def order2_start_angle(model, normalization="k-plus-1", atol=1e-10, rtol=1e-10):
+    """(theta, end) of the fastest descent started as conekit started it
+    before the series start: h = 1 - a_max t^2 at t = 1e-3, an early leg to
+    t = 0.2 at 1e-3 times the tolerances (rtol at least 3e-14), then the
+    main leg to t = 50.  theta is None without a hit; end is one of
+    lawlor.DESCENT_ENDS."""
+    try:
+        _, a_max = lawlor.second_order_coeffs(model.k, model.p2, normalization)
+    except ValueError:
+        return None, "no-departure"
+    if a_max <= 0.0:
+        return None, "no-departure"
+    rhs = lawlor._descent_rhs(lawlor._factor(model.k, normalization), model.p_fn)
+    run = lawlor._descend(rhs, 1e-3, 1.0 - a_max * 1e-6, 0.2, 1e-3 * atol,
+                          max(1e-3 * rtol, 3e-14))
+    if run.end is None:
+        run = lawlor._descend(rhs, 0.2, run.ys[-1], 50.0, atol, rtol)
+    end = run.end[0] if run.end else "t_cap"
+    return (math.atan(run.end[1]) if end == "hit" else None), end
+
+
+def control_taylor(control, alpha, k, order):
+    """p's Taylor coefficients through ``order`` for the F control (its
+    exact polynomial, from the binomial sum) and the c control
+    (alpha^n (1 - n) / n!)."""
+    if control == "c":
+        return [alpha**n * (1 - n) / math.factorial(n) for n in range(order + 1)]
+    lead, b = alpha * math.sqrt(k / (k + 1.0)), alpha / math.sqrt(k * (k + 1.0))
+    rise = np.array([math.comb(k, i) * b**i for i in range(k + 1)])
+    poly = np.convolve(rise, [1.0, -lead])
+    return [1.0, 0.0, -0.5 * alpha * alpha, *poly[3:order + 1]]
+
+
+def series_reference_angle(model, taylor, normalization="k-plus-1", order=40,
+                           rtol=3e-14):
+    """Tight reference vanishing angle: the fastest descent from its
+    order-``order`` series (taylor holds p's coefficients that far), taken
+    over where the last two terms fall to 1e-17 (at most t = 0.2), and one
+    leg at atol 1e-16 and the given rtol."""
+    _, a_max = lawlor.second_order_coeffs(model.k, model.p2, normalization)
+    K = lawlor._factor(model.k, normalization)
+    c = lawlor.descent_series(taylor, K, a_max, order)
+    tail = max(abs(c[-2]), abs(c[-1]))
+    t0 = min(0.2, (1e-17 / tail) ** (1.0 / (order - 1))) if tail else 0.2
+    h0 = sum(cn * t0**n for n, cn in enumerate(c))
+    run = lawlor._descend(lawlor._descent_rhs(K, model.p_fn), t0, h0, 50.0, 1e-16, rtol)
+    return math.atan(run.end[1]) if run.end and run.end[0] == "hit" else None
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,7 @@ from conekit.lawlor import (
     LinkData,
     build_smooth_profile,
     check_area_minimizing,
+    descent_series,
     integrate_fastest,
     second_order_coeffs,
     vanishing_angle,
@@ -193,7 +194,8 @@ def test_cone_verdicts_with_density_stability():
 
 
 def test_surgery_profile_lands_between_branches():
-    model = CurvatureModel(6, math.sqrt(6), _simons_p, -3.0)
+    simons_taylor = (1.0, 0.0, -3.0, 0.0, 3.0, 0.0, -1.0)
+    model = CurvatureModel(6, math.sqrt(6), _simons_p, -3.0, simons_taylor)
     a_min, a_max = second_order_coeffs(6, -3.0)
     prof = build_smooth_profile(model, 0.5 * (a_min + a_max), 0.05, 0.02)
     audit = verify_profile(prof, model)
@@ -206,14 +208,16 @@ def test_surgery_profile_lands_between_branches():
     assert abs(tail_slope) < 1e-2
     theta0 = integrate_fastest(model).theta
 
-    # slow-branch oracle: fixed-step RK4 from the small departure coefficient
-    def rk4_theta(a, t_boot=1e-3, dt=2e-5, t_cap=2.0):
+    # slow-branch oracle: fixed-step RK4 from the series of the branch with
+    # the small departure coefficient (its pivots 98 - 42 n never vanish)
+    def rk4_theta(a, t_boot=0.05, dt=2e-5, t_cap=2.0):
         def rhs(t, h):
             p = _simons_p(t)
             disc = max((t * t + 1.0) * p * p - h * h, 0.0)
             return 7.0 * (t * h - math.sqrt(disc)) / (t * t + 1.0)
 
-        t, h = t_boot, 1.0 - a * t_boot * t_boot
+        c = descent_series(simons_taylor, 7.0, a)
+        t, h = t_boot, sum(cn * t_boot**n for n, cn in enumerate(c))
         while t < t_cap:
             k1 = rhs(t, h)
             k2 = rhs(t + dt / 2, h + dt * k1 / 2)

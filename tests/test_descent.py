@@ -1,5 +1,6 @@
 """The scalar DOP853 descent loop against the ``solve_ivp`` integrator it
-replaced, its end reasons and counts, and the scalar control closures."""
+replaced, its end reasons and counts, the scalar control closures, and the
+series start against the order-2 start it replaced and a tight reference."""
 
 import math
 
@@ -20,30 +21,49 @@ from conekit.lawlor import (
     vanishing_angle,
 )
 from conekit.products import SphereFactor, curvature_model, minimal_product
-from oracles import descend_solve_ivp
+from oracles import (
+    control_taylor,
+    descend_solve_ivp,
+    order2_start_angle,
+    series_reference_angle,
+)
 
 NORMALIZATIONS = ("k-plus-1", "k")
 KS = (1, 2, 3, 4, 5, 6, 8, 10, 12, 16, 20, 25, 30)
 
 
-def _s3xs3():
-    link = minimal_product([SphereFactor.round(3)] * 2, samples=20, seed=0)
-    model = curvature_model(link)
-    return model.k, model.p_fn, model.p2
+# the certify products of the benchmark's job pools, with S3 x S3 and S1 x S1
+BENCHMARK_PRODUCTS = (
+    [(3, 3), (1, 1)]
+    + [(1, 2), (2, 2), (1, 3), (2, 3), (1, 4), (1, 1, 1), (1, 1, 2), (1, 1, 3),
+       (1, 2, 2), (1, 1, 1, 1), (1, 1, 1, 2)]
+    + [(2, 4), (2, 5), (1, 3, 5), (2, 2, 3), (1, 2, 4), (3, 3, 3), (2, 2, 2, 2),
+       (1, 2, 2, 3)]
+    + [(5, 5), (3, 3, 4), (3, 3, 5), (2, 2, 4, 4), (2, 3, 3, 3), (1, 3, 4, 4)]
+)
+# single round spheres, whose flat model still descends for k >= 2
+SINGLE_FACTORS = [(2,), (3,), (5,), (8,)]
+# (1 - t^2)^6
+SIXTH_POWER = (1.0, 0.0, -6.0, 0.0, 15.0, 0.0, -20.0, 0.0, 15.0, 0.0, -6.0, 0.0, 1.0)
+
+
+def _product_model(dims):
+    return curvature_model(minimal_product([SphereFactor.round(d) for d in dims]))
 
 
 def _cases():
-    """(control, alpha, k, p_fn, p2, normalization): the F and c controls on
-    k = 1..30 at alpha in {0, 1/2, 1, sqrt k}, and custom p from the exact S3 x S3
-    curvature model, (1 - t^2)^3, and (1 - t^2)^6, each under both slope
-    divisors."""
-    cases = [(control, alpha, k, None, None, nz)
+    """(control, alpha, k, p_fn, p2, taylor, normalization): the F and c
+    controls on k = 1..30 at alpha in {0, 1/2, 1, sqrt k}, and custom p from
+    the exact S3 x S3 curvature model and (1 - t^2)^6 with their Taylor
+    data, each under both slope divisors."""
+    cases = [(control, alpha, k, None, None, None, nz)
              for k in KS for alpha in (0.0, 0.5, 1.0, math.sqrt(k))
              for control in ("F", "c") for nz in NORMALIZATIONS]
-    k, p_fn, p2 = _s3xs3()
+    s3xs3 = _product_model((3, 3))
     for nz in NORMALIZATIONS:
-        cases.append(("custom", math.sqrt(k), k, p_fn, p2, nz))
-        cases.append(("custom", math.sqrt(12), 12, lambda t: (1.0 - t * t) ** 6, -6.0, nz))
+        cases.append(("custom", s3xs3.alpha, 6, s3xs3.p_fn, s3xs3.p2, s3xs3.taylor, nz))
+        cases.append(("custom", math.sqrt(12), 12, lambda t: (1.0 - t * t) ** 6, -6.0,
+                      SIXTH_POWER, nz))
     return cases
 
 
@@ -57,15 +77,18 @@ def test_theta_matches_solve_ivp_oracle(monkeypatch):
     cases = _cases()
     assert len(cases) >= 200
     ends = set()
-    for control, alpha, k, p_fn, p2, nz in cases:
+    for control, alpha, k, p_fn, p2, taylor, nz in cases:
         args = (control, alpha, k, p_fn, p2)
-        theta, end = lawlor._angle(*args, normalization=nz)
-        theta_ref, end_ref = _with_oracle(monkeypatch, lawlor._angle, *args, normalization=nz)
-        assert vanishing_angle(*args, normalization=nz) == theta
+        theta, end, _ = lawlor._angle(*args, taylor=taylor, normalization=nz)
+        theta_ref, end_ref, _ = _with_oracle(monkeypatch, lawlor._angle, *args,
+                                             taylor=taylor, normalization=nz)
+        if taylor is None:
+            assert vanishing_angle(*args, normalization=nz) == theta
         assert end == end_ref, (args, nz)
         assert (theta is None) == (theta_ref is None) == (end != "hit")
         if theta is not None:
-            assert abs(theta - theta_ref) <= 1e-9, (args, nz)
+            # from the series start the two integrators agree to rounding
+            assert abs(theta - theta_ref) <= 1e-12, (args, nz)
         ends.add(end)
     assert ends == {"hit", "pinch", "no-departure"}
 
@@ -127,6 +150,9 @@ def test_profile_end_reasons_and_counts():
                   CurvatureModel(1, 0.0, lambda t: 1.0, 0.0)):
         flat = integrate_fastest(model)
         assert flat.end == "no-departure" and flat.steps == flat.rhs_calls == 0
+        assert flat.t_start is None and flat.series_order is None
+    series = integrate_fastest(lawlor._control_model("F", math.sqrt(6), 6))
+    assert series.series_order == lawlor.SERIES_ORDER and 0.02 < series.t_start <= 0.2
     capped = integrate_fastest(CurvatureModel(4, 0.0, lambda t: 1.0, 0.0), t_cap=0.3)
     assert capped.end == "t_cap" and capped.theta is None
     assert capped.t_samples[-1] == 0.3 and capped.h_values[-1] > 0.0
@@ -137,9 +163,13 @@ def test_profile_end_reasons_and_counts():
 
 def test_verdict_carries_descent_end():
     simons = LinkData(6, math.sqrt(6), math.pi / 4, _simons().p_fn, -3.0)
-    assert check_area_minimizing(simons, "custom").end == "hit"
+    verdict = check_area_minimizing(simons, "custom")
+    assert verdict.end == "hit" and (verdict.t_start, verdict.series_order) == (1e-3, 2)
+    f_verdict = check_area_minimizing(simons, "F")
+    assert f_verdict.series_order == lawlor.SERIES_ORDER and f_verdict.t_start > 1e-3
     clifford = LinkData(2, math.sqrt(2), math.pi / 4, lambda t: 1.0 - t * t, -1.0)
-    assert check_area_minimizing(clifford, "custom").end == "no-departure"
+    flat = check_area_minimizing(clifford, "custom")
+    assert flat.end == "no-departure" and flat.t_start is flat.series_order is None
     assert check_area_minimizing(LinkData(4, 1.5, 0.5), "F").end == "pinch"
 
 
@@ -179,3 +209,62 @@ def test_rtol_floor_matches_solve_ivp(monkeypatch):
     with pytest.warns(UserWarning, match="rtol"):
         ref = _with_oracle(monkeypatch, integrate_fastest, _simons(), rtol=1e-16)
     assert abs(low.theta - ref.theta) <= 1e-9
+
+
+def _series_lanes():
+    """(model, p's coefficients to order 40, normalization) for every lane
+    of ``_cases`` and every benchmark product that descends."""
+    lanes = []
+    for control, alpha, k, p_fn, p2, taylor, nz in _cases():
+        if control == "custom":
+            model = CurvatureModel(k, alpha, p_fn, p2, taylor)
+        else:
+            model = lawlor._control_model(control, alpha, k)
+            taylor = control_taylor(control, alpha, k, 40)
+        lanes.append((model, taylor, nz))
+    for dims in BENCHMARK_PRODUCTS + SINGLE_FACTORS:
+        model = _product_model(dims)
+        lanes += [(model, model.taylor, nz) for nz in NORMALIZATIONS]
+    return lanes
+
+
+def test_series_start_removes_low_bias():
+    # the order-2 start leaves h too low by c3 t^3 at t = 1e-3, and the
+    # repelling fastest branch turns that into a theta that is too small:
+    # the series start is never below it and sits on a tight reference;
+    # both starts end the same way on every lane
+    hits = 0
+    for model, taylor, nz in _series_lanes():
+        lane = (model.k, model.alpha, nz)
+        _, start, _, (end, t_end) = lawlor._fastest(model, nz)
+        low, low_end = order2_start_angle(model, nz)
+        assert end == low_end, lane
+        if end != "hit":
+            continue
+        hits += 1
+        theta = math.atan(t_end)
+        assert start.order == lawlor.SERIES_ORDER and 0.02 < start.t <= 0.2
+        assert start.t < t_end, lane
+        assert theta >= low, lane
+        ref = series_reference_angle(model, taylor, nz)
+        assert abs(theta - ref) <= 1e-11, (*lane, theta - ref)
+    assert hits >= 150
+
+
+def test_series_start_example_f_k3():
+    # F, k = 3, alpha = 1: 0.708095 from the order-2 start, moving up as its
+    # t_boot shrinks (0.708172, 0.708195, 0.708202 at 3e-4, 1e-4, 3e-5)
+    theta = vanishing_angle("F", 1.0, 3)
+    assert abs(theta - 0.7082059) < 1e-7
+    assert theta - order2_start_angle(lawlor._control_model("F", 1.0, 3))[0] > 1e-4
+
+
+def test_models_without_taylor_data_keep_the_order2_start():
+    model = CurvatureModel(6, math.sqrt(6), lambda t: (1 - t * t) ** 3, -3.0)
+    prof = integrate_fastest(model)
+    assert (prof.t_start, prof.series_order) == (1e-3, 2)
+    a_max = second_order_coeffs(6, -3.0)[1]
+    boot = prof.t_samples <= 1e-3
+    np.testing.assert_allclose(prof.h_values[boot], 1.0 - a_max * prof.t_samples[boot] ** 2,
+                               rtol=1e-15, atol=0)
+    assert prof.theta == order2_start_angle(model)[0]

@@ -119,10 +119,10 @@ def test_comass_reports_convergence():
     phi = AlternatingForm(4, 1, np.array([1.0, 2.0, -0.5, 0.0]))
     g = MetricTensor.euclidean(4)
     done = comass_mod._optimize(phi, g, restarts=8, seed=0)
-    assert done.converged and 0 < done.iterations < 400
+    assert done.converged and 0 < done.iterations < 400 and done.restarts_at_max == 0
     assert abs(done.value - math.sqrt(5.25)) < 1e-10
     cut = comass_mod._optimize(phi, g, restarts=8, seed=0, max_iters=3)
-    assert not cut.converged and cut.iterations == 3
+    assert not cut.converged and cut.iterations == 3 and cut.restarts_at_max == 8
 
     # (4, 2) takes the closed form, so the sweep runs on the (6, 3)
     # special Lagrangian form Re dz1 ^ dz2 ^ dz3
@@ -134,4 +134,31 @@ def test_comass_reports_convergence():
     grid = [0.0, 0.5, 1.0]
     report = verify_gluing_bound(slag, g6, g2, grid,
                                  comass_opts={"restarts": 4, "max_iters": 3})
-    assert report.unconverged_points == len(grid)
+    # at s = 0 and 1 the returned restart is the warm-started endpoint
+    # maximizer, which meets the gradient stop at once; at s = 1/2 every
+    # restart is cut off after three iterations
+    assert report.unconverged_points == 1
+
+
+def test_converged_describes_the_returned_restart(tmp_path):
+    # a random (8,4) form: every restart climbs to the same value, the
+    # returned one meets the gradient stop, and some slower ones run out of
+    # iterations
+    rng = np.random.default_rng(5)
+    for _ in range(7):
+        vec = rng.standard_normal(70)
+    phi = AlternatingForm(8, 4, vec)
+    res = comass_mod.comass(phi, MetricTensor.euclidean(8), restarts=32, seed=3)
+    assert res.converged and res.residual <= 1e-6
+    assert 0 < res.restarts_at_max < 32 and res.iterations == 400
+    spec = tmp_path / "form84.json"
+    spec.write_text(json.dumps({
+        "form": {"n": 8, "m": 4, "coefficients": {
+            ",".join(map(str, I)): float(c) for I, c in zip(multi_indices(8, 4), vec)}},
+        "metric": {"n": 8, "matrix": np.eye(8).tolist()},
+    }))
+    assert main(["comass", "--spec", str(spec), "--out", str(tmp_path / "o"),
+                 "--seed", "3"]) == 0
+    report = json.loads((tmp_path / "o" / "report.json").read_text())
+    assert report["converged"] is True
+    assert report["restarts_at_max"] == res.restarts_at_max

@@ -12,6 +12,7 @@ from conekit.lawlor import (
     build_smooth_profile,
     c_control,
     check_area_minimizing,
+    descent_series,
     f_control,
     integrate_fastest,
     second_order_coeffs,
@@ -20,10 +21,13 @@ from conekit.lawlor import (
     verify_profile,
 )
 
+SIMONS_TAYLOR = (1.0, 0.0, -3.0, 0.0, 3.0, 0.0, -1.0)  # (1 - t^2)^3
+
 
 def _simons_model():
     return CurvatureModel(
-        6, math.sqrt(6), lambda t: (1 - t * t) ** 3 if abs(t) < 1 else 0.0, -3.0
+        6, math.sqrt(6), lambda t: (1 - t * t) ** 3 if abs(t) < 1 else 0.0, -3.0,
+        SIMONS_TAYLOR,
     )
 
 
@@ -119,15 +123,17 @@ def test_second_order_coeffs_satisfy_departure_equation():
                 assert abs(lhs - rhs) < 1e-9
 
 
-def _rk4_theta(model, K, a_max, t_boot=1e-3, dt=2e-5, t_cap=2.0):
-    """Independent fixed-step integrator for the fastest-descent equation."""
+def _rk4_theta(model, K, a_max, t_boot=0.05, dt=2e-5, t_cap=2.0):
+    """Independent fixed-step integrator for the fastest-descent equation,
+    started from the series of the model's Taylor data at t_boot."""
 
     def rhs(t, h):
         p = model.p_fn(t)
         disc = max((t * t + 1.0) * p * p - h * h, 0.0)
         return K * (t * h - math.sqrt(disc)) / (t * t + 1.0)
 
-    t, h = t_boot, 1.0 - a_max * t_boot * t_boot
+    c = descent_series(model.taylor, K, a_max)
+    t, h = t_boot, sum(cn * t_boot**n for n, cn in enumerate(c))
     while t < t_cap:
         k1 = rhs(t, h)
         k2 = rhs(t + dt / 2, h + dt * k1 / 2)
@@ -148,17 +154,17 @@ def test_integrator_matches_independent_rk4():
     a_max = second_order_coeffs(6, -3.0)[1]
     oracle = _rk4_theta(model, 7.0, a_max)
     assert prof.theta is not None and oracle is not None
-    assert abs(prof.theta - oracle) < 1e-7
+    assert abs(prof.theta - oracle) < 1e-9
 
 
 def test_integrator_flat_curvature_profile():
     # zero curvature still has a finite vanishing angle for k >= 2
-    model = CurvatureModel(4, 0.0, lambda t: 1.0, 0.0)
+    model = CurvatureModel(4, 0.0, lambda t: 1.0, 0.0, (1.0, 0.0, 0.0))
     prof = integrate_fastest(model)
     assert prof.theta is not None and prof.theta > 0.0
     a_max = second_order_coeffs(4, 0.0)[1]
     oracle = _rk4_theta(model, 5.0, a_max)
-    assert abs(prof.theta - oracle) < 1e-7
+    assert abs(prof.theta - oracle) < 1e-9
 
 
 def test_integrator_convergence_under_tolerance_halving():

@@ -1,0 +1,110 @@
+"""Cost and accuracy of the descent ODE's series start.
+
+For every lane (control, alpha, k, normalization) it runs the fastest
+descent twice: from the order-30 series start and from the order-2 start
+1 - a_max t^2 at t = 1e-3 (the same model without its Taylor data).  It
+prints accepted steps and right-hand-side calls per leg (early: from the
+start to t = 0.2 at tightened tolerances; main: the rest) for both starts,
+and how far each start's vanishing angle lies from a tight reference (an
+order-40 series start integrated at rtol 3e-14, ``tests/oracles.py``).
+
+Lane sets:
+  grid       the 208 F/c lanes of tests/test_descent.py (k <= 30, alpha in
+             {0, 1/2, 1, sqrt k}, both slope divisors)
+  replicate  the descents of the perfbench replicate job lists for --seeds:
+             the F-control replication searches (n copies of S^1 or S^2,
+             alpha = sqrt k) and the vanishing-table lanes
+
+Run from the repository root:
+
+    python tools/descent_probe.py --seeds 101 102 103
+"""
+
+import argparse
+import dataclasses
+import math
+import os
+import sys
+import warnings
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests"), ROOT]
+
+from conekit import lawlor  # noqa: E402
+from oracles import control_taylor, series_reference_angle  # noqa: E402
+from perfbench import jobs  # noqa: E402
+
+KS = (1, 2, 3, 4, 5, 6, 8, 10, 12, 16, 20, 25, 30)
+
+
+def grid_lanes():
+    return [(control, alpha, k, nz) for k in KS
+            for alpha in (0.0, 0.5, 1.0, math.sqrt(k))
+            for control in ("F", "c") for nz in ("k-plus-1", "k")]
+
+
+def replicate_lanes(seeds):
+    lanes = set()
+    for seed in seeds:
+        for job in jobs.generate("replicate", seed, 1):
+            spec = job["spec"]
+            if job["command"] == "replicate":
+                dim = spec["base"]["dim"]
+                lanes |= {("F", math.sqrt(n * dim), n * dim, "k-plus-1")
+                          for n in range(2, spec["n_max"] + 1)}
+            else:
+                lanes |= {(c, a, k, "k-plus-1") for k in spec["ks"]
+                          for a in spec["alphas"] for c in spec["controls"]}
+    return sorted(lanes)
+
+
+def probe(lanes):
+    """Per start: steps and rhs calls per leg, and the largest |theta -
+    reference| over the lanes with a hit."""
+    totals = {"series": [0, 0, 0, 0, 0.0], "order-2": [0, 0, 0, 0, 0.0]}
+    bias, hits, t_starts = [], 0, []
+    for control, alpha, k, nz in lanes:
+        model = lawlor._control_model(control, alpha, k)
+        thetas = {}
+        for name, m in (("series", model),
+                        ("order-2", dataclasses.replace(model, taylor=None))):
+            _, start, runs, (end, t_end) = lawlor._fastest(m, nz)
+            if start is None:
+                break
+            row = totals[name]
+            for run in runs:
+                leg = 0 if run.ts[0] < lawlor.T_SERIES_MAX else 1
+                row[2 * leg] += len(run.ts) - 1
+                row[2 * leg + 1] += run.rhs_calls
+            thetas[name] = math.atan(t_end) if end == "hit" else None
+            if name == "series":
+                t_starts.append(start.t)
+        if thetas.get("series") is None:
+            continue
+        hits += 1
+        ref = series_reference_angle(model, control_taylor(control, alpha, k, 40), nz)
+        for name, theta in thetas.items():
+            totals[name][4] = max(totals[name][4], abs(theta - ref))
+        bias.append(thetas["series"] - thetas["order-2"])
+    return totals, hits, bias, sorted(t_starts)
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--seeds", type=int, nargs="+", default=[101])
+    args = parser.parse_args(argv)
+    warnings.simplefilter("ignore")
+    for label, lanes in (("grid", grid_lanes()), ("replicate", replicate_lanes(args.seeds))):
+        totals, hits, bias, t_starts = probe(lanes)
+        print(f"{label}: {len(lanes)} lanes, {hits} with a hit; series t_start "
+              f"min {t_starts[0]:.3g} median {t_starts[len(t_starts) // 2]:.3g} "
+              f"max {t_starts[-1]:.3g}")
+        print(f"  {'start':8} {'early steps':>11} {'early rhs':>10} {'main steps':>10} "
+              f"{'main rhs':>9} {'total rhs':>9} {'max|dtheta|':>12}")
+        for name, (es, ec, ms, mc, err) in totals.items():
+            print(f"  {name:8} {es:11d} {ec:10d} {ms:10d} {mc:9d} {ec + mc:9d} {err:12.2e}")
+        print(f"  theta(series) - theta(order-2): min {min(bias):.3g}, max {max(bias):.3g}")
+
+
+if __name__ == "__main__":
+    main()
