@@ -4,7 +4,8 @@ Each invocation runs one job described by a JSON specification file and
 writes its artifacts (a JSON report, CSV tables, certificates) into the
 output directory.  Once the job has returned, a manifest records the
 seed, tolerances, exit code, wall time and numpy/scipy versions, also
-when the job failed.  Exit codes: 0 success, 2 precondition or parse failure,
+when the job failed.  Exit codes: 0 success, 2 precondition or parse failure
+(including a spec that is not a JSON object, or a field of the wrong type),
 3 numeric non-convergence.  The commands only orchestrate library
 operations; no numbers are produced here.
 """
@@ -111,10 +112,20 @@ def cmd_glue_sweep(spec, args, out_dir, base_dir):
     return EXIT_OK if report.worst_violation <= args.tol else EXIT_NONCONVERGENCE
 
 
+def _array(spec: dict, key: str, default=None) -> list:
+    """spec[key], or default when it is missing and one is given; anything
+    but a JSON array raises ValueError, since a string would be iterated
+    character by character."""
+    value = spec[key] if default is None else spec.get(key, default)
+    if not isinstance(value, list):
+        raise ValueError(f"spec field {key!r} must be a JSON array, got {value!r}")
+    return value
+
+
 def cmd_vanishing_table(spec, args, out_dir, base_dir):
-    ks = [int(k) for k in spec["ks"]]
-    alphas = [float(a) for a in spec["alphas"]]
-    controls = spec.get("controls", [args.control])
+    ks = [int(k) for k in _array(spec, "ks")]
+    alphas = [float(a) for a in _array(spec, "alphas")]
+    controls = _array(spec, "controls", [args.control])
     rows = []
     for k in ks:
         for alpha in alphas:
@@ -288,10 +299,15 @@ def _run(args, out_dir: str) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error: cannot parse spec: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
+    if not isinstance(spec, dict):
+        print(f"error: spec must be a JSON object, got {type(spec).__name__}",
+              file=sys.stderr)
+        return EXIT_PRECONDITION
     base_dir = os.path.dirname(os.path.abspath(args.spec))
     try:
         return COMMANDS[args.command](spec, args, out_dir, base_dir)
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
+        # a missing field, a field of the wrong JSON type, or a bad value
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     except RuntimeError as exc:

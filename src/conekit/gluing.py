@@ -179,7 +179,6 @@ def verify_gluing_bound(
     *,
     tol: float = 1e-6,
     comass_opts: dict | None = None,
-    endpoint_opts: dict | None = None,
 ) -> GluingReport:
     """Sweep the interpolated metrics and confirm the comass never exceeds
     the convexity bound.
@@ -188,8 +187,8 @@ def verify_gluing_bound(
     hypothesis fails and the offending endpoint is reported.  Each grid
     point reuses the previous maximizer as a warm start, since the
     maximizing plane moves continuously in s.  The endpoint comasses feed
-    every bound, so they default to eight times the restarts of the grid
-    points.
+    every bound, so they take eight times the restarts of the grid points
+    (at least 32) and at least 400 iterations.
     """
     s_grid = np.asarray(sorted(float(s) for s in s_grid), dtype=float)
     if s_grid.size == 0:
@@ -197,10 +196,8 @@ def verify_gluing_bound(
     if s_grid[0] < 0.0 or s_grid[-1] > 1.0:
         raise ValueError("s grid must lie inside [0, 1]")
     opts = dict(comass_opts or {})
-    if endpoint_opts is None:
-        endpoint_opts = dict(opts)
-        endpoint_opts["restarts"] = max(8 * opts.get("restarts", 32), 32)
-        endpoint_opts["max_iters"] = max(opts.get("max_iters", 400), 400)
+    endpoint_opts = dict(opts, restarts=max(8 * opts.get("restarts", 32), 32),
+                         max_iters=max(opts.get("max_iters", 400), 400))
     c1, c2 = _endpoint_comasses(phi, g1, g2, endpoint_opts)
     for name, c in (("g1", c1), ("g2", c2)):
         if c.value > 1.0 + 1e-8:

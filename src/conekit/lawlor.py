@@ -32,15 +32,15 @@ ODE takes over where its last two terms fall below 1e-17, at most t = 0.2;
 a model with only p2 keeps the order-2 series 1 - a_max t^2 and a start at
 t = 1e-3.
 
-From there the descent ODE is integrated by a loop over Python floats that
-follows scipy's DOP853 (Hairer, Norsett and Wanner, Solving Ordinary
-Differential Equations I, II.10) rule for rule: the same tableau, error
-norm and step-size control, so its results differ from ``solve_ivp``'s only
-by rounding.  The 7th-order dense output is built only for the steps where
-an event is located or a profile is sampled.
-Every descent records where it started and the order of its series, how it
-ended ("hit", "pinch", "no-departure" or "t_cap") and what it cost
-(accepted steps, right-hand-side calls).
+From there the descent ODE is integrated in one run, at the requested
+tolerances, by a loop over Python floats that follows scipy's DOP853
+(Hairer, Norsett and Wanner, Solving Ordinary Differential Equations I,
+II.10) rule for rule: the same tableau, error norm and step-size control,
+so its results differ from ``solve_ivp``'s only by rounding.  The
+7th-order dense output is built only for the steps where an event is
+located or a profile is sampled.  Every descent records where it started
+and the order of its series, how it ended ("hit", "pinch", "no-departure"
+or "t_cap") and what it cost (accepted steps, right-hand-side calls).
 """
 
 import math
@@ -50,7 +50,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain
 from operator import mul
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Optional
 
 import numpy as np
 from scipy.integrate._ivp import dop853_coefficients as _dop
@@ -515,60 +515,37 @@ def _descend(rhs, t0: float, h0: float, t_end: float, atol: float, rtol: float) 
     return run
 
 
-class _Start(NamedTuple):
-    """Series start of a descent: the Taylor coefficients of h and the t
-    where the ODE takes over."""
-
-    coeffs: list
-    t: float
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
-
-
 def _fastest(model: CurvatureModel, normalization: str = "k-plus-1",
              t_boot: Optional[float] = None, t_cap: float = 50.0,
              atol: float = 1e-10, rtol: float = 1e-10):
-    """The fastest descent from h(0) = 1: (a_max, start, runs, (end, t_end)).
+    """The fastest descent from h(0) = 1: (series, run, end, t_end), or None
+    without a real quadratic departure or with one that does not descend.
 
-    a_max is None without a real quadratic departure; with a_max <= 0 the
-    profile never leaves 1.  Both end "no-departure" with no start and no
-    runs.  Otherwise start is the series of h with the t where the ODE
-    takes over (the series' own choice when t_boot is None), the runs are
-    the early and the main leg, and the end is "hit", "pinch" or "t_cap"
-    with the time it was reached.  Taylor data that disagree with p_fn at
-    the start, and a given t_boot past the hit or pinch, raise ValueError.
+    series holds h's Taylor coefficients and run is one DOP853 run at atol
+    and rtol from where the ODE takes over (the series' own choice when
+    t_boot is None) toward t_cap; end is "hit", "pinch" or "t_cap", reached
+    at t_end.  Taylor data that disagree with p_fn at the start, a t_boot
+    past the hit or pinch, and a t_cap not past the start raise ValueError.
     """
     try:
         _, a_max = second_order_coeffs(model.k, model.p2, normalization)
     except ValueError:
-        return None, None, [], ("no-departure", None)
+        return None
     if a_max <= 0.0:
         # non-descending branch (k = 1 with p2 = 0)
-        return a_max, None, [], ("no-departure", None)
+        return None
     K = _factor(model.k, normalization)
-    if model.taylor is None:
-        coeffs = [1.0, 0.0, -a_max]
-    else:
-        coeffs = descent_series(model.taylor, K, a_max)
+    series = ([1.0, 0.0, -a_max] if model.taylor is None
+              else descent_series(model.taylor, K, a_max))
     rhs = _descent_rhs(K, model.p_fn)
-    t_boot, h0 = _series_start(coeffs, rhs, t_boot)
+    t0, h0 = _series_start(series, rhs, t_boot)
     if model.taylor is not None:
-        model.check_taylor(t_boot)
-    # deviations from the fastest branch grow like a power of t, so errors
-    # committed near the degenerate start are amplified the most; integrate
-    # the early leg with a much tighter tolerance than requested
-    t_split = min(0.2, 0.5 * (t_boot + t_cap))
-    runs = []
-    t0 = t_boot
-    if t_split > t_boot:
-        runs.append(_descend(rhs, t0, h0, t_split, 1e-3 * atol, max(1e-3 * rtol, 3e-14)))
-        t0, h0 = runs[0].ts[-1], runs[0].ys[-1]
-    if not runs or runs[0].end is None:
-        runs.append(_descend(rhs, t0, h0, t_cap, atol, rtol))
-    end = runs[-1].end or ("t_cap", runs[-1].ts[-1])
-    return a_max, _Start(coeffs, t_boot), runs, end
+        model.check_taylor(t0)
+    if not t_cap > t0:
+        raise ValueError(f"t_cap = {t_cap!r} must lie past the descent's start at t = {t0:.6g}")
+    run = _descend(rhs, t0, h0, t_cap, atol, rtol)
+    end, t_end = run.end or ("t_cap", run.ts[-1])
+    return series, run, end, t_end
 
 
 def integrate_fastest(
@@ -590,47 +567,34 @@ def integrate_fastest(
     1e-17 (at most 0.2), and 1 - a_max t^2 up to t_boot = 1e-3 otherwise;
     either t_boot is halved until h > 0 inside the open band there.  A
     given t_boot overrides either, and raises ValueError if it lies past
-    the hit or pinch.  Then it follows the ODE with a scalar DOP853 loop:
-    up to t = 0.2 at 1e-3 times the requested tolerances (rtol at least
-    3e-14), after that at the requested ones.  h is sampled from the series on [0, t_boot] and from
-    the steps' dense output after it, on grid_points points up to where the
-    descent stopped.  ``end`` records how the descent stopped: "hit",
-    "pinch", "no-departure" (no real quadratic departure, or one that does
-    not descend) or "t_cap"; only a hit sets vanishing_t and theta.
-    ``t_start`` and ``series_order`` record the start.  A solver failure
-    raises RuntimeError.
+    the hit or pinch, as does a t_cap not past the start.  Then one scalar
+    DOP853 run follows the ODE toward t_cap at atol and rtol; from the
+    series start it lies within 9.5e-13 of a tight reference on the F/c
+    grid of ``tests/test_descent.py``.  h is sampled from the series on
+    [0, t_boot] and from the run's dense output after it, on grid_points
+    points up to where the descent stopped.  ``end`` records how it
+    stopped: "hit", "pinch", "no-departure" (no real quadratic departure,
+    or one that does not descend; h = 1 up to t_cap) or "t_cap"; only a hit
+    sets vanishing_t and theta.  ``t_start`` and ``series_order`` record
+    the start.  A solver failure raises RuntimeError.
     """
-    a_max, start, runs, (end, t_stop) = _fastest(model, normalization, t_boot, t_cap,
-                                                 atol, rtol)
-    if a_max is None:
-        t = np.linspace(0.0, _T_BOOT_QUADRATIC if t_boot is None else t_boot, 16)
-        return Profile(t, np.ones_like(t), None, None, end)
-    if not runs:
+    fastest = _fastest(model, normalization, t_boot, t_cap, atol, rtol)
+    if fastest is None:
         t = np.linspace(0.0, t_cap, grid_points)
-        return Profile(t, np.ones_like(t), None, None, end)
-    t_hit = t_stop if end == "hit" else None
-
-    ts = np.linspace(0.0, t_stop, grid_points)
+        return Profile(t, np.ones_like(t), None, None, "no-departure")
+    series, run, end, t_end = fastest
+    t0 = run.ts[0]
+    ts = np.linspace(0.0, t_end, grid_points)
+    boot = ts <= t0
     hs = np.empty_like(ts)
-    boot = ts <= start.t
-    hs[boot] = _horner(start.coeffs, ts[boot])
-    rest = ~boot
-    if np.any(rest):
-        vals = np.empty(int(rest.sum()))
-        tr = ts[rest]
-        lo = 0.0
-        for run in runs:
-            hi = run.ts[-1]
-            mask = (tr > lo) & (tr <= hi + 1e-15)
-            if np.any(mask):
-                vals[mask] = run(np.minimum(tr[mask], hi))
-            lo = hi
-        hs[rest] = np.clip(vals, 0.0, None)
+    hs[boot] = _horner(series, ts[boot])
+    hs[~boot] = np.clip(run(ts[~boot]), 0.0, None)
+    t_hit = t_end if end == "hit" else None
     if t_hit is not None:
         hs[-1] = 0.0
     theta = math.atan(t_hit) if t_hit is not None else None
-    return Profile(ts, hs, t_hit, theta, end, sum(len(r.ts) - 1 for r in runs),
-                   sum(r.rhs_calls for r in runs), start.t, start.order)
+    return Profile(ts, hs, t_hit, theta, end, len(run.ts) - 1, run.rhs_calls,
+                   t0, len(series) - 1)
 
 
 def verify_profile(
@@ -707,14 +671,16 @@ def _control_model(control: str, alpha: float, k: int, p_fn=None, p2=None, taylo
 
 
 def _angle(control: str, alpha: float, k: int, p_fn=None, p2=None, *,
-           taylor=None, normalization: str = "k-plus-1", **integrate_opts):
-    """(theta, end, start) of the fastest descent under the chosen
-    curvature input: the vanishing angle, None without a hit; how the
-    descent ended (one of DESCENT_ENDS); and its series start (None
-    without a descent)."""
-    model = _control_model(control, alpha, k, p_fn, p2, taylor)
-    _, start, _, (end, t_stop) = _fastest(model, normalization, **integrate_opts)
-    return (math.atan(t_stop) if end == "hit" else None), end, start
+           taylor=None, normalization: str = "k-plus-1"):
+    """(theta, end, (t_start, series_order)) of the fastest descent under
+    the chosen curvature input: the vanishing angle (None without a hit),
+    how it ended (one of DESCENT_ENDS), and where the ODE took over from
+    which series order ((None, None) without a descent)."""
+    fastest = _fastest(_control_model(control, alpha, k, p_fn, p2, taylor), normalization)
+    if fastest is None:
+        return None, "no-departure", (None, None)
+    series, run, end, t_end = fastest
+    return (math.atan(t_end) if end == "hit" else None), end, (run.ts[0], len(series) - 1)
 
 
 def vanishing_angle(
@@ -725,18 +691,16 @@ def vanishing_angle(
     p2=None,
     *,
     normalization: str = "k-plus-1",
-    **integrate_opts,
 ) -> Optional[float]:
     """Polar angle arctan(t0) where the fastest descent hits zero under the
     chosen curvature input; None when no descent or no hit exists.
 
-    Runs the same descent as ``integrate_fastest``, with its t_boot, t_cap,
-    atol and rtol options, but samples no profile (so it takes no
-    grid_points).  F and c start from their order-30 series; a custom p,
-    given without Taylor data, from 1 - a_max t^2.
+    Runs the descent of ``integrate_fastest`` with its default start, cap
+    and tolerances, but samples no profile.  F and c start from their
+    order-30 series; a custom p, given without Taylor data, from
+    1 - a_max t^2.
     """
-    return _angle(control, alpha, k, p_fn, p2, normalization=normalization,
-                  **integrate_opts)[0]
+    return _angle(control, alpha, k, p_fn, p2, normalization=normalization)[0]
 
 
 def build_smooth_profile(
@@ -833,7 +797,6 @@ def check_area_minimizing(
     control: str = "F",
     *,
     normalization: str = "k-plus-1",
-    **integrate_opts,
 ) -> CriterionVerdict:
     """Compare the vanishing angle with half the link's normal radius.
 
@@ -843,7 +806,7 @@ def check_area_minimizing(
     """
     if link.normal_radius is None or not np.isfinite(link.normal_radius):
         raise ValueError("link is missing a normal radius")
-    theta, end, start = _angle(
+    theta, end, origin = _angle(
         control,
         link.alpha,
         link.k,
@@ -851,10 +814,8 @@ def check_area_minimizing(
         p2=link.p2,
         taylor=link.taylor,
         normalization=normalization,
-        **integrate_opts,
     )
     R_half = 0.5 * link.normal_radius
-    origin = (start.t, start.order) if start is not None else (None, None)
     if theta is None:
         return CriterionVerdict(None, control, R_half, False, None, "inconclusive", end,
                                 *origin)

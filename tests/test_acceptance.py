@@ -148,15 +148,14 @@ def test_vanishing_angles_converge_and_are_ordered():
         for alpha in (0.5, 1.0, 1.5):
             thetas = {}
             for control in ("F", "c"):
-                t1 = vanishing_angle(control, alpha, k, atol=1e-10,
-                                     rtol=1e-10)
-                t2 = vanishing_angle(control, alpha, k, atol=5e-11,
-                                     rtol=5e-11)
+                model = _control_model(control, alpha, k)
+                prof = integrate_fastest(model, atol=1e-10, rtol=1e-10)
+                t1 = prof.theta
+                assert vanishing_angle(control, alpha, k) == t1
+                t2 = integrate_fastest(model, atol=5e-11, rtol=5e-11).theta
                 assert (t1 is None) == (t2 is None)
                 if t1 is not None:
                     assert abs(t1 - t2) < 1e-8
-                    model = _control_model(control, alpha, k)
-                    prof = integrate_fastest(model)
                     audit = verify_profile(prof, model)
                     assert audit["worst_margin"] <= 1e-8
                 thetas[control] = t1

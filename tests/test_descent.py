@@ -156,6 +156,10 @@ def test_profile_end_reasons_and_counts():
     capped = integrate_fastest(CurvatureModel(4, 0.0, lambda t: 1.0, 0.0), t_cap=0.3)
     assert capped.end == "t_cap" and capped.theta is None
     assert capped.t_samples[-1] == 0.3 and capped.h_values[-1] > 0.0
+    # a cap at or before the series start (t = 0.2 for F, k = 3, alpha = 1)
+    for t_cap in (0.01, -1.0):
+        with pytest.raises(ValueError, match="t_cap"):
+            integrate_fastest(lawlor._control_model("F", 1.0, 3), t_cap=t_cap)
     with pytest.raises(ValueError, match="descent end"):
         lawlor.Profile(np.zeros(2), np.ones(2), None, None, "landed")
     assert set(DESCENT_ENDS) == {"hit", "pinch", "no-departure", "t_cap"}
@@ -236,15 +240,16 @@ def test_series_start_removes_low_bias():
     hits = 0
     for model, taylor, nz in _series_lanes():
         lane = (model.k, model.alpha, nz)
-        _, start, _, (end, t_end) = lawlor._fastest(model, nz)
+        fastest = lawlor._fastest(model, nz)
         low, low_end = order2_start_angle(model, nz)
-        assert end == low_end, lane
-        if end != "hit":
+        assert (fastest[2] if fastest else "no-departure") == low_end, lane
+        if low_end != "hit":
             continue
+        series, run, end, t_end = fastest
         hits += 1
         theta = math.atan(t_end)
-        assert start.order == lawlor.SERIES_ORDER and 0.02 < start.t <= 0.2
-        assert start.t < t_end, lane
+        assert len(series) - 1 == lawlor.SERIES_ORDER and 0.02 < run.ts[0] <= 0.2
+        assert run.ts[0] < t_end, lane
         assert theta >= low, lane
         ref = series_reference_angle(model, taylor, nz)
         assert abs(theta - ref) <= 1e-11, (*lane, theta - ref)
@@ -256,6 +261,9 @@ def test_series_start_example_f_k3():
     # t_boot shrinks (0.708172, 0.708195, 0.708202 at 3e-4, 1e-4, 3e-5)
     theta = vanishing_angle("F", 1.0, 3)
     assert abs(theta - 0.7082059) < 1e-7
+    # tolerances go to integrate_fastest only
+    with pytest.raises(TypeError):
+        vanishing_angle("F", 1.0, 3, rtol=1e-9)
     assert theta - order2_start_angle(lawlor._control_model("F", 1.0, 3))[0] > 1e-4
 
 
@@ -267,4 +275,10 @@ def test_models_without_taylor_data_keep_the_order2_start():
     boot = prof.t_samples <= 1e-3
     np.testing.assert_allclose(prof.h_values[boot], 1.0 - a_max * prof.t_samples[boot] ** 2,
                                rtol=1e-15, atol=0)
-    assert prof.theta == order2_start_angle(model)[0]
+    # one run from the order-2 start at the default tolerances; the oracle
+    # adds a tightened leg to t = 0.2, 7.2e-10 away here
+    K = lawlor._factor(6, "k-plus-1")
+    run = lawlor._descend(lawlor._descent_rhs(K, model.p_fn), 1e-3, 1.0 - a_max * 1e-6,
+                          50.0, 1e-10, 1e-10)
+    assert run.end[0] == "hit" and prof.theta == math.atan(run.end[1])
+    assert abs(prof.theta - order2_start_angle(model)[0]) <= 1e-7

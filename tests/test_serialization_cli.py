@@ -107,14 +107,24 @@ def test_cli_comass_job(tmp_path):
 
 
 def test_cli_manifest_written_on_precondition_failure(tmp_path):
-    spec = _write_spec(tmp_path / "bad.json",
-                       {"factors": [{"type": "torus", "dim": 1}]})
-    for spec_path, out in ((spec, tmp_path / "bad"),
-                           (str(tmp_path / "none.json"), tmp_path / "none")):
-        assert main(["certify-cone", "--spec", spec_path, "--out", str(out)]) == 2
+    bad = _write_spec(tmp_path / "bad.json", {"factors": [{"type": "torus", "dim": 1}]})
+    # wrongly typed specs: a JSON array, a number where a list belongs, and
+    # a string that iterates into two controls
+    array = _write_spec(tmp_path / "array.json", [{"ks": [4]}])
+    scalar_ks = _write_spec(tmp_path / "ks.json", {"ks": 3, "alphas": [1.0]})
+    text = _write_spec(tmp_path / "text.json", {"ks": [4], "alphas": [1.0], "controls": "Fc"})
+    for command, spec_path, out in (
+        ("certify-cone", bad, tmp_path / "bad"),
+        ("certify-cone", str(tmp_path / "none.json"), tmp_path / "none"),
+        ("certify-cone", array, tmp_path / "array"),
+        ("vanishing-table", array, tmp_path / "array-table"),
+        ("vanishing-table", scalar_ks, tmp_path / "ks"),
+        ("vanishing-table", text, tmp_path / "text"),
+    ):
+        assert main([command, "--spec", spec_path, "--out", str(out)]) == 2
         manifest = read_json(str(out / "manifest.json"))
         assert manifest["exit_code"] == 2
-        assert manifest["command"] == "certify-cone"
+        assert manifest["command"] == command
 
 
 @pytest.mark.parametrize("alpha", [float("nan"), float("inf")])

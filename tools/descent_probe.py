@@ -2,11 +2,11 @@
 
 For every lane (control, alpha, k, normalization) it runs the fastest
 descent twice: from the order-30 series start and from the order-2 start
-1 - a_max t^2 at t = 1e-3 (the same model without its Taylor data).  It
-prints accepted steps and right-hand-side calls per leg (early: from the
-start to t = 0.2 at tightened tolerances; main: the rest) for both starts,
-and how far each start's vanishing angle lies from a tight reference (an
-order-40 series start integrated at rtol 3e-14, ``tests/oracles.py``).
+1 - a_max t^2 at t = 1e-3 (the same model without its Taylor data).  Each
+descent is one DOP853 run at the default tolerances.  It prints accepted
+steps and right-hand-side calls for both starts, and how far each start's
+vanishing angle lies from a tight reference (an order-40 series start
+integrated at rtol 3e-14, ``tests/oracles.py``).
 
 Lane sets:
   grid       the 208 F/c lanes of tests/test_descent.py (k <= 30, alpha in
@@ -59,32 +59,30 @@ def replicate_lanes(seeds):
 
 
 def probe(lanes):
-    """Per start: steps and rhs calls per leg, and the largest |theta -
-    reference| over the lanes with a hit."""
-    totals = {"series": [0, 0, 0, 0, 0.0], "order-2": [0, 0, 0, 0, 0.0]}
+    """Per start: steps, rhs calls and the largest |theta - reference| over
+    the lanes with a hit."""
+    totals = {"series": [0, 0, 0.0], "order-2": [0, 0, 0.0]}
     bias, hits, t_starts = [], 0, []
     for control, alpha, k, nz in lanes:
         model = lawlor._control_model(control, alpha, k)
         thetas = {}
         for name, m in (("series", model),
                         ("order-2", dataclasses.replace(model, taylor=None))):
-            _, start, runs, (end, t_end) = lawlor._fastest(m, nz)
-            if start is None:
+            fastest = lawlor._fastest(m, nz)
+            if fastest is None:
                 break
-            row = totals[name]
-            for run in runs:
-                leg = 0 if run.ts[0] < lawlor.T_SERIES_MAX else 1
-                row[2 * leg] += len(run.ts) - 1
-                row[2 * leg + 1] += run.rhs_calls
+            _, run, end, t_end = fastest
+            totals[name][0] += len(run.ts) - 1
+            totals[name][1] += run.rhs_calls
             thetas[name] = math.atan(t_end) if end == "hit" else None
             if name == "series":
-                t_starts.append(start.t)
+                t_starts.append(run.ts[0])
         if thetas.get("series") is None:
             continue
         hits += 1
         ref = series_reference_angle(model, control_taylor(control, alpha, k, 40), nz)
         for name, theta in thetas.items():
-            totals[name][4] = max(totals[name][4], abs(theta - ref))
+            totals[name][2] = max(totals[name][2], abs(theta - ref))
         bias.append(thetas["series"] - thetas["order-2"])
     return totals, hits, bias, sorted(t_starts)
 
@@ -99,10 +97,9 @@ def main(argv=None):
         print(f"{label}: {len(lanes)} lanes, {hits} with a hit; series t_start "
               f"min {t_starts[0]:.3g} median {t_starts[len(t_starts) // 2]:.3g} "
               f"max {t_starts[-1]:.3g}")
-        print(f"  {'start':8} {'early steps':>11} {'early rhs':>10} {'main steps':>10} "
-              f"{'main rhs':>9} {'total rhs':>9} {'max|dtheta|':>12}")
-        for name, (es, ec, ms, mc, err) in totals.items():
-            print(f"  {name:8} {es:11d} {ec:10d} {ms:10d} {mc:9d} {ec + mc:9d} {err:12.2e}")
+        print(f"  {'start':8} {'steps':>6} {'rhs calls':>9} {'max|dtheta|':>12}")
+        for name, (steps, calls, err) in totals.items():
+            print(f"  {name:8} {steps:6d} {calls:9d} {err:12.2e}")
         print(f"  theta(series) - theta(order-2): min {min(bias):.3g}, max {max(bias):.3g}")
 
 
