@@ -49,18 +49,19 @@ def _manifest(args, out_dir: str, exit_code: int, wall_s: float):
 
 def _build_product(spec: dict, base_dir: str, seed: int):
     factors = []
-    for entry in spec["factors"]:
-        if entry.get("type") == "product_hypersurface":
+    for entry in _array(spec, "factors"):
+        if isinstance(entry, dict) and entry.get("type") == "product_hypersurface":
             inner = products.minimal_product(
-                [products.SphereFactor.round(int(d)) for d in entry["dims"]],
-                samples=int(entry.get("samples", 200)),
+                [products.SphereFactor.round(ser.whole_number(d, "dims"))
+                 for d in _array(entry, "dims")],
+                samples=ser.whole_number(entry.get("samples", 200), "samples"),
                 seed=seed,
             )
             factors.append(products.hypersurface_factor(inner))
         else:
             factors.append(ser.factor_from_dict(entry, base_dir))
     return products.minimal_product(
-        factors, samples=int(spec.get("samples", 200)), seed=seed
+        factors, samples=ser.whole_number(spec.get("samples", 200), "samples"), seed=seed
     )
 
 
@@ -123,7 +124,7 @@ def _array(spec: dict, key: str, default=None) -> list:
 
 
 def cmd_vanishing_table(spec, args, out_dir, base_dir):
-    ks = [int(k) for k in _array(spec, "ks")]
+    ks = [ser.whole_number(k, "ks") for k in _array(spec, "ks")]
     alphas = [float(a) for a in _array(spec, "alphas")]
     controls = _array(spec, "controls", [args.control])
     rows = []
@@ -212,7 +213,7 @@ def cmd_replicate(spec, args, out_dir, base_dir):
     base = ser.factor_from_dict(spec["base"], base_dir)
     result = products.replication_search(
         base,
-        int(spec["n_max"]),
+        ser.whole_number(spec["n_max"], "n_max"),
         args.control,
         normalization=args.normalization,
     )

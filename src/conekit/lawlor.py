@@ -26,11 +26,10 @@ With u = h'/K the descent equality reads (h - t u)^2 + u^2 = p^2, a
 polynomial identity in the coefficients of h and p with no square root:
 h = 1 - a_max t^2 + ..., and for n >= 3 the coefficient of t^n solves one
 linear equation whose pivot 2 - n (1 + r/K), r = sqrt((K-2)^2 + 8 p2), is at
-most 2 - n.  When the model carries p's Taylor coefficients (the F and c
-controls, and round-sphere products) the series runs to order 30 and the
-ODE takes over where its last two terms fall below 1e-17, at most t = 0.2;
-a model with only p2 keeps the order-2 series 1 - a_max t^2 and a start at
-t = 1e-3.
+most 2 - n.  Every curvature model carries p's Taylor coefficients (the F
+and c controls, round-sphere products, and any custom p), so the series
+runs to order 30 and the ODE takes over where its last two terms fall below
+1e-17, at most t = 0.2.
 
 From there the descent ODE is integrated in one run, at the requested
 tolerances, by a loop over Python floats that follows scipy's DOP853
@@ -92,13 +91,11 @@ _EVENT_TOL = 4.0 * sys.float_info.epsilon
 _MIN_RTOL = 100.0 * sys.float_info.epsilon
 
 # series start: order of the Taylor series of the fastest branch, the size
-# its last two terms may reach at the start, the latest start, the start of
-# the order-2 series used when a model carries no Taylor data, the allowed
+# its last two terms may reach at the start, the latest start, the allowed
 # mismatch of Taylor data and p_fn, and how often a start may be halved
 SERIES_ORDER = 30
 _SERIES_TAIL = 1e-17
 T_SERIES_MAX = 0.2
-_T_BOOT_QUADRATIC = 1e-3
 _TAYLOR_RTOL = 1e-13
 _START_HALVINGS = 40
 
@@ -115,20 +112,17 @@ def _factor(k: int, normalization: str) -> float:
 @dataclass(frozen=True)
 class CurvatureModel:
     """Curvature data of a k-dimensional link: a bound alpha on the second
-    fundamental form, the determinant infimum p(t), and its quadratic
-    Taylor coefficient p2 at t = 0.
+    fundamental form, the determinant infimum p(t), and p's Taylor
+    coefficients at 0, starting 1, 0, p2 with p2 <= 0.
 
-    ``taylor`` optionally holds p's Taylor coefficients at 0, starting
-    1, 0, p2, with p equal to their polynomial up to rounding wherever the
+    p equals the polynomial of ``taylor`` up to rounding wherever the
     descent can start (a polynomial p, or a series truncated far beyond
-    order 30).  The descent then starts from its order-30 series; without
-    them it starts from 1 - a_max t^2."""
+    order 30), and the descent starts from its order-30 series."""
 
     k: int
     alpha: float
     p_fn: Callable[[float], float]
-    p2: float
-    taylor: Optional[tuple] = None
+    taylor: tuple
 
     def __post_init__(self):
         if self.k < 1:
@@ -137,17 +131,19 @@ class CurvatureModel:
             raise ValueError(f"alpha must be finite and >= 0, got {self.alpha!r}")
         if abs(self.p_fn(0.0) - 1.0) > 1e-10:
             raise ValueError("p(0) must equal 1")
-        if self.p2 > 1e-8:
-            raise ValueError("p2 must be <= 0")
-        if self.p2 > 0.0:
-            object.__setattr__(self, "p2", 0.0)
-        if self.taylor is not None:
-            taylor = tuple(float(c) for c in self.taylor)
-            if len(taylor) < 3 or taylor[:3] != (1.0, 0.0, self.p2):
-                raise ValueError("Taylor data must start with 1, 0, p2")
-            if not all(math.isfinite(c) for c in taylor):
-                raise ValueError("Taylor data must be finite")
-            object.__setattr__(self, "taylor", taylor)
+        taylor = tuple(float(c) for c in self.taylor)
+        if len(taylor) < 3 or taylor[:2] != (1.0, 0.0):
+            raise ValueError("Taylor data must start with 1, 0, p2")
+        if taylor[2] > 0.0:
+            raise ValueError("Taylor data must have p2 <= 0")
+        if not all(math.isfinite(c) for c in taylor):
+            raise ValueError("Taylor data must be finite")
+        object.__setattr__(self, "taylor", taylor)
+
+    @property
+    def p2(self) -> float:
+        """Quadratic Taylor coefficient of p at 0."""
+        return self.taylor[2]
 
     def check_taylor(self, t: float):
         """Reject Taylor data that disagrees with p_fn at t by more than
@@ -202,14 +198,13 @@ class CriterionVerdict:
 
 @dataclass(frozen=True)
 class LinkData:
-    """Minimal inputs the criterion needs about a link, with the optional
-    Taylor data of p as in ``CurvatureModel``."""
+    """Minimal inputs the criterion needs about a link; the custom control
+    also needs p and its Taylor data as in ``CurvatureModel``."""
 
     k: int
     alpha: float
     normal_radius: float
     p_fn: Optional[Callable[[float], float]] = None
-    p2: Optional[float] = None
     taylor: Optional[tuple] = None
 
 
@@ -324,28 +319,23 @@ def descent_series(taylor, K: float, a_max: float, order: int = SERIES_ORDER) ->
 
 
 def _series_t_boot(coeffs: list) -> float:
-    """Where the ODE takes over from the series: 1e-3 for the order-2
-    series, else where the last two terms fall to 1e-17, at most 0.2."""
+    """Where the ODE takes over from the series: where its last two terms
+    fall to 1e-17, at most 0.2."""
     order = len(coeffs) - 1
-    if order <= 2:
-        return _T_BOOT_QUADRATIC
     tail = max(abs(coeffs[-2]), abs(coeffs[-1]))
     t = T_SERIES_MAX if tail == 0.0 else (_SERIES_TAIL / tail) ** (1.0 / (order - 1))
     return min(t, T_SERIES_MAX)
 
 
-def _series_start(coeffs: list, rhs, t_boot: Optional[float]):
+def _series_start(coeffs: list, rhs):
     """(t, h) where the ODE takes over from the series, with h > 0 and the
     band (1+t^2) p^2 - h^2 open, so the start lies before the descent's hit
-    or pinch.  The series' own choice of t is halved until it does; a given
-    t_boot that does not raises ValueError."""
-    t = _series_t_boot(coeffs) if t_boot is None else t_boot
+    or pinch.  The series' own choice of t is halved until it does."""
+    t = _series_t_boot(coeffs)
     for _ in range(_START_HALVINGS):
         h = _horner(coeffs, t)
         if h > 0.0 and rhs(t, h)[1] > 0.0:
             return t, h
-        if t_boot is not None:
-            break
         t *= 0.5
     raise ValueError(f"series start at t = {t:.6g} gives h = {h!r} outside the open band")
 
@@ -516,16 +506,14 @@ def _descend(rhs, t0: float, h0: float, t_end: float, atol: float, rtol: float) 
 
 
 def _fastest(model: CurvatureModel, normalization: str = "k-plus-1",
-             t_boot: Optional[float] = None, t_cap: float = 50.0,
-             atol: float = 1e-10, rtol: float = 1e-10):
+             t_cap: float = 50.0, atol: float = 1e-10, rtol: float = 1e-10):
     """The fastest descent from h(0) = 1: (series, run, end, t_end), or None
     without a real quadratic departure or with one that does not descend.
 
     series holds h's Taylor coefficients and run is one DOP853 run at atol
-    and rtol from where the ODE takes over (the series' own choice when
-    t_boot is None) toward t_cap; end is "hit", "pinch" or "t_cap", reached
-    at t_end.  Taylor data that disagree with p_fn at the start, a t_boot
-    past the hit or pinch, and a t_cap not past the start raise ValueError.
+    and rtol from where the ODE takes over toward t_cap; end is "hit",
+    "pinch" or "t_cap", reached at t_end.  Taylor data that disagree with
+    p_fn at the start, and a t_cap not past the start, raise ValueError.
     """
     try:
         _, a_max = second_order_coeffs(model.k, model.p2, normalization)
@@ -535,12 +523,10 @@ def _fastest(model: CurvatureModel, normalization: str = "k-plus-1",
         # non-descending branch (k = 1 with p2 = 0)
         return None
     K = _factor(model.k, normalization)
-    series = ([1.0, 0.0, -a_max] if model.taylor is None
-              else descent_series(model.taylor, K, a_max))
+    series = descent_series(model.taylor, K, a_max)
     rhs = _descent_rhs(K, model.p_fn)
-    t0, h0 = _series_start(series, rhs, t_boot)
-    if model.taylor is not None:
-        model.check_taylor(t0)
+    t0, h0 = _series_start(series, rhs)
+    model.check_taylor(t0)
     if not t_cap > t0:
         raise ValueError(f"t_cap = {t_cap!r} must lie past the descent's start at t = {t0:.6g}")
     run = _descend(rhs, t0, h0, t_cap, atol, rtol)
@@ -552,7 +538,6 @@ def integrate_fastest(
     model: CurvatureModel,
     *,
     normalization: str = "k-plus-1",
-    t_boot: Optional[float] = None,
     t_cap: float = 50.0,
     atol: float = 1e-10,
     rtol: float = 1e-10,
@@ -561,24 +546,21 @@ def integrate_fastest(
     """Fastest admissible descent from h(0) = 1, sampled on a grid.
 
     The start is a degenerate double root (the slope interval at (0,1) is
-    the single point 0), so the integration starts from the Taylor series
-    of the fastest branch on [0, t_boot]: of order 30 when the model
-    carries p's Taylor data, with t_boot where its last two terms fall to
-    1e-17 (at most 0.2), and 1 - a_max t^2 up to t_boot = 1e-3 otherwise;
-    either t_boot is halved until h > 0 inside the open band there.  A
-    given t_boot overrides either, and raises ValueError if it lies past
-    the hit or pinch, as does a t_cap not past the start.  Then one scalar
-    DOP853 run follows the ODE toward t_cap at atol and rtol; from the
-    series start it lies within 9.5e-13 of a tight reference on the F/c
-    grid of ``tests/test_descent.py``.  h is sampled from the series on
-    [0, t_boot] and from the run's dense output after it, on grid_points
-    points up to where the descent stopped.  ``end`` records how it
-    stopped: "hit", "pinch", "no-departure" (no real quadratic departure,
-    or one that does not descend; h = 1 up to t_cap) or "t_cap"; only a hit
-    sets vanishing_t and theta.  ``t_start`` and ``series_order`` record
-    the start.  A solver failure raises RuntimeError.
+    the single point 0), so the integration starts from the order-30 Taylor
+    series of the fastest branch on [0, t_boot], with t_boot where its last
+    two terms fall to 1e-17 (at most 0.2), halved until h > 0 inside the
+    open band there.  A t_cap not past the start raises ValueError.  Then
+    one scalar DOP853 run follows the ODE toward t_cap at atol and rtol; it
+    lies within 9.5e-13 of a tight reference on the F/c grid of
+    ``tests/test_descent.py``.  h is sampled from the series on [0, t_boot]
+    and from the run's dense output after it, on grid_points points up to
+    where the descent stopped.  ``end`` records how it stopped: "hit",
+    "pinch", "no-departure" (no real quadratic departure, or one that does
+    not descend; h = 1 up to t_cap) or "t_cap"; only a hit sets vanishing_t
+    and theta.  ``t_start`` and ``series_order`` record the start.  A solver
+    failure raises RuntimeError.
     """
-    fastest = _fastest(model, normalization, t_boot, t_cap, atol, rtol)
+    fastest = _fastest(model, normalization, t_cap, atol, rtol)
     if fastest is None:
         t = np.linspace(0.0, t_cap, grid_points)
         return Profile(t, np.ones_like(t), None, None, "no-departure")
@@ -643,7 +625,7 @@ def _c_taylor(alpha: float) -> tuple:
     return tuple(out)
 
 
-def _control_model(control: str, alpha: float, k: int, p_fn=None, p2=None, taylor=None):
+def _control_model(control: str, alpha: float, k: int, p_fn=None, taylor=None):
     """Curvature model of a control; F and c get scalar closures that
     evaluate f_control and c_control in the same order of operations, and
     their Taylor coefficients."""
@@ -654,7 +636,7 @@ def _control_model(control: str, alpha: float, k: int, p_fn=None, p2=None, taylo
             at = a * t
             return (1.0 - at * s1) * (1.0 + at / s2) ** k
 
-        return CurvatureModel(k, alpha, f_scalar, -0.5 * alpha * alpha, _f_taylor(a, k))
+        return CurvatureModel(k, alpha, f_scalar, _f_taylor(a, k))
     if control == "c":
         a = float(alpha)
 
@@ -662,21 +644,22 @@ def _control_model(control: str, alpha: float, k: int, p_fn=None, p2=None, taylo
             at = a * t
             return (1.0 - at) * math.exp(at)
 
-        return CurvatureModel(k, alpha, c_scalar, -0.5 * alpha * alpha, _c_taylor(a))
+        return CurvatureModel(k, alpha, c_scalar, _c_taylor(a))
     if control == "custom":
-        if p_fn is None or p2 is None:
-            raise ValueError("custom control requires p_fn and p2")
-        return CurvatureModel(k, alpha, p_fn, p2, taylor)
+        missing = [name for name, x in (("p_fn", p_fn), ("taylor", taylor)) if x is None]
+        if missing:
+            raise ValueError(f"custom control requires p_fn and taylor, missing {missing}")
+        return CurvatureModel(k, alpha, p_fn, taylor)
     raise ValueError(f"unknown control {control!r}")
 
 
-def _angle(control: str, alpha: float, k: int, p_fn=None, p2=None, *,
-           taylor=None, normalization: str = "k-plus-1"):
+def _angle(control: str, alpha: float, k: int, p_fn=None, taylor=None, *,
+           normalization: str = "k-plus-1"):
     """(theta, end, (t_start, series_order)) of the fastest descent under
     the chosen curvature input: the vanishing angle (None without a hit),
     how it ended (one of DESCENT_ENDS), and where the ODE took over from
     which series order ((None, None) without a descent)."""
-    fastest = _fastest(_control_model(control, alpha, k, p_fn, p2, taylor), normalization)
+    fastest = _fastest(_control_model(control, alpha, k, p_fn, taylor), normalization)
     if fastest is None:
         return None, "no-departure", (None, None)
     series, run, end, t_end = fastest
@@ -688,7 +671,7 @@ def vanishing_angle(
     alpha: float,
     k: int,
     p_fn=None,
-    p2=None,
+    taylor=None,
     *,
     normalization: str = "k-plus-1",
 ) -> Optional[float]:
@@ -696,11 +679,10 @@ def vanishing_angle(
     chosen curvature input; None when no descent or no hit exists.
 
     Runs the descent of ``integrate_fastest`` with its default start, cap
-    and tolerances, but samples no profile.  F and c start from their
-    order-30 series; a custom p, given without Taylor data, from
-    1 - a_max t^2.
+    and tolerances, but samples no profile.  F and c carry their own Taylor
+    data; a custom p needs its Taylor data ``taylor`` as well.
     """
-    return _angle(control, alpha, k, p_fn, p2, normalization=normalization)[0]
+    return _angle(control, alpha, k, p_fn, taylor, normalization=normalization)[0]
 
 
 def build_smooth_profile(
@@ -811,7 +793,6 @@ def check_area_minimizing(
         link.alpha,
         link.k,
         p_fn=link.p_fn,
-        p2=link.p2,
         taylor=link.taylor,
         normalization=normalization,
     )

@@ -11,8 +11,8 @@ For a product of round spheres all four are exact and nothing is sampled.
 The normal space at (lambda_i x_i) is spanned by the mixing normals
 v = (b_i x_i) with sum b_i lambda_i = 0, and the shape operator h^v is
 diagonal with eigenvalue -b_i / lambda_i of multiplicity k_i.  So
-alpha = sqrt(k) for unit b, p(t) is a minimum of at most k - 1 closed-form
-terms with p2 = -k/2, and the normal radius is arcsin(lambda_min).
+alpha = sqrt(k) for unit b, p(t) is one closed-form polynomial with
+p2 = -k/2, and the normal radius is arcsin(lambda_min).
 General links may be supplied as sampled point/normal data, but curvature
 extraction is only implemented for products of round spheres.
 """
@@ -66,6 +66,8 @@ class SphereFactor:
                 raise ValueError("sample points must be unit vectors")
             object.__setattr__(self, "points", pts)
         if self.normals is not None:
+            if self.points is None:
+                raise ValueError("normals need points")
             nor = np.asarray(self.normals, dtype=float)
             if nor.shape != self.points.shape:
                 raise ValueError("normals must align with points")
@@ -189,42 +191,34 @@ def curvature_model(link: ProductLink) -> CurvatureModel:
     k t / (1 + t beta_i) = 2 nu beta_i + eta is one quadratic in beta_i, so
     the beta_i take two values: a on a proper subset of the factors, of
     dimension sum j, and -b on the rest.  The constraints fix
-    a = sqrt((k - j) / j) and b = sqrt(j / (k - j)), hence
+    a = sqrt((k - j) / j) and b = sqrt(j / (k - j)), so p(t) is the least
+    of the terms q_j(t) = (1 + a t)^j (1 - b t)^(k - j) over the proper
+    subset sums j.  Every term is 1 - (k/2) t^2 + O(t^3), so p2 = -k/2.
 
-        p(t) = min_j (1 + a t)^j (1 - b t)^(k - j)
-
-    over the proper subset sums j.  This is exact for 0 <= t < t_focal,
-    where every factor is positive; the descent ends by t_focal, because
-    p(t_focal) = 0 closes the band, and beyond it ``p_fn`` is the same
-    formula's polynomial extension.  Every term is 1 - (k/2) t^2 + O(t^3),
-    so p2 = -k/2.
-
-    Near 0 p is the term j* = k - k_min, the largest proper sum, so its
-    polynomial's coefficients are the model's Taylor data.  With
+    The least term is j* = k - k_min, the largest proper sum.  With
     u = j / k, d/dt log q_j = -k t / (1 + t (1 - 2u) / sqrt(u (1 - u)) - t^2),
     and (1 - 2u) / sqrt(u (1 - u)) strictly decreases in u.  So on
     [0, t_focal), where the denominator of j* is positive, every other
-    denominator is larger and q_j* <= q_j.  The descent ends before t_focal
-    and its series start lies before its end, so the Taylor data are p
-    wherever they are read.
+    denominator is larger and q_j* <= q_j.  ``p_fn`` is that one term, and
+    its polynomial's coefficients are the model's Taylor data.  It is exact
+    for 0 <= t < t_focal; the descent ends by t_focal, because
+    p(t_focal) = 0 closes the band, and its series start lies before its
+    end, so nothing reads p_fn beyond it.
     """
     _require_round(link, "curvature model")
     k = link.k
-    sums = {0}
-    for f in link.factors:
-        sums |= {s + f.dim for s in sums}
-    terms = [(j, k - j, math.sqrt((k - j) / j), math.sqrt(j / (k - j)))
-             for j in sorted(sums - {0, k})]
-    if not terms:
+    m = min(f.dim for f in link.factors)
+    j = k - m
+    if j == 0:
         # single totally geodesic factor: no normal directions, flat model
-        return CurvatureModel(k, 0.0, lambda t: 1.0, 0.0, (1.0, 0.0, 0.0))
+        return CurvatureModel(k, 0.0, lambda t: 1.0, (1.0, 0.0, 0.0))
+    a, b = math.sqrt(m / j), math.sqrt(j / m)
 
     def p_fn(t):
-        return min((1.0 + a * t) ** j * (1.0 - b * t) ** m for j, m, a, b in terms)
+        return (1.0 + a * t) ** j * (1.0 - b * t) ** m
 
-    j_star, m_star = terms[-1][:2]
-    taylor = (1.0, 0.0, -0.5 * k, *_term_taylor(j_star, m_star)[3:])
-    return CurvatureModel(k, math.sqrt(k), p_fn, -0.5 * k, taylor)
+    taylor = (1.0, 0.0, -0.5 * k, *_term_taylor(j, m)[3:])
+    return CurvatureModel(k, math.sqrt(k), p_fn, taylor)
 
 
 @cache
@@ -305,7 +299,6 @@ def as_link_data(
         alpha=model.alpha,
         normal_radius=float(R),
         p_fn=model.p_fn,
-        p2=model.p2,
         taylor=model.taylor,
     )
 

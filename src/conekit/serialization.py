@@ -26,6 +26,7 @@ __all__ = [
     "metric_to_dict",
     "metric_from_dict",
     "factor_from_dict",
+    "whole_number",
     "load_form",
     "load_metric",
 ]
@@ -111,20 +112,34 @@ def metric_from_dict(data: dict) -> MetricTensor:
     return MetricTensor(np.asarray(data["matrix"], dtype=float))
 
 
+def whole_number(value, field: str) -> int:
+    """A spec field as an int: a JSON integer, or a float with no fractional
+    part.  Booleans and anything else raise ValueError rather than being
+    truncated."""
+    if isinstance(value, bool) or not (
+        isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    ):
+        raise ValueError(f"spec field {field!r} must be a whole number, got {value!r}")
+    return int(value)
+
+
 def factor_from_dict(data: dict, base_dir: str = ".") -> SphereFactor:
     """Link factor from a specification entry.
 
     {"type": "sphere", "dim": k} builds a round sphere; {"type": "sampled",
-    "path": file} loads unit points and optional normals from JSON.
+    "path": file} loads unit points and optional normals from JSON.  An
+    entry that is not a JSON object raises ValueError.
     """
+    if not isinstance(data, dict):
+        raise ValueError(f"a factor must be a JSON object, got {data!r}")
     kind = data.get("type")
     if kind == "sphere":
-        return SphereFactor.round(int(data["dim"]))
+        return SphereFactor.round(whole_number(data["dim"], "dim"))
     if kind == "sampled":
         payload = read_json(os.path.join(base_dir, data["path"]))
         return SphereFactor(
-            dim=int(payload["dim"]),
-            ambient=int(payload["ambient"]),
+            dim=whole_number(payload["dim"], "dim"),
+            ambient=whole_number(payload["ambient"], "ambient"),
             points=np.asarray(payload["points"], dtype=float),
             normals=(
                 np.asarray(payload["normals"], dtype=float)

@@ -3,11 +3,13 @@
 Each one computes a quantity conekit now obtains another way: the descent
 ODE by scipy's ``solve_ivp`` instead of the scalar DOP853 loop, the descent
 from the order-2 start 1 - a_max t^2 at t = 1e-3 that the order-30 series
-start replaced, a tight reference descent from an order-40 series, comass by a
-constrained minimization, shape matrices by finite differences along
-great-circle curves instead of the closed-form spectra, p(t) by a dense
-search over unit normals instead of its Lagrange formula, and the normal
-radius from explicit chords between link points instead of arcsin(lambda_min).
+start replaced (the only place that start lives on), a tight reference
+descent from an order-40 series, comass by a constrained minimization, shape
+matrices by finite differences along great-circle curves instead of the
+closed-form spectra, p(t) by a dense search over unit normals and as the
+least term over all proper subset sums instead of its single term j* =
+k - k_min, and the normal radius from explicit chords between link points
+instead of arcsin(lambda_min).
 """
 
 import math
@@ -312,6 +314,24 @@ def p_by_normal_search(link: ProductLink, ts, rng, count: int = 100_000) -> np.n
     dims = np.array([f.dim for f in link.factors])
     return np.array([float(np.prod((1.0 + t * beta) ** dims, axis=1).min())
                      for t in ts])
+
+
+def p_over_subset_sums(link: ProductLink):
+    """p(t) of a round product of two or more factors as the least of the
+    terms (1 + a t)^j (1 - b t)^(k - j), a = sqrt((k - j) / j),
+    b = sqrt(j / (k - j)), over every proper subset sum j of the factor
+    dimensions, each evaluated in the library's order of operations."""
+    k = link.k
+    sums = {0}
+    for f in link.factors:
+        sums |= {s + f.dim for s in sums}
+    terms = [(j, k - j, math.sqrt((k - j) / j), math.sqrt(j / (k - j)))
+             for j in sorted(sums - {0, k})]
+
+    def p_fn(t):
+        return min((1.0 + a * t) ** j * (1.0 - b * t) ** m for j, m, a, b in terms)
+
+    return p_fn
 
 
 def _embed(link: ProductLink, xs) -> np.ndarray:

@@ -59,6 +59,9 @@ def _random_spd(rng, n):
     return MetricTensor(A @ A.T + n * np.eye(n))
 
 
+SIMONS_TAYLOR = (1.0, 0.0, -3.0, 0.0, 3.0, 0.0, -1.0)  # (1 - t^2)^3
+
+
 def _simons_p(t):
     return (1.0 - t * t) ** 3 if abs(t) < 1.0 else 0.0
 
@@ -168,18 +171,18 @@ def _cone_verdict(dims, samples, p_exact):
                            samples=samples, seed=0)
     model = curvature_model(link)
     radius = normal_radius(link)
-    p_fn, p2 = p_exact
+    p_fn, taylor = p_exact
     data = LinkData(k=link.k, alpha=model.alpha, normal_radius=float(radius),
-                    p_fn=p_fn, p2=p2)
+                    p_fn=p_fn, taylor=taylor)
     return check_area_minimizing(data, "custom"), model, radius
 
 
 def test_cone_verdicts_with_density_stability():
     start = time.time()
-    clifford_p = (lambda t: max(1.0 - t * t, 0.0), -1.0)
+    clifford_p = (lambda t: max(1.0 - t * t, 0.0), (1.0, 0.0, -1.0))
     for samples in (40, 80):
         verdict, model, radius = _cone_verdict((3, 3), samples,
-                                               (_simons_p, -3.0))
+                                               (_simons_p, SIMONS_TAYLOR))
         assert verdict.passes and verdict.status == "passes"
         assert abs(model.alpha - math.sqrt(6)) < 1e-6
         assert abs(float(radius) - math.pi / 4) < 1e-6
@@ -193,8 +196,7 @@ def test_cone_verdicts_with_density_stability():
 
 
 def test_surgery_profile_lands_between_branches():
-    simons_taylor = (1.0, 0.0, -3.0, 0.0, 3.0, 0.0, -1.0)
-    model = CurvatureModel(6, math.sqrt(6), _simons_p, -3.0, simons_taylor)
+    model = CurvatureModel(6, math.sqrt(6), _simons_p, SIMONS_TAYLOR)
     a_min, a_max = second_order_coeffs(6, -3.0)
     prof = build_smooth_profile(model, 0.5 * (a_min + a_max), 0.05, 0.02)
     audit = verify_profile(prof, model)
@@ -215,7 +217,7 @@ def test_surgery_profile_lands_between_branches():
             disc = max((t * t + 1.0) * p * p - h * h, 0.0)
             return 7.0 * (t * h - math.sqrt(disc)) / (t * t + 1.0)
 
-        c = descent_series(simons_taylor, 7.0, a)
+        c = descent_series(SIMONS_TAYLOR, 7.0, a)
         t, h = t_boot, sum(cn * t_boot**n for n, cn in enumerate(c))
         while t < t_cap:
             k1 = rhs(t, h)

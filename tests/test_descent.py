@@ -52,18 +52,18 @@ def _product_model(dims):
 
 
 def _cases():
-    """(control, alpha, k, p_fn, p2, taylor, normalization): the F and c
+    """(control, alpha, k, p_fn, taylor, normalization): the F and c
     controls on k = 1..30 at alpha in {0, 1/2, 1, sqrt k}, and custom p from
     the exact S3 x S3 curvature model and (1 - t^2)^6 with their Taylor
     data, each under both slope divisors."""
-    cases = [(control, alpha, k, None, None, None, nz)
+    cases = [(control, alpha, k, None, None, nz)
              for k in KS for alpha in (0.0, 0.5, 1.0, math.sqrt(k))
              for control in ("F", "c") for nz in NORMALIZATIONS]
     s3xs3 = _product_model((3, 3))
     for nz in NORMALIZATIONS:
-        cases.append(("custom", s3xs3.alpha, 6, s3xs3.p_fn, s3xs3.p2, s3xs3.taylor, nz))
-        cases.append(("custom", math.sqrt(12), 12, lambda t: (1.0 - t * t) ** 6, -6.0,
-                      SIXTH_POWER, nz))
+        cases.append(("custom", s3xs3.alpha, 6, s3xs3.p_fn, s3xs3.taylor, nz))
+        cases.append(("custom", math.sqrt(12), 12, lambda t: (1.0 - t * t) ** 6, SIXTH_POWER,
+                      nz))
     return cases
 
 
@@ -77,13 +77,12 @@ def test_theta_matches_solve_ivp_oracle(monkeypatch):
     cases = _cases()
     assert len(cases) >= 200
     ends = set()
-    for control, alpha, k, p_fn, p2, taylor, nz in cases:
-        args = (control, alpha, k, p_fn, p2)
-        theta, end, _ = lawlor._angle(*args, taylor=taylor, normalization=nz)
+    for control, alpha, k, p_fn, taylor, nz in cases:
+        args = (control, alpha, k, p_fn, taylor)
+        theta, end, _ = lawlor._angle(*args, normalization=nz)
         theta_ref, end_ref, _ = _with_oracle(monkeypatch, lawlor._angle, *args,
-                                             taylor=taylor, normalization=nz)
-        if taylor is None:
-            assert vanishing_angle(*args, normalization=nz) == theta
+                                             normalization=nz)
+        assert vanishing_angle(*args, normalization=nz) == theta
         assert end == end_ref, (args, nz)
         assert (theta is None) == (theta_ref is None) == (end != "hit")
         if theta is not None:
@@ -93,16 +92,24 @@ def test_theta_matches_solve_ivp_oracle(monkeypatch):
     assert ends == {"hit", "pinch", "no-departure"}
 
 
+SIMONS_TAYLOR = (1.0, 0.0, -3.0, 0.0, 3.0, 0.0, -1.0)  # (1 - t^2)^3
+FLAT_TAYLOR = (1.0, 0.0, 0.0)
+CLIFFORD_TAYLOR = (1.0, 0.0, -1.0)  # 1 - t^2
+
+
+def _simons_p(t):
+    return (1 - t * t) ** 3 if abs(t) < 1 else 0.0
+
+
 def _simons():
-    return CurvatureModel(6, math.sqrt(6), lambda t: (1 - t * t) ** 3 if abs(t) < 1 else 0.0,
-                          -3.0)
+    return CurvatureModel(6, math.sqrt(6), _simons_p, SIMONS_TAYLOR)
 
 
 @pytest.mark.parametrize("model, tol", [
     (_simons(), 1e-9),
     (lawlor._control_model("F", math.sqrt(6), 6), 1e-9),
     (lawlor._control_model("c", 1.0, 4), 1e-9),
-    (CurvatureModel(4, 0.0, lambda t: 1.0, 0.0), 1e-9),
+    (CurvatureModel(4, 0.0, lambda t: 1.0, FLAT_TAYLOR), 1e-9),
     # pinches before the axis; near the closing band each integrator is
     # about 1e-9 from a solve_ivp run at tolerance 1e-13 (solve_ivp 1.1e-9,
     # the loop 0.93e-9), on opposite sides, so the two differ by 1.7e-9
@@ -146,14 +153,14 @@ def test_profile_end_reasons_and_counts():
     pinch = integrate_fastest(lawlor._control_model("F", 1.5, 4))
     assert pinch.end == "pinch" and pinch.theta is None and pinch.steps > 0
     # no real departure (k = 2, p2 = -1) and a non-descending one (k = 1, p2 = 0)
-    for model in (CurvatureModel(2, math.sqrt(2), lambda t: 1.0 - t * t, -1.0),
-                  CurvatureModel(1, 0.0, lambda t: 1.0, 0.0)):
+    for model in (CurvatureModel(2, math.sqrt(2), lambda t: 1.0 - t * t, CLIFFORD_TAYLOR),
+                  CurvatureModel(1, 0.0, lambda t: 1.0, FLAT_TAYLOR)):
         flat = integrate_fastest(model)
         assert flat.end == "no-departure" and flat.steps == flat.rhs_calls == 0
         assert flat.t_start is None and flat.series_order is None
     series = integrate_fastest(lawlor._control_model("F", math.sqrt(6), 6))
     assert series.series_order == lawlor.SERIES_ORDER and 0.02 < series.t_start <= 0.2
-    capped = integrate_fastest(CurvatureModel(4, 0.0, lambda t: 1.0, 0.0), t_cap=0.3)
+    capped = integrate_fastest(CurvatureModel(4, 0.0, lambda t: 1.0, FLAT_TAYLOR), t_cap=0.3)
     assert capped.end == "t_cap" and capped.theta is None
     assert capped.t_samples[-1] == 0.3 and capped.h_values[-1] > 0.0
     # a cap at or before the series start (t = 0.2 for F, k = 3, alpha = 1)
@@ -166,25 +173,29 @@ def test_profile_end_reasons_and_counts():
 
 
 def test_verdict_carries_descent_end():
-    simons = LinkData(6, math.sqrt(6), math.pi / 4, _simons().p_fn, -3.0)
+    simons = LinkData(6, math.sqrt(6), math.pi / 4, _simons_p, SIMONS_TAYLOR)
     verdict = check_area_minimizing(simons, "custom")
-    assert verdict.end == "hit" and (verdict.t_start, verdict.series_order) == (1e-3, 2)
+    assert verdict.end == "hit" and verdict.series_order == lawlor.SERIES_ORDER
+    assert verdict.t_start == integrate_fastest(_simons()).t_start > 1e-3
     f_verdict = check_area_minimizing(simons, "F")
     assert f_verdict.series_order == lawlor.SERIES_ORDER and f_verdict.t_start > 1e-3
-    clifford = LinkData(2, math.sqrt(2), math.pi / 4, lambda t: 1.0 - t * t, -1.0)
+    clifford = LinkData(2, math.sqrt(2), math.pi / 4, lambda t: 1.0 - t * t, CLIFFORD_TAYLOR)
     flat = check_area_minimizing(clifford, "custom")
     assert flat.end == "no-departure" and flat.t_start is flat.series_order is None
     assert check_area_minimizing(LinkData(4, 1.5, 0.5), "F").end == "pinch"
 
 
 def _rough(t):
-    """p(0) = 1, then values up to 2e12 that change completely between
+    """(1 - t^2)^3 up to t = 0.25, past the series start, so the Taylor data
+    agree there; then values up to 2e12 that change completely between
     neighbouring floats, so no step is small enough."""
+    if t < 0.25:
+        return (1 - t * t) ** 3
     return 1.0 + 1e12 * (1.0 - math.cos(1e20 * t))
 
 
 def test_step_floor_raises_like_solve_ivp(monkeypatch):
-    model = CurvatureModel(6, math.sqrt(6), _rough, -3.0)
+    model = CurvatureModel(6, math.sqrt(6), _rough, SIMONS_TAYLOR)
     with pytest.raises(RuntimeError, match="descent ODE failed.*step size"):
         integrate_fastest(model)
     with pytest.raises(RuntimeError, match="descent ODE failed.*step size"):
@@ -219,9 +230,9 @@ def _series_lanes():
     """(model, p's coefficients to order 40, normalization) for every lane
     of ``_cases`` and every benchmark product that descends."""
     lanes = []
-    for control, alpha, k, p_fn, p2, taylor, nz in _cases():
+    for control, alpha, k, p_fn, taylor, nz in _cases():
         if control == "custom":
-            model = CurvatureModel(k, alpha, p_fn, p2, taylor)
+            model = CurvatureModel(k, alpha, p_fn, taylor)
         else:
             model = lawlor._control_model(control, alpha, k)
             taylor = control_taylor(control, alpha, k, 40)
@@ -265,20 +276,3 @@ def test_series_start_example_f_k3():
     with pytest.raises(TypeError):
         vanishing_angle("F", 1.0, 3, rtol=1e-9)
     assert theta - order2_start_angle(lawlor._control_model("F", 1.0, 3))[0] > 1e-4
-
-
-def test_models_without_taylor_data_keep_the_order2_start():
-    model = CurvatureModel(6, math.sqrt(6), lambda t: (1 - t * t) ** 3, -3.0)
-    prof = integrate_fastest(model)
-    assert (prof.t_start, prof.series_order) == (1e-3, 2)
-    a_max = second_order_coeffs(6, -3.0)[1]
-    boot = prof.t_samples <= 1e-3
-    np.testing.assert_allclose(prof.h_values[boot], 1.0 - a_max * prof.t_samples[boot] ** 2,
-                               rtol=1e-15, atol=0)
-    # one run from the order-2 start at the default tolerances; the oracle
-    # adds a tightened leg to t = 0.2, 7.2e-10 away here
-    K = lawlor._factor(6, "k-plus-1")
-    run = lawlor._descend(lawlor._descent_rhs(K, model.p_fn), 1e-3, 1.0 - a_max * 1e-6,
-                          50.0, 1e-10, 1e-10)
-    assert run.end[0] == "hit" and prof.theta == math.atan(run.end[1])
-    assert abs(prof.theta - order2_start_angle(model)[0]) <= 1e-7

@@ -22,12 +22,13 @@ from conekit.lawlor import (
 )
 
 SIMONS_TAYLOR = (1.0, 0.0, -3.0, 0.0, 3.0, 0.0, -1.0)  # (1 - t^2)^3
+FLAT_TAYLOR = (1.0, 0.0, 0.0)
+CLIFFORD_TAYLOR = (1.0, 0.0, -1.0)  # 1 - t^2
 
 
 def _simons_model():
     return CurvatureModel(
-        6, math.sqrt(6), lambda t: (1 - t * t) ** 3 if abs(t) < 1 else 0.0, -3.0,
-        SIMONS_TAYLOR,
+        6, math.sqrt(6), lambda t: (1 - t * t) ** 3 if abs(t) < 1 else 0.0, SIMONS_TAYLOR,
     )
 
 
@@ -159,7 +160,7 @@ def test_integrator_matches_independent_rk4():
 
 def test_integrator_flat_curvature_profile():
     # zero curvature still has a finite vanishing angle for k >= 2
-    model = CurvatureModel(4, 0.0, lambda t: 1.0, 0.0, (1.0, 0.0, 0.0))
+    model = CurvatureModel(4, 0.0, lambda t: 1.0, FLAT_TAYLOR)
     prof = integrate_fastest(model)
     assert prof.theta is not None and prof.theta > 0.0
     a_max = second_order_coeffs(4, 0.0)[1]
@@ -175,7 +176,7 @@ def test_integrator_convergence_under_tolerance_halving():
 
 
 def test_integrator_negative_discriminant_returns_none():
-    model = CurvatureModel(2, math.sqrt(2), lambda t: max(1 - t * t, 0.0), -1.0)
+    model = CurvatureModel(2, math.sqrt(2), lambda t: max(1 - t * t, 0.0), CLIFFORD_TAYLOR)
     prof = integrate_fastest(model)
     assert prof.vanishing_t is None and prof.theta is None
 
@@ -207,7 +208,7 @@ def test_verify_profile_cases():
     assert out["ok"] and out["worst_margin"] <= 1e-8
     assert set(out["margins"]) == {"k-plus-1", "k"}
 
-    flat_model = CurvatureModel(4, 0.0, lambda t: 1.0, 0.0)
+    flat_model = CurvatureModel(4, 0.0, lambda t: 1.0, FLAT_TAYLOR)
     ts = np.linspace(0.0, 0.5, 200)
     static = Profile(ts, np.ones_like(ts), None, None)
     static_out = verify_profile(static, flat_model)
@@ -294,7 +295,7 @@ def test_check_area_minimizing_verdicts():
         math.sqrt(6),
         math.pi / 4,
         p_fn=lambda t: (1 - t * t) ** 3 if abs(t) < 1 else 0.0,
-        p2=-3.0,
+        taylor=SIMONS_TAYLOR,
     )
     v = check_area_minimizing(simons, "custom")
     assert v.passes and v.status == "passes" and v.margin > 0.0
@@ -305,7 +306,7 @@ def test_check_area_minimizing_verdicts():
         math.sqrt(2),
         math.pi / 4,
         p_fn=lambda t: max(1 - t * t, 0.0),
-        p2=-1.0,
+        taylor=CLIFFORD_TAYLOR,
     )
     v2 = check_area_minimizing(clifford, "custom")
     assert not v2.passes and v2.status == "inconclusive"
@@ -325,11 +326,15 @@ def test_check_area_minimizing_equator_threshold():
 
 def test_curvature_model_validation():
     with pytest.raises(ValueError, match="p\\(0\\)"):
-        CurvatureModel(4, 1.0, lambda t: 1.0 + t + 0.5, -0.5)
+        CurvatureModel(4, 1.0, lambda t: 1.0 + t + 0.5, (1.0, 0.0, -0.5))
     with pytest.raises(ValueError, match="p2"):
-        CurvatureModel(4, 1.0, lambda t: 1.0, 0.5)
+        CurvatureModel(4, 1.0, lambda t: 1.0, (1.0, 0.0, 0.5))
     with pytest.raises(ValueError):
-        CurvatureModel(0, 1.0, lambda t: 1.0, 0.0)
+        CurvatureModel(0, 1.0, lambda t: 1.0, FLAT_TAYLOR)
     for alpha in (-1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="alpha must be finite"):
-            CurvatureModel(4, alpha, lambda t: 1.0, 0.0)
+            CurvatureModel(4, alpha, lambda t: 1.0, FLAT_TAYLOR)
+    # Taylor data are required, and p2 is read from them
+    with pytest.raises(TypeError):
+        CurvatureModel(4, 1.0, lambda t: 1.0)
+    assert CurvatureModel(4, 1.0, lambda t: 1.0, (1, 0, -0.5)).p2 == -0.5

@@ -41,6 +41,8 @@ def test_sphere_factor_validation():
     pts = np.array([[1.0, 0.0, 0.0]])
     with pytest.raises(ValueError, match="orthogonal"):
         SphereFactor(dim=1, ambient=2, points=pts, normals=pts)
+    with pytest.raises(ValueError, match="normals need points"):
+        SphereFactor(dim=1, ambient=2, normals=np.array([[0.0, 1.0, 0.0]]))
 
 
 def test_minimal_product_assembly():

@@ -113,6 +113,25 @@ def test_cli_manifest_written_on_precondition_failure(tmp_path):
     array = _write_spec(tmp_path / "array.json", [{"ks": [4]}])
     scalar_ks = _write_spec(tmp_path / "ks.json", {"ks": 3, "alphas": [1.0]})
     text = _write_spec(tmp_path / "text.json", {"ks": [4], "alphas": [1.0], "controls": "Fc"})
+    # factor entries that are not JSON objects
+    names = _write_spec(tmp_path / "names.json", {"factors": ["sphere", "sphere"]})
+    base_name = _write_spec(tmp_path / "base.json", {"base": "sphere", "n_max": 3})
+    # integer fields that are not whole numbers, or are booleans
+    sphere = {"type": "sphere", "dim": 3}
+    not_whole = {
+        "ks": {"ks": [2.5], "alphas": [1.0], "controls": ["F"]},
+        "ks-bool": {"ks": [True], "alphas": [1.0], "controls": ["F"]},
+        "dim": {"factors": [{"type": "sphere", "dim": 3.9}, sphere]},
+        "dim-bool": {"factors": [{"type": "sphere", "dim": True}, sphere]},
+        "dims": {"factors": [{"type": "product_hypersurface", "dims": [1, 2.5]}, sphere]},
+        "samples": {"factors": [sphere, sphere], "samples": 60.5},
+        "hyper-samples": {"factors": [{"type": "product_hypersurface", "dims": [1, 2],
+                                       "samples": 20.5}, sphere]},
+        "n_max": {"base": sphere, "n_max": 3.5},
+        "n_max-bool": {"base": sphere, "n_max": True},
+    }
+    whole = {name: _write_spec(tmp_path / f"{name}.json", spec)
+             for name, spec in not_whole.items()}
     for command, spec_path, out in (
         ("certify-cone", bad, tmp_path / "bad"),
         ("certify-cone", str(tmp_path / "none.json"), tmp_path / "none"),
@@ -120,6 +139,19 @@ def test_cli_manifest_written_on_precondition_failure(tmp_path):
         ("vanishing-table", array, tmp_path / "array-table"),
         ("vanishing-table", scalar_ks, tmp_path / "ks"),
         ("vanishing-table", text, tmp_path / "text"),
+        ("certify-cone", names, tmp_path / "names-certify"),
+        ("obstruct", names, tmp_path / "names-obstruct"),
+        ("validate", names, tmp_path / "names-validate"),
+        ("replicate", base_name, tmp_path / "base-replicate"),
+        ("validate", base_name, tmp_path / "base-validate"),
+        ("vanishing-table", whole["ks"], tmp_path / "ks-half"),
+        ("vanishing-table", whole["ks-bool"], tmp_path / "ks-bool"),
+        *(("certify-cone", whole[name], tmp_path / f"{name}-certify")
+          for name in ("dim", "dim-bool", "samples")),
+        *(("obstruct", whole[name], tmp_path / f"{name}-obstruct")
+          for name in ("dims", "hyper-samples")),
+        ("replicate", whole["n_max"], tmp_path / "n_max-half"),
+        ("replicate", whole["n_max-bool"], tmp_path / "n_max-bool"),
     ):
         assert main([command, "--spec", spec_path, "--out", str(out)]) == 2
         manifest = read_json(str(out / "manifest.json"))

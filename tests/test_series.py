@@ -186,8 +186,7 @@ def test_single_factor_carries_flat_taylor_data():
 
 
 def test_profile_follows_the_series_before_the_start():
-    simons = CurvatureModel(6, math.sqrt(6), lambda t: (1 - t * t) ** 3, -3.0,
-                            SIMONS_P)
+    simons = CurvatureModel(6, math.sqrt(6), lambda t: (1 - t * t) ** 3, SIMONS_P)
     free = integrate_fastest(simons)
     assert free.series_order == SERIES_ORDER and free.t_start > 0.1
     boot = free.t_samples <= free.t_start
@@ -201,23 +200,26 @@ def test_profile_follows_the_series_before_the_start():
 
 def test_taylor_data_rejections():
     p = lambda t: (1 - t * t) ** 3  # noqa: E731
-    for bad in ((1.0, 0.0), (1.1, 0.0, -3.0), (1.0, 0.1, -3.0), (1.0, 0.0, -2.9),
+    for bad in ((1.0, 0.0), (1.1, 0.0, -3.0), (1.0, 0.1, -3.0), (1.0, 0.0, 1e-12),
                 (1.0, 0.0, -3.0, math.nan)):
         with pytest.raises(ValueError, match="Taylor data"):
-            CurvatureModel(6, math.sqrt(6), p, -3.0, bad)
+            CurvatureModel(6, math.sqrt(6), p, bad)
     # consistent at order 2 but not at the start: p_fn and the data disagree
-    wrong = CurvatureModel(6, math.sqrt(6), p, -3.0, (1.0, 0.0, -3.0, 0.0, 3.0))
+    wrong = CurvatureModel(6, math.sqrt(6), p, (1.0, 0.0, -3.0, 0.0, 3.0))
     with pytest.raises(ValueError, match="Taylor data give p"):
         integrate_fastest(wrong)
-    link = LinkData(6, math.sqrt(6), math.pi / 4, p, -3.0, taylor=(1.0, 0.0, -3.0, 1e-9))
+    link = LinkData(6, math.sqrt(6), math.pi / 4, p, (1.0, 0.0, -3.0, 1e-9))
     with pytest.raises(ValueError, match="Taylor data give p"):
         check_area_minimizing(link, "custom")
+    # a custom p needs its Taylor data
+    with pytest.raises(ValueError, match="missing \\['taylor'\\]"):
+        check_area_minimizing(LinkData(6, math.sqrt(6), math.pi / 4, p), "custom")
 
 
 def test_series_start_lies_before_the_descent_end(monkeypatch):
     # F, k = 3, alpha = 1 hits at t = 0.856; a series start placed past the
     # hit is halved to t = 0.5, where h > 0 inside the band, and gives the
-    # same angle, while a given t_boot past the hit is refused
+    # same angle
     model = lawlor._control_model("F", 1.0, 3)
     free = integrate_fastest(model)
     with monkeypatch.context() as patch:
@@ -225,8 +227,6 @@ def test_series_start_lies_before_the_descent_end(monkeypatch):
         halved = integrate_fastest(model)
     assert halved.t_start == 0.5 and halved.end == "hit"
     assert abs(halved.theta - free.theta) <= 1e-12
-    with pytest.raises(ValueError, match="outside the open band"):
-        integrate_fastest(model, t_boot=1.0)
 
 
 def test_cli_rejects_inconsistent_product_germ(tmp_path, monkeypatch):

@@ -1,6 +1,7 @@
 """Exact curvature data of round-sphere products against the
 finite-difference, dense-search and explicit-chord oracles they replace."""
 
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -31,6 +32,7 @@ from oracles import (
     geodesic_chord,
     numeric_second_fundamental_form,
     p_by_normal_search,
+    p_over_subset_sums,
     shape_spectrum,
     unit_mixing_normals,
 )
@@ -170,6 +172,37 @@ def test_p2_is_minus_half_k(dims):
     assert abs((model.p_fn(h) - 1.0) / h ** 2 + k / 2) <= 1e-3 * k
 
 
+def _round_products(n_factors):
+    """Every product of n_factors round spheres of dimension 1..7."""
+    return [_link(dims) for dims in
+            itertools.combinations_with_replacement(range(1, 8), n_factors)]
+
+
+def test_single_term_is_the_least_over_subset_sums():
+    # p_fn is the term j* = k - k_min, equal to the least term bit for bit
+    # wherever a descent reads it, [0, t_focal]
+    links = [link for n in (2, 3, 4) for link in _round_products(n)]
+    assert len(links) == 322
+    for link in links:
+        p, ref = curvature_model(link).p_fn, p_over_subset_sums(link)
+        for t in np.linspace(0.0, _t_focal(link), 401):
+            assert p(t) == ref(t), ([f.dim for f in link.factors], t)
+
+
+def test_single_term_gives_the_subset_sum_verdicts():
+    lanes = 0
+    for link in _round_products(2) + _round_products(3):
+        model, radius = curvature_model(link), normal_radius(link).value
+        for nz in ("k-plus-1", "k"):
+            verdicts = [check_area_minimizing(LinkData(link.k, model.alpha, radius, p_fn,
+                                                       model.taylor), "custom",
+                                              normalization=nz)
+                        for p_fn in (model.p_fn, p_over_subset_sums(link))]
+            assert verdicts[0] == verdicts[1], ([f.dim for f in link.factors], nz)
+            lanes += 1
+    assert lanes == 224
+
+
 @pytest.mark.parametrize("dims", PRODUCTS + [(3,), (1, 5), (2, 2, 2, 3)])
 def test_focal_bound_closed_form(dims):
     link = _link(dims)
@@ -268,34 +301,39 @@ def test_avoidance_bound_finite_without_binding():
     assert abs(est.value - math.atan(math.sqrt(1.0 / 39))) <= 1e-12
 
 
+SIMONS_TAYLOR = (1.0, 0.0, -3.0, 0.0, 3.0, 0.0, -1.0)  # (1 - t^2)^3
+
+
 def _nan_after(t_stop):
     return lambda t: (1.0 - t * t) ** 3 if t <= t_stop else float("nan")
 
 
 def test_ode_failure_raises():
-    model = CurvatureModel(6, math.sqrt(6), _nan_after(0.1), -3.0)
-    with pytest.raises(RuntimeError, match="descent ODE failed"):
+    # p turns NaN at t = 0.25, between the series start (0.157) and the hit
+    model = CurvatureModel(6, math.sqrt(6), _nan_after(0.25), SIMONS_TAYLOR)
+    with pytest.raises(RuntimeError, match="descent ODE failed at t = 0.25"):
         integrate_fastest(model)
-    data = LinkData(6, math.sqrt(6), 0.8, model.p_fn, -3.0)
+    data = LinkData(6, math.sqrt(6), 0.8, model.p_fn, SIMONS_TAYLOR)
     with pytest.raises(RuntimeError):
         check_area_minimizing(data, "custom")
     a_min, a_max = second_order_coeffs(6, -3.0)
-    late = CurvatureModel(6, math.sqrt(6), _nan_after(0.2), -3.0)
+    late = CurvatureModel(6, math.sqrt(6), _nan_after(0.2), SIMONS_TAYLOR)
     with pytest.raises(RuntimeError):
         build_smooth_profile(late, 0.5 * (a_min + a_max), 0.05, 0.02)
 
 
 def test_ode_failure_in_early_leg_raises():
-    # p turns NaN at t = 0.05, inside the tighter-tolerance leg up to 0.2
-    model = CurvatureModel(6, math.sqrt(6), _nan_after(0.05), -3.0)
+    # p turns NaN at t = 0.05, before the series start: the start's own
+    # band check raises
+    model = CurvatureModel(6, math.sqrt(6), _nan_after(0.05), SIMONS_TAYLOR)
     with pytest.raises(RuntimeError, match="descent ODE failed"):
         integrate_fastest(model)
     with pytest.raises(RuntimeError, match="descent ODE failed"):
-        vanishing_angle("custom", math.sqrt(6), 6, model.p_fn, -3.0)
+        vanishing_angle("custom", math.sqrt(6), 6, model.p_fn, SIMONS_TAYLOR)
 
 
 def test_cli_ode_failure_exits_three_with_manifest(tmp_path, monkeypatch):
-    nan_model = CurvatureModel(6, math.sqrt(6), _nan_after(0.1), -3.0)
+    nan_model = CurvatureModel(6, math.sqrt(6), _nan_after(0.25), SIMONS_TAYLOR)
     monkeypatch.setattr(products, "curvature_model", lambda link, **kw: nan_model)
     spec = tmp_path / "simons.json"
     spec.write_text(json.dumps({"factors": [{"type": "sphere", "dim": 3}] * 2,

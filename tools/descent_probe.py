@@ -1,9 +1,9 @@
 """Cost and accuracy of the descent ODE's series start.
 
 For every lane (control, alpha, k, normalization) it runs the fastest
-descent twice: from the order-30 series start and from the order-2 start
-1 - a_max t^2 at t = 1e-3 (the same model without its Taylor data).  Each
-descent is one DOP853 run at the default tolerances.  It prints accepted
+descent twice: from the order-30 series start, as the library does, and
+from the order-2 start h = 1 - a_max t^2 at t = 1e-3 that the series start
+replaced.  Each descent is one DOP853 run at the default tolerances.  It prints accepted
 steps and right-hand-side calls for both starts, and how far each start's
 vanishing angle lies from a tight reference (an order-40 series start
 integrated at rtol 3e-14, ``tests/oracles.py``).
@@ -21,7 +21,6 @@ Run from the repository root:
 """
 
 import argparse
-import dataclasses
 import math
 import os
 import sys
@@ -58,6 +57,14 @@ def replicate_lanes(seeds):
     return sorted(lanes)
 
 
+def order2_run(model, nz):
+    """One DOP853 run at the default tolerances from the order-2 start
+    h = 1 - a_max t^2 at t = 1e-3 toward t = 50."""
+    a_max = lawlor.second_order_coeffs(model.k, model.p2, nz)[1]
+    rhs = lawlor._descent_rhs(lawlor._factor(model.k, nz), model.p_fn)
+    return lawlor._descend(rhs, 1e-3, 1.0 - a_max * 1e-6, 50.0, 1e-10, 1e-10)
+
+
 def probe(lanes):
     """Per start: steps, rhs calls and the largest |theta - reference| over
     the lanes with a hit."""
@@ -65,19 +72,18 @@ def probe(lanes):
     bias, hits, t_starts = [], 0, []
     for control, alpha, k, nz in lanes:
         model = lawlor._control_model(control, alpha, k)
-        thetas = {}
-        for name, m in (("series", model),
-                        ("order-2", dataclasses.replace(model, taylor=None))):
-            fastest = lawlor._fastest(m, nz)
-            if fastest is None:
-                break
-            _, run, end, t_end = fastest
-            totals[name][0] += len(run.ts) - 1
-            totals[name][1] += run.rhs_calls
-            thetas[name] = math.atan(t_end) if end == "hit" else None
-            if name == "series":
-                t_starts.append(run.ts[0])
-        if thetas.get("series") is None:
+        fastest = lawlor._fastest(model, nz)
+        if fastest is None:
+            continue
+        _, series_run, end, t_end = fastest
+        t_starts.append(series_run.ts[0])
+        run = order2_run(model, nz)
+        thetas = {"series": math.atan(t_end) if end == "hit" else None,
+                  "order-2": math.atan(run.end[1]) if run.end and run.end[0] == "hit" else None}
+        for name, r in (("series", series_run), ("order-2", run)):
+            totals[name][0] += len(r.ts) - 1
+            totals[name][1] += r.rhs_calls
+        if thetas["series"] is None:
             continue
         hits += 1
         ref = series_reference_angle(model, control_taylor(control, alpha, k, 40), nz)
