@@ -2,16 +2,20 @@
 
 A constant form calibrating the cone over (S^1 x S^1) x S^3 would force
 the Gauss image of the torus factor (its unit normals, read as points of
-S^3) into an open hemisphere.  The image is a closed curve symmetric under
-the antipodal map of a 2-torus orbit, so the hemisphere test returns an
-infeasibility certificate: convex weights combining the sampled normals to
-zero.  The certificate is re-checked by direct arithmetic here.
+S^3) into an open hemisphere.  The torus is sampled in antipodal pairs, and
+its normal field is odd, so the image holds nu and -nu: no open hemisphere
+holds both, and weights 1/2 on that pair combine them to exactly zero.
+Next to that exact certificate the demo runs the linear program on the
+same image with the antipodes removed; it finds convex weights that
+combine the sampled normals to zero within a rounding-level residual.
+Both certificates are re-checked by direct arithmetic here.
 """
 
 import numpy as np
 
 from conekit import (
     SphereFactor,
+    SpherePointSet,
     constant_calibration_obstruction,
     gauss_image,
     hemisphere_test,
@@ -19,16 +23,28 @@ from conekit import (
     minimal_product,
 )
 
+
+def show(label, image, cert):
+    combo = image.points.T @ cert.convex_weights
+    print(f"{label}: {len(image.points)} points in S^3, {cert.verdict} "
+          f"by {cert.method}, {np.count_nonzero(cert.convex_weights)} nonzero "
+          f"weights, residual {cert.residual:.3e}, "
+          f"recomputed |sum w_i nu_i| = {np.linalg.norm(combo):.3e}")
+
+
 if __name__ == "__main__":
     torus = minimal_product([SphereFactor.round(1), SphereFactor.round(1)],
                             samples=200, seed=0)
     image = gauss_image(hypersurface_factor(torus))
-    cert = hemisphere_test(image)
-    print(f"torus Gauss image: {len(image.points)} samples in S^3")
-    print(f"hemisphere test  : {cert.verdict}")
-    print(f"dual residual    : {cert.residual:.3e}")
-    combo = image.points.T @ cert.convex_weights
-    print(f"recomputed |sum w_i nu_i| = {np.linalg.norm(combo):.3e}")
+    exact = hemisphere_test(image)
+    show("exact", image, exact)
+    assert exact.method == "antipodal" and exact.residual == 0.0
+
+    # the first torus.samples rows are the draws, the rest their antipodes
+    draws = SpherePointSet(image.n, image.points[: torus.samples])
+    lp = hemisphere_test(draws)
+    show("LP   ", draws, lp)
+    assert lp.method == "lp" and lp.verdict == "infeasible"
 
     product = minimal_product(
         [hypersurface_factor(torus), SphereFactor.round(3)],

@@ -11,6 +11,7 @@ operations; no numbers are produced here.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -123,24 +124,39 @@ def _array(spec: dict, key: str, default=None) -> list:
     return value
 
 
-def cmd_vanishing_table(spec, args, out_dir, base_dir):
+def _table_lanes(spec: dict, control: str) -> list:
+    """(k, alpha, control) lanes of a vanishing table, k outermost.  Each
+    lane's curvature model is built here, so a bad k, alpha or control
+    raises ValueError before any descent runs."""
     ks = [ser.whole_number(k, "ks") for k in _array(spec, "ks")]
     alphas = [float(a) for a in _array(spec, "alphas")]
-    controls = _array(spec, "controls", [args.control])
+    controls = _array(spec, "controls", [control])
+    lanes = [(k, a, c) for k in ks for a in alphas for c in controls]
+    for k, alpha, c in lanes:
+        lawlor._control_model(c, alpha, k)
+    return lanes
+
+
+def _n_max(spec: dict) -> int:
+    n_max = ser.whole_number(spec["n_max"], "n_max")
+    if n_max < 2:
+        raise ValueError("n_max must be >= 2")
+    return n_max
+
+
+def cmd_vanishing_table(spec, args, out_dir, base_dir):
     rows = []
-    for k in ks:
-        for alpha in alphas:
-            for control in controls:
-                # theta comes from the public vanishing_angle, the entry point
-                # perfbench/tracer.py records; only a lane without a hit is
-                # descended again, to name how it ended
-                theta = lawlor.vanishing_angle(
-                    control, alpha, k, normalization=args.normalization
-                )
-                end = "hit" if theta is not None else lawlor._angle(
-                    control, alpha, k, normalization=args.normalization
-                )[1]
-                rows.append((k, alpha, control, theta, theta is not None, end))
+    for k, alpha, control in _table_lanes(spec, args.control):
+        # theta comes from the public vanishing_angle, the entry point
+        # perfbench/tracer.py records; only a lane without a hit is
+        # descended again, to name how it ended
+        theta = lawlor.vanishing_angle(
+            control, alpha, k, normalization=args.normalization
+        )
+        end = "hit" if theta is not None else lawlor._angle(
+            control, alpha, k, normalization=args.normalization
+        )[1]
+        rows.append((k, alpha, control, theta, theta is not None, end))
     ser.write_csv(
         os.path.join(out_dir, "vanishing_table.csv"),
         ["k", "alpha", "control", "theta", "converged", "end"],
@@ -196,6 +212,7 @@ def cmd_obstruct(spec, args, out_dir, base_dir):
         "lambda1": out["report"]["lambda1"],
         "gauss_points": out["report"]["gauss_points"],
         "verdict": cert.verdict,
+        "method": cert.method,
     }
     if cert.direction is not None:
         payload["direction"] = cert.direction.tolist()
@@ -213,7 +230,7 @@ def cmd_replicate(spec, args, out_dir, base_dir):
     base = ser.factor_from_dict(spec["base"], base_dir)
     result = products.replication_search(
         base,
-        ser.whole_number(spec["n_max"], "n_max"),
+        _n_max(spec),
         args.control,
         normalization=args.normalization,
     )
@@ -255,6 +272,10 @@ def cmd_validate(spec, args, out_dir, base_dir):
         check("factors", lambda: _build_product(spec, base_dir, args.seed))
     if "base" in spec:
         check("base", lambda: ser.factor_from_dict(spec["base"], base_dir))
+    if "base" in spec or "n_max" in spec:
+        check("n_max", lambda: _n_max(spec))
+    if any(key in spec for key in ("ks", "alphas", "controls")):
+        check("table", lambda: _table_lanes(spec, args.control))
     ser.write_json(
         os.path.join(out_dir, "diagnostics.json"),
         {"command": "validate", "fatal": fatal, "diagnostics": diagnostics},
@@ -276,7 +297,10 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's argument parser, built once per process: parsing does not
+    change it."""
     parser = argparse.ArgumentParser(
         prog="conekit",
         description="comass, gluing, cone certification, and obstruction jobs",

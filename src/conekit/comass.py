@@ -31,7 +31,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import null_space
 
 from .exterior import (
     AlternatingForm,
@@ -422,6 +421,14 @@ def _lambda_matrix(phi: AlternatingForm, V: np.ndarray) -> np.ndarray:
     return _grad_batch(first, V[None])[0].T
 
 
+def _null_space(A: np.ndarray) -> np.ndarray:
+    """Orthonormal basis (columns) of ker A from the SVD, with the rank
+    cutoff max(M, N) eps s_max of ``scipy.linalg.null_space``."""
+    _, s, vh = np.linalg.svd(A, full_matrices=True)
+    rank = int(np.sum(s > max(A.shape) * np.finfo(float).eps * np.amax(s, initial=0.0)))
+    return vh[rank:].T
+
+
 def decompose(phi: AlternatingForm, xi: SimpleVector, *, tol: float = 1e-9) -> Decomposition:
     """Canonical decomposition of phi with respect to xi, phi(xi) = 1.
 
@@ -443,7 +450,7 @@ def decompose(phi: AlternatingForm, xi: SimpleVector, *, tol: float = 1e-9) -> D
 
     lam = _lambda_matrix(phi, V)
     # pairing lambda_i(v_j) = delta_ij is automatic given phi(xi) = 1
-    W = null_space(lam)
+    W = _null_space(lam)
     if W.shape[1] != n - m:
         raise RuntimeError("kernel intersection has wrong dimension")
 

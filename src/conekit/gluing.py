@@ -16,7 +16,6 @@ against, each one formula of the endpoint comasses.
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .comass import ComassResult, comass
 from .exterior import (
@@ -95,9 +94,10 @@ def relative_spectrum(
 ) -> RelativeSpectrum:
     """Spectrum of g2 restricted to span(Q) relative to g1 on the same plane.
 
-    Solves the generalized symmetric eigenproblem of the two restricted
-    Gram matrices.  The eigenvalues are independent of the basis chosen for
-    the plane; t_factor is the g1 Gram norm of Q.
+    Solves the generalized symmetric eigenproblem A2 x = lambda A1 x of the
+    two restricted Gram matrices as the ordinary one of L^-1 A2 L^-T, with
+    A1 = L L^T the Cholesky factorization.  The eigenvalues are independent
+    of the basis chosen for the plane; t_factor is the g1 Gram norm of Q.
     """
     if Q.n != g1.n or g1.n != g2.n:
         raise ValueError("dimension mismatch between Q and the metrics")
@@ -106,7 +106,8 @@ def relative_spectrum(
     A2 = M.T @ g2.matrix @ M
     if np.linalg.matrix_rank(M, tol=1e-12) < Q.m:
         raise ValueError("degenerate simple vector: factors are dependent")
-    lams = scipy.linalg.eigh(A2, A1, eigvals_only=True)
+    L = np.linalg.cholesky(A1)
+    lams = np.linalg.eigvalsh(np.linalg.solve(L, np.linalg.solve(L, A2).T))
     if np.any(lams <= 0.0):
         raise ValueError("g2 not positive definite on span(Q)")
     t = gram_norm(Q, g1)

@@ -35,13 +35,20 @@ From there the descent ODE is integrated in one run, at the requested
 tolerances, by a loop over Python floats that follows scipy's DOP853
 (Hairer, Norsett and Wanner, Solving Ordinary Differential Equations I,
 II.10) rule for rule: the same tableau, error norm and step-size control,
-so its results differ from ``solve_ivp``'s only by rounding.  The
-7th-order dense output is built only for the steps where an event is
-located or a profile is sampled.  Every descent records where it started
-and the order of its series, how it ended ("hit", "pinch", "no-departure"
-or "t_cap") and what it cost (accepted steps, right-hand-side calls).
+so its results differ from ``solve_ivp``'s only by rounding.  The tableau
+is read from scipy's ``dop853_coefficients.py``, loaded by file path: that
+file needs only numpy, while importing it as a scipy module would first run
+``scipy.integrate``'s package import, which loads scipy.linalg and
+scipy.optimize.  The 7th-order dense output is built only for the steps
+where an event is located or a profile is sampled, and event times are
+found by Brent's method (Brent, Algorithms for Minimization without
+Derivatives, 1973) in a port of scipy's ``brentq`` to Python floats.
+Every descent records where it started and the order of its series, how it
+ended ("hit", "pinch", "no-departure" or "t_cap") and what it cost
+(accepted steps, right-hand-side calls).
 """
 
+import importlib.util
 import math
 import sys
 import warnings
@@ -49,11 +56,10 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain
 from operator import mul
+from pathlib import Path
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate._ivp import dop853_coefficients as _dop
-from scipy.optimize import brentq
 
 __all__ = [
     "CurvatureModel",
@@ -75,8 +81,24 @@ __all__ = [
 NORMALIZATIONS = ("k-plus-1", "k")
 DESCENT_ENDS = ("hit", "pinch", "no-departure", "t_cap")
 
+
+def _load_dop853_tableau():
+    """scipy's DOP853 coefficient module, executed from its file.
+
+    The file imports only numpy.  Locating it through ``find_spec("scipy")``
+    reads scipy's package path without importing anything, whereas a
+    ``scipy.integrate`` import would run that package's ``__init__``."""
+    path = (Path(importlib.util.find_spec("scipy").origin).parent
+            / "integrate" / "_ivp" / "dop853_coefficients.py")
+    spec = importlib.util.spec_from_file_location("_dop853_coefficients", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 # DOP853 coefficients as Python floats: row s of _A holds the s weights of
 # stage s, and rows 13-15 are the extra stages of the dense output
+_dop = _load_dop853_tableau()
 _STAGES = _dop.N_STAGES
 _A = [[float(a) for a in row[:s]] for s, row in enumerate(_dop.A)]
 _B = [float(b) for b in _dop.B]
@@ -414,6 +436,69 @@ class _Descent:
         return out
 
 
+def _brentq(f, xa: float, xb: float, xtol: float = _EVENT_TOL,
+            rtol: float = _EVENT_TOL, maxiter: int = 100) -> float:
+    """Root of f in the bracket [xa, xb] by Brent's method.
+
+    A line-by-line port of scipy's ``brentq`` (``Zeros/brentq.c``) to Python
+    floats, with its defaults for maxiter, its sign test on the sign bits and
+    its arithmetic in the same order, so it returns the same float.  Like
+    scipy it raises ValueError on a bracket without a sign change; a NaN
+    value, or no convergence within maxiter iterations, raises RuntimeError.
+    """
+
+    def value(x):
+        fx = f(x)
+        if math.isnan(fx):
+            raise RuntimeError(f"event function is NaN at t = {x!r}")
+        return fx
+
+    xpre, xcur = xa, xb
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = value(xcur)
+    raise RuntimeError(f"event root failed to converge after {maxiter} iterations, "
+                       f"value is {xcur!r}")
+
+
 def _descend(rhs, t0: float, h0: float, t_end: float, atol: float, rtol: float) -> _Descent:
     """Fastest descent from h(t0) = h0 toward t_end, stopped where the
     profile reaches the axis or the admissible band collapses onto it.
@@ -427,9 +512,9 @@ def _descend(rhs, t0: float, h0: float, t_end: float, atol: float, rtol: float) 
     and the profile reaching zero together; ("pinch", t) when the band
     closes while the profile is still positive, so no solution of the slope
     inequality continues; None at t_end.  Event times are roots of the
-    dense output found by ``brentq`` at xtol 4 eps.  A non-finite value or
-    a step below the minimum raises RuntimeError rather than reading as
-    "no hit".
+    dense output found by ``_brentq``, the port of scipy's ``brentq``, at
+    xtol = rtol = 4 eps.  A non-finite value or a step below the minimum
+    raises RuntimeError rather than reading as "no hit".
     """
     if rtol < _MIN_RTOL:
         warnings.warn(f"rtol {rtol!r} is too small; using {_MIN_RTOL!r}", stacklevel=3)
@@ -491,8 +576,7 @@ def _descend(rhs, t0: float, h0: float, t_end: float, atol: float, rtol: float) 
             events.append((lambda s: run._at(i, s), "hit"))
         if g_pinch >= 0.0 and g_new <= 0.0:
             events.append((lambda s: rhs(s, run._at(i, s))[1], "pinch"))
-        roots = [(brentq(g, t, t_new, xtol=_EVENT_TOL, rtol=_EVENT_TOL), kind)
-                 for g, kind in events]
+        roots = [(_brentq(g, t, t_new), kind) for g, kind in events]
         if roots:
             t_ev, kind = min(roots, key=lambda r: r[0])
             if kind == "pinch" and run._at(i, t_ev) <= 1e-8:
@@ -629,6 +713,9 @@ def _control_model(control: str, alpha: float, k: int, p_fn=None, taylor=None):
     """Curvature model of a control; F and c get scalar closures that
     evaluate f_control and c_control in the same order of operations, and
     their Taylor coefficients."""
+    if k < 1:
+        # before the F coefficients, which divide by k and k + 1
+        raise ValueError("link dimension k must be >= 1")
     if control == "F":
         a, s1, s2 = float(alpha), math.sqrt(k / (k + 1.0)), math.sqrt(k * (k + 1.0))
 

@@ -19,7 +19,6 @@ from math import comb
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import linprog, nnls
 
 from .comass import comass
 from .exterior import AlternatingForm, MetricTensor, pullback, wedge
@@ -60,10 +59,12 @@ class HemisphereCertificate:
     (worst value in ``margin``).  infeasible: ``convex_weights`` are
     nonnegative, sum to one, and combine the points to zero within
     ``residual``.  boundary: margin and residual both within tolerance of
-    zero; both near-certificates are retained.
+    zero; both near-certificates are retained.  ``method`` is "antipodal"
+    for the exact pair certificate, "lp" when the linear programs decided.
     """
 
     verdict: str
+    method: str
     direction: Optional[np.ndarray] = None
     margin: Optional[float] = None
     convex_weights: Optional[np.ndarray] = None
@@ -81,6 +82,8 @@ def gauss_image(factor: SphereFactor) -> SpherePointSet:
 
 def _max_margin_direction(X: np.ndarray):
     """Maximize e subject to <w, x_i> >= e and |w|_inf <= 1."""
+    from scipy.optimize import linprog
+
     S, d = X.shape
     # variables (w_1..w_d, e); minimize -e
     c = np.zeros(d + 1)
@@ -96,6 +99,8 @@ def _max_margin_direction(X: np.ndarray):
 
 def _zero_hull_weights(X: np.ndarray):
     """Minimize |X^T y|_inf over convex weights y."""
+    from scipy.optimize import linprog
+
     S, d = X.shape
     # variables (y_1..y_S, u); minimize u
     c = np.zeros(S + 1)
@@ -122,20 +127,45 @@ def _zero_hull_weights(X: np.ndarray):
     return y, float(np.linalg.norm(X.T @ y))
 
 
+def _antipodal_pair(X: np.ndarray):
+    """Indices (i, j), i < j, of the first rows with x_j = -x_i exactly,
+    or None.  Rows are keyed by their bytes with -0.0 read as 0.0."""
+    first = {}
+    for j, (row, neg) in enumerate(zip(X + 0.0, 0.0 - X)):
+        i = first.get(neg.tobytes())
+        if i is not None:
+            return i, j
+        first.setdefault(row.tobytes(), j)
+    return None
+
+
 def hemisphere_test(pts: SpherePointSet, tol: float = 1e-9) -> HemisphereCertificate:
     """Decide whether the points lie in a common open hemisphere.
 
-    Runs the max-margin direction program; a positive margin above tol is
-    a feasibility certificate, otherwise convex weights combining the
-    points to zero certify infeasibility.  Both certificates are checked
-    by direct arithmetic before being returned.
+    A pair of exactly antipodal points decides it at once: weights 1/2 on
+    the pair give an infeasibility certificate with residual exactly 0
+    (method "antipodal").  Otherwise the max-margin direction program runs;
+    a positive margin above tol is a feasibility certificate, otherwise
+    convex weights combining the points to zero certify infeasibility
+    (method "lp").  Every certificate is checked by direct arithmetic
+    before being returned.
     """
     X = pts.points
+    pair = _antipodal_pair(X)
+    if pair is not None:
+        y = np.zeros(len(X))
+        y[list(pair)] = 0.5
+        return HemisphereCertificate(
+            "infeasible", "antipodal", convex_weights=y,
+            residual=float(np.linalg.norm(X.T @ y)),
+        )
     w, margin_lp = _max_margin_direction(X)
     wn = np.linalg.norm(w)
     direction = w / wn if wn > 1e-12 else None
     margin = float(np.min(X @ direction)) if direction is not None else -1.0
     if margin_lp > tol and direction is not None and margin > 0.0:
+        from scipy.optimize import nnls
+
         # the nearest hull point gives the best direction in the 2-norm
         rho = 1e6
         A = np.concatenate([X.T, rho * np.ones((1, len(X)))], axis=0)
@@ -148,17 +178,18 @@ def hemisphere_test(pts: SpherePointSet, tol: float = 1e-9) -> HemisphereCertifi
             cand_margin = float(np.min(X @ cand))
             if cand_margin > margin:
                 direction, margin = cand, cand_margin
-        return HemisphereCertificate("feasible", direction=direction, margin=margin)
+        return HemisphereCertificate("feasible", "lp", direction=direction, margin=margin)
     y, residual = _zero_hull_weights(X)
     assert np.all(y >= 0.0) and abs(y.sum() - 1.0) <= 1e-9
     if residual <= tol:
         return HemisphereCertificate(
-            "infeasible", convex_weights=y, residual=residual
+            "infeasible", "lp", convex_weights=y, residual=residual
         )
     # neither certificate is clean: the configuration sits on the decision
     # boundary at this tolerance
     return HemisphereCertificate(
         "boundary",
+        "lp",
         direction=direction,
         margin=margin,
         convex_weights=y,
@@ -175,7 +206,9 @@ def constant_calibration_obstruction(
     A constant calibration would pair with the planes spanned along the
     first factor at the fixed value +-lambda_1, forcing the factor's Gauss
     image into an open hemisphere; an infeasibility certificate for the
-    hemisphere test therefore obstructs every such calibration.
+    hemisphere test therefore obstructs every such calibration.  A Gauss
+    image holding nu and -nu, as every ``hypersurface_factor`` does, is
+    obstructed exactly by that pair.
     """
     first = product.factors[0]
     if first.ambient - first.dim != 1:

@@ -271,7 +271,11 @@ def normal_radius(link: ProductLink) -> NormalRadiusEstimate:
 
 def hypersurface_factor(link: ProductLink) -> SphereFactor:
     """Repackage a codimension-one product (two round factors) as a sampled
-    factor with its unit normal field nu = (lambda_2 x_1, -lambda_1 x_2)."""
+    factor with its unit normal field nu = (lambda_2 x_1, -lambda_1 x_2).
+
+    The factor holds the link's ``samples`` points followed by their
+    antipodes, 2 ``samples`` points in all.  nu is odd, so the normal at -x
+    is exactly -nu(x), and the Gauss image is closed under x -> -x."""
     _require_round(link, "hypersurface repackaging")
     if link.n_factors != 2:
         raise ValueError("only two-factor products are hypersurfaces in their sphere")
@@ -281,7 +285,10 @@ def hypersurface_factor(link: ProductLink) -> SphereFactor:
         [lam[1] * link.factor_points[0], -lam[0] * link.factor_points[1]], axis=1
     )
     return SphereFactor(
-        dim=link.k, ambient=link.ambient_sphere_dim, points=pts, normals=normals
+        dim=link.k,
+        ambient=link.ambient_sphere_dim,
+        points=np.concatenate([pts, -pts]),
+        normals=np.concatenate([normals, -normals]),
     )
 
 

@@ -60,6 +60,7 @@ def test_hemisphere_feasible_cap():
     margins = pts.points @ cert.direction
     assert float(np.min(margins)) == pytest.approx(cert.margin)
     assert cert.margin > 0.1
+    assert cert.method == "lp"
 
 
 def test_hemisphere_single_point():
@@ -77,14 +78,48 @@ def test_hemisphere_infeasible_antipodal_and_simplex():
     assert cert.verdict == "infeasible"
     np.testing.assert_allclose(cert.convex_weights, [0.5, 0.5], atol=1e-9)
     assert cert.residual <= 1e-9
+    assert cert.method == "antipodal"
 
+    # no antipodal pair among three points at 120 degrees: the LP decides
     ang = 2.0 * np.pi * np.arange(3) / 3.0
     tri = SpherePointSet(1, np.column_stack([np.cos(ang), np.sin(ang)]))
     cert = hemisphere_test(tri)
-    assert cert.verdict == "infeasible"
+    assert cert.verdict == "infeasible" and cert.method == "lp"
     y = cert.convex_weights
     assert np.all(y >= 0.0) and abs(y.sum() - 1.0) <= 1e-9
     assert np.linalg.norm(tri.points.T @ y) <= 1e-9
+
+
+def test_antipodal_pair_fires_in_a_mixed_set():
+    # a cap sample holds no antipodal pair; one inserted pair decides the
+    # test exactly, also when x has a zero coordinate and -x a -0.0
+    rng = np.random.default_rng(32)
+    X = _cap_points(rng, 30)
+    x = np.array([0.0, 0.6, 0.0, 0.8])
+    X = np.insert(X, 7, x, axis=0)
+    X = np.insert(X, 22, -x, axis=0)
+    assert np.signbit(X[22, 0])
+    cert = hemisphere_test(SpherePointSet(3, X))
+    assert cert.verdict == "infeasible" and cert.method == "antipodal"
+    assert np.flatnonzero(cert.convex_weights).tolist() == [7, 22]
+    assert cert.convex_weights[7] == cert.convex_weights[22] == 0.5
+    assert cert.residual == 0.0
+    # without the pair the same set is feasible by the LP
+    cert = hemisphere_test(SpherePointSet(3, np.delete(X, 22, axis=0)))
+    assert cert.verdict == "feasible" and cert.method == "lp"
+
+
+def test_hypersurface_gauss_image_is_obstructed_exactly():
+    link = minimal_product([SphereFactor.round(1), SphereFactor.round(2)],
+                           samples=100, seed=6)
+    image = gauss_image(hypersurface_factor(link))
+    assert len(image.points) == 200
+    cert = hemisphere_test(image)
+    assert cert.verdict == "infeasible" and cert.method == "antipodal"
+    assert cert.residual == 0.0
+    y = cert.convex_weights
+    assert np.flatnonzero(y).tolist() == [0, 100] and y[0] == y[100] == 0.5
+    assert np.all(image.points.T @ y == 0.0)
 
 
 def test_clifford_gauss_image_not_hemispherical():
@@ -105,7 +140,9 @@ def test_obstruction_torus_cross_sphere():
     assert out["obstructed"] is True
     rep = out["report"]
     assert rep["certificate"].verdict == "infeasible"
-    assert rep["dual_residual"] <= 1e-9
+    assert rep["dual_residual"] == 0.0
+    assert rep["certificate"].method == "antipodal"
+    assert rep["gauss_points"] == 200
     assert abs(rep["lambda1"] - math.sqrt(2.0 / 5.0)) < 1e-12
 
 
@@ -130,6 +167,7 @@ def test_obstruction_inapplicable_to_hemispherical_image():
     out = constant_calibration_obstruction(product)
     assert out["obstructed"] is False
     assert out["report"]["certificate"].verdict == "feasible"
+    assert out["report"]["certificate"].method == "lp"
     assert np.min(out["report"]["per_sample_margins"]) > 0.0
 
 

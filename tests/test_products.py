@@ -169,6 +169,11 @@ def test_hypersurface_factor_round_trip():
     np.testing.assert_allclose(dots, 0.0, atol=1e-12)
     np.testing.assert_allclose(np.linalg.norm(factor.normals, axis=1), 1.0,
                                atol=1e-12)
+    # the draws, then their antipodes, with normals nu(-x) = -nu(x)
+    S = link.samples
+    assert len(factor.points) == 2 * S
+    assert np.array_equal(factor.points[S:], -factor.points[:S])
+    assert np.array_equal(factor.normals[S:], -factor.normals[:S])
     triple = minimal_product([SphereFactor.round(1)] * 3, samples=5, seed=7)
     with pytest.raises(ValueError, match="two-factor"):
         hypersurface_factor(triple)

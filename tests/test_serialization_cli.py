@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from conekit.cli import main
+from conekit.cli import build_parser, main
 from conekit.exterior import AlternatingForm, MetricTensor
 from conekit.serialization import (
     atomic_write_text,
@@ -129,6 +129,7 @@ def test_cli_manifest_written_on_precondition_failure(tmp_path):
                                        "samples": 20.5}, sphere]},
         "n_max": {"base": sphere, "n_max": 3.5},
         "n_max-bool": {"base": sphere, "n_max": True},
+        "ks-default-control": {"ks": [2.5], "alphas": [1.0]},
     }
     whole = {name: _write_spec(tmp_path / f"{name}.json", spec)
              for name, spec in not_whole.items()}
@@ -152,6 +153,10 @@ def test_cli_manifest_written_on_precondition_failure(tmp_path):
           for name in ("dims", "hyper-samples")),
         ("replicate", whole["n_max"], tmp_path / "n_max-half"),
         ("replicate", whole["n_max-bool"], tmp_path / "n_max-bool"),
+        # validate rejects what the job commands reject
+        ("validate", whole["n_max"], tmp_path / "n_max-validate"),
+        ("vanishing-table", whole["ks-default-control"], tmp_path / "ks-table"),
+        ("validate", whole["ks-default-control"], tmp_path / "ks-validate"),
     ):
         assert main([command, "--spec", spec_path, "--out", str(out)]) == 2
         manifest = read_json(str(out / "manifest.json"))
@@ -279,9 +284,12 @@ def test_cli_obstruct_job(tmp_path):
     assert main(["obstruct", "--spec", spec, "--out", str(out)]) == 0
     cert = read_json(str(out / "certificate.json"))
     assert cert["obstructed"] is True and cert["verdict"] == "infeasible"
-    assert cert["dual_residual"] <= 1e-9
+    # the 80 draws and their antipodes: the exact pair certificate
+    assert cert["method"] == "antipodal" and cert["gauss_points"] == 160
+    assert cert["dual_residual"] == 0.0
     weights = np.asarray(cert["convex_weights"])
-    assert np.all(weights >= 0.0) and abs(weights.sum() - 1.0) < 1e-9
+    assert np.flatnonzero(weights).tolist() == [0, 80]
+    assert weights[0] == weights[80] == 0.5
 
 
 def test_cli_replicate_job(tmp_path):
@@ -311,9 +319,56 @@ def test_cli_validate_job(tmp_path):
     by_item = {d["item"]: d["ok"] for d in diag["diagnostics"]}
     assert by_item == {"form": False, "metric": True}
 
+    # replicate and vanishing-table fields, checked as those commands check them
+    sphere = {"type": "sphere", "dim": 3}
+    for name, spec, extra, expected in (
+        ("repl-ok", {"base": sphere, "n_max": 3}, [], {"base": True, "n_max": True}),
+        ("repl-half", {"base": sphere, "n_max": 3.5}, [], {"base": True, "n_max": False}),
+        ("repl-one", {"base": sphere, "n_max": 1}, [], {"base": True, "n_max": False}),
+        ("repl-missing", {"base": sphere}, [], {"base": True, "n_max": False}),
+        ("table-ok", {"ks": [4], "alphas": [1.0], "controls": ["F", "c"]}, [],
+         {"table": True}),
+        ("table-flag", {"ks": [4], "alphas": [1.0]}, ["--control", "F"], {"table": True}),
+        ("table-custom", {"ks": [4], "alphas": [1.0]}, [], {"table": False}),
+        ("table-half", {"ks": [2.5], "alphas": [1.0]}, ["--control", "F"],
+         {"table": False}),
+        ("table-zero", {"ks": [0], "alphas": [1.0], "controls": ["F"]}, [],
+         {"table": False}),
+        ("table-nan", {"ks": [4], "alphas": [float("nan")], "controls": ["c"]}, [],
+         {"table": False}),
+        ("table-name", {"ks": [4], "alphas": [1.0], "controls": ["G"]}, [],
+         {"table": False}),
+    ):
+        path = _write_spec(tmp_path / f"{name}.json", spec)
+        code = 0 if all(expected.values()) else 2
+        assert main(["validate", "--spec", path, "--out", str(tmp_path / name),
+                     *extra]) == code, name
+        diag = read_json(str(tmp_path / name / "diagnostics.json"))
+        assert {d["item"]: d["ok"] for d in diag["diagnostics"]} == expected, name
+        if "ks" in spec:
+            command = "vanishing-table"
+        else:
+            command = "replicate"
+            extra = ["--control", "F"]
+        assert main([command, "--spec", path, "--out", str(tmp_path / f"{name}-run"),
+                     *extra]) == code, name
+
 
 def test_cli_error_exit_codes(tmp_path):
     assert main(["comass", "--spec", str(tmp_path / "none.json"),
                  "--out", str(tmp_path / "o")]) == 2
     spec = _write_spec(tmp_path / "empty.json", {})
     assert main(["comass", "--spec", spec, "--out", str(tmp_path / "o")]) == 2
+
+
+def test_cli_parser_is_built_once(tmp_path, capsys):
+    assert build_parser() is build_parser()
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["no-such-command", "--spec", "x.json"])
+        assert exc.value.code == 2
+    spec = _kahler_spec(tmp_path)
+    assert main(["comass", "--spec", spec, "--out", str(tmp_path / "a"), "--seed", "4"]) == 0
+    assert main(["comass", "--spec", spec, "--out", str(tmp_path / "b")]) == 0
+    assert read_json(str(tmp_path / "a" / "manifest.json"))["seed"] == 4
+    assert read_json(str(tmp_path / "b" / "manifest.json"))["seed"] == 0
