@@ -137,13 +137,6 @@ def _table_lanes(spec: dict, control: str) -> list:
     return lanes
 
 
-def _n_max(spec: dict) -> int:
-    n_max = ser.whole_number(spec["n_max"], "n_max")
-    if n_max < 2:
-        raise ValueError("n_max must be >= 2")
-    return n_max
-
-
 def cmd_vanishing_table(spec, args, out_dir, base_dir):
     rows = []
     for k, alpha, control in _table_lanes(spec, args.control):
@@ -230,7 +223,7 @@ def cmd_replicate(spec, args, out_dir, base_dir):
     base = ser.factor_from_dict(spec["base"], base_dir)
     result = products.replication_search(
         base,
-        _n_max(spec),
+        ser.whole_number(spec["n_max"], "n_max"),
         args.control,
         normalization=args.normalization,
     )
@@ -273,7 +266,8 @@ def cmd_validate(spec, args, out_dir, base_dir):
     if "base" in spec:
         check("base", lambda: ser.factor_from_dict(spec["base"], base_dir))
     if "base" in spec or "n_max" in spec:
-        check("n_max", lambda: _n_max(spec))
+        check("n_max", lambda: products.replication_counts(
+            ser.whole_number(spec["n_max"], "n_max")))
     if any(key in spec for key in ("ks", "alphas", "controls")):
         check("table", lambda: _table_lanes(spec, args.control))
     ser.write_json(

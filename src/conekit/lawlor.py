@@ -110,6 +110,7 @@ _ERROR_ORDER = 7
 _ERROR_EXPONENT = -1.0 / (_ERROR_ORDER + 1)
 _MAX_STEP = 0.01
 _EVENT_TOL = 4.0 * sys.float_info.epsilon
+_BRENT_MAXITER = 100
 _MIN_RTOL = 100.0 * sys.float_info.epsilon
 
 # series start: order of the Taylor series of the fastest branch, the size
@@ -436,15 +437,15 @@ class _Descent:
         return out
 
 
-def _brentq(f, xa: float, xb: float, xtol: float = _EVENT_TOL,
-            rtol: float = _EVENT_TOL, maxiter: int = 100) -> float:
-    """Root of f in the bracket [xa, xb] by Brent's method.
+def _brentq(f, xa: float, xb: float) -> float:
+    """Root of f in the bracket [xa, xb] by Brent's method, to xtol = rtol =
+    _EVENT_TOL within _BRENT_MAXITER iterations.
 
     A line-by-line port of scipy's ``brentq`` (``Zeros/brentq.c``) to Python
-    floats, with its defaults for maxiter, its sign test on the sign bits and
-    its arithmetic in the same order, so it returns the same float.  Like
+    floats, with its default iteration cap, its sign test on the sign bits
+    and its arithmetic in the same order, so it returns the same float.  Like
     scipy it raises ValueError on a bracket without a sign change; a NaN
-    value, or no convergence within maxiter iterations, raises RuntimeError.
+    value, or no convergence within the cap, raises RuntimeError.
     """
 
     def value(x):
@@ -462,14 +463,14 @@ def _brentq(f, xa: float, xb: float, xtol: float = _EVENT_TOL,
         return xcur
     if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
         raise ValueError("f(a) and f(b) must have different signs")
-    for _ in range(maxiter):
+    for _ in range(_BRENT_MAXITER):
         if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
             xblk, fblk = xpre, fpre
             spre = scur = xcur - xpre
         if abs(fblk) < abs(fcur):
             xpre, xcur, xblk = xcur, xblk, xcur
             fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
+        delta = (_EVENT_TOL + _EVENT_TOL * abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
         if fcur == 0.0 or abs(sbis) < delta:
             return xcur
@@ -495,7 +496,7 @@ def _brentq(f, xa: float, xb: float, xtol: float = _EVENT_TOL,
         else:
             xcur += delta if sbis > 0 else -delta
         fcur = value(xcur)
-    raise RuntimeError(f"event root failed to converge after {maxiter} iterations, "
+    raise RuntimeError(f"event root failed to converge after {_BRENT_MAXITER} iterations, "
                        f"value is {xcur!r}")
 
 

@@ -4,11 +4,15 @@ codimension-one factor.
 If a constant-coefficient form calibrated such a cone, the pairing forced
 at each point of the hypersurface factor would push that factor's Gauss
 image (its unit normals read as points of the sphere) into an open
-hemisphere.  Deciding hemisphere containment for a finite sample is a
-linear feasibility problem with a certificate either way: a direction of
-positive margin, or nonnegative convex weights writing zero as a
-combination of the points.  Certificates are re-verified by direct
-arithmetic, so the verdict never rests on solver internals.
+hemisphere.  A set holding both x and -x lies in no open hemisphere, since
+no direction has positive inner product with both, and weights 1/2 on
+such a pair write zero exactly.  The Gauss map of a round hypersurface
+product is odd, nu(-x) = -nu(x), so its sampled Gauss images hold such
+pairs and are obstructed by this exact certificate.  Any other finite
+sample is decided as a linear feasibility problem with a certificate
+either way: a direction of positive margin, or nonnegative convex weights
+writing zero as a combination of the points.  Certificates are re-verified
+by direct arithmetic, so the verdict never rests on solver internals.
 
 Also includes the comass bound for wedges of forms on complementary
 blocks, the mechanism for assembling calibrations on product spaces.

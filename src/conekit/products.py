@@ -35,6 +35,7 @@ __all__ = [
     "curvature_model",
     "normal_radius",
     "hypersurface_factor",
+    "replication_counts",
     "replication_search",
     "as_link_data",
 ]
@@ -310,6 +311,14 @@ def as_link_data(
     )
 
 
+def replication_counts(n_max: int) -> range:
+    """The copy counts n = 2 .. n_max that ``replication_search`` scans;
+    ValueError when n_max < 2."""
+    if n_max < 2:
+        raise ValueError("n_max must be >= 2")
+    return range(2, n_max + 1)
+
+
 def replication_search(
     base: SphereFactor,
     n_max: int,
@@ -320,11 +329,9 @@ def replication_search(
     """Smallest number of copies of the base link whose product cone the
     criterion certifies, scanning n = 2 .. n_max.  The curvature data of
     each product is exact, so no samples are drawn."""
-    if n_max < 2:
-        raise ValueError("n_max must be >= 2")
     verdicts = []
     n_pass = None
-    for n in range(2, n_max + 1):
+    for n in replication_counts(n_max):
         data = as_link_data(minimal_product([base] * n))
         verdict = check_area_minimizing(data, control, normalization=normalization)
         verdicts.append((n, verdict))

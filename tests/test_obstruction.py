@@ -125,8 +125,14 @@ def test_hypersurface_gauss_image_is_obstructed_exactly():
 def test_clifford_gauss_image_not_hemispherical():
     link = minimal_product([SphereFactor.round(1), SphereFactor.round(1)],
                            samples=100, seed=1)
-    cert = hemisphere_test(gauss_image(hypersurface_factor(link)))
-    assert cert.verdict == "infeasible"
+    image = gauss_image(hypersurface_factor(link))
+    cert = hemisphere_test(image)
+    assert cert.verdict == "infeasible" and cert.method == "antipodal"
+    assert cert.residual == 0.0
+    # the draws alone hold no antipodal pair, so the linear program decides
+    draws = SpherePointSet(image.n, image.points[:link.samples])
+    cert = hemisphere_test(draws)
+    assert cert.verdict == "infeasible" and cert.method == "lp"
     assert cert.residual <= 1e-9
 
 

@@ -125,10 +125,8 @@ def test_brent_port_equals_brentq_on_random_cubics():
 
         if np.sign(f(a)) == np.sign(f(b)):
             continue
-        for xtol, rtol in ((lawlor._EVENT_TOL, lawlor._EVENT_TOL), (2e-12, lawlor._EVENT_TOL),
-                           (1e-3, 1e-6)):
-            assert lawlor._brentq(f, a, b, xtol, rtol) == brentq(f, a, b, xtol=xtol,
-                                                                 rtol=rtol)
+        tol = lawlor._EVENT_TOL
+        assert lawlor._brentq(f, a, b) == brentq(f, a, b, xtol=tol, rtol=tol)
         compared += 1
 
 
@@ -138,10 +136,16 @@ def test_brent_port_failures():
 
     with pytest.raises(ValueError, match="different signs"):
         lawlor._brentq(cubic, 3.0, 4.0)
+    # bisection from 1e300 down to a sign change near 1e-20 takes about
+    # a thousand halvings, far beyond the cap of 100 iterations
+    def step(x):
+        return -1.0 if x < 1e-20 else 1.0
+
+    tol = lawlor._EVENT_TOL
     with pytest.raises(RuntimeError, match="converge"):
-        lawlor._brentq(cubic, 2.0, 3.0, maxiter=2)
+        lawlor._brentq(step, 0.0, 1e300)
     with pytest.raises(RuntimeError):
-        brentq(cubic, 2.0, 3.0, maxiter=2)
+        brentq(step, 0.0, 1e300, xtol=tol, rtol=tol)
     with pytest.raises(RuntimeError, match="NaN"):
         lawlor._brentq(lambda x: float("nan") if x > 2.5 else cubic(x), 2.0, 3.0)
     assert lawlor._brentq(lambda x: x, 0.0, 1.0) == 0.0
