@@ -5,9 +5,10 @@ the Gauss image of the torus factor (its unit normals, read as points of
 S^3) into an open hemisphere.  The torus is sampled in antipodal pairs, and
 its normal field is odd, so the image holds nu and -nu: no open hemisphere
 holds both, and weights 1/2 on that pair combine them to exactly zero.
-Next to that exact certificate the demo runs the linear program on the
-same image with the antipodes removed; it finds convex weights that
-combine the sampled normals to zero within a rounding-level residual.
+Next to that exact certificate the demo decides the same image with the
+antipodes removed by its convex hull's nearest point to the origin, which
+one nonnegative least-squares solve finds: its convex weights combine the
+sampled normals to zero within a rounding-level residual.
 Both certificates are re-checked by direct arithmetic here.
 """
 
@@ -37,14 +38,14 @@ if __name__ == "__main__":
                             samples=200, seed=0)
     image = gauss_image(hypersurface_factor(torus))
     exact = hemisphere_test(image)
-    show("exact", image, exact)
+    show("exact        ", image, exact)
     assert exact.method == "antipodal" and exact.residual == 0.0
 
     # the first torus.samples rows are the draws, the rest their antipodes
     draws = SpherePointSet(image.n, image.points[: torus.samples])
-    lp = hemisphere_test(draws)
-    show("LP   ", draws, lp)
-    assert lp.method == "lp" and lp.verdict == "infeasible"
+    nearest = hemisphere_test(draws)
+    show("nearest point", draws, nearest)
+    assert nearest.method == "nearest-point" and nearest.verdict == "infeasible"
 
     product = minimal_product(
         [hypersurface_factor(torus), SphereFactor.round(3)],

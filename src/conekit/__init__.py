@@ -21,7 +21,6 @@ from .exterior import (
     AlternatingForm,
     DimensionMismatchError,
     MetricTensor,
-    MultiIndex,
     SimpleVector,
     contract,
     evaluate,

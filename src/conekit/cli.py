@@ -129,7 +129,7 @@ def _table_lanes(spec: dict, control: str) -> list:
     lane's curvature model is built here, so a bad k, alpha or control
     raises ValueError before any descent runs."""
     ks = [ser.whole_number(k, "ks") for k in _array(spec, "ks")]
-    alphas = [float(a) for a in _array(spec, "alphas")]
+    alphas = [ser.real_number(a, "alphas") for a in _array(spec, "alphas")]
     controls = _array(spec, "controls", [control])
     lanes = [(k, a, c) for k in ks for a in alphas for c in controls]
     for k, alpha, c in lanes:

@@ -18,7 +18,6 @@ import numpy as np
 
 __all__ = [
     "DimensionMismatchError",
-    "MultiIndex",
     "AlternatingForm",
     "SimpleVector",
     "MetricTensor",
@@ -130,46 +129,7 @@ def _contract_frames(psi: np.ndarray, U: np.ndarray, k: int) -> np.ndarray:
     return psi
 
 
-class MultiIndex:
-    """A strictly increasing list of integers in [1, n]."""
-
-    __slots__ = ("indices",)
-
-    def __init__(self, indices):
-        idx = tuple(int(i) for i in indices)
-        if any(a >= b for a, b in zip(idx, idx[1:])):
-            raise ValueError(f"multi-index must be strictly increasing: {idx}")
-        if idx and idx[0] < 1:
-            raise ValueError(f"multi-index entries must be >= 1: {idx}")
-        object.__setattr__(self, "indices", idx)
-
-    def __setattr__(self, *a):
-        raise AttributeError("MultiIndex is immutable")
-
-    @property
-    def degree(self) -> int:
-        return len(self.indices)
-
-    def __iter__(self):
-        return iter(self.indices)
-
-    def __eq__(self, other):
-        if isinstance(other, MultiIndex):
-            return self.indices == other.indices
-        if isinstance(other, tuple):
-            return self.indices == other
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.indices)
-
-    def __repr__(self):
-        return f"MultiIndex{self.indices}"
-
-
 def _as_key(I) -> tuple[int, ...]:
-    if isinstance(I, MultiIndex):
-        return I.indices
     return tuple(int(i) for i in I)
 
 

@@ -9,10 +9,11 @@ no direction has positive inner product with both, and weights 1/2 on
 such a pair write zero exactly.  The Gauss map of a round hypersurface
 product is odd, nu(-x) = -nu(x), so its sampled Gauss images hold such
 pairs and are obstructed by this exact certificate.  Any other finite
-sample is decided as a linear feasibility problem with a certificate
-either way: a direction of positive margin, or nonnegative convex weights
-writing zero as a combination of the points.  Certificates are re-verified
-by direct arithmetic, so the verdict never rests on solver internals.
+sample is decided by the point z of its convex hull nearest the origin
+(Wolfe 1976): either z = 0, and its convex weights write zero as a
+combination of the points, or z/|z| has inner product at least |z| with
+every point.  Certificates are recomputed by direct arithmetic, so the
+verdict never rests on solver internals.
 
 Also includes the comass bound for wedges of forms on complementary
 blocks, the mechanism for assembling calibrations on product spaces.
@@ -50,8 +51,8 @@ class SpherePointSet:
         pts = np.asarray(self.points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != self.n + 1 or pts.shape[0] == 0:
             raise ValueError("points must be a nonempty (S, n+1) array")
-        if np.max(np.abs(np.linalg.norm(pts, axis=1) - 1.0)) > 1e-10:
-            raise ValueError("points must be unit vectors")
+        if not np.max(np.abs(np.linalg.norm(pts, axis=1) - 1.0)) <= 1e-10:
+            raise ValueError("points must be finite unit vectors")
         object.__setattr__(self, "points", pts)
 
 
@@ -62,9 +63,11 @@ class HemisphereCertificate:
     feasible: ``direction`` has positive inner product with every point
     (worst value in ``margin``).  infeasible: ``convex_weights`` are
     nonnegative, sum to one, and combine the points to zero within
-    ``residual``.  boundary: margin and residual both within tolerance of
-    zero; both near-certificates are retained.  ``method`` is "antipodal"
-    for the exact pair certificate, "lp" when the linear programs decided.
+    ``residual``.  boundary: the nearest hull point is farther than the
+    tolerance from zero, yet its direction has no positive margin; both
+    near-certificates are retained.  ``method`` is "antipodal" for the
+    exact pair certificate, "nearest-point" when the nearest hull point
+    decided.
     """
 
     verdict: str
@@ -84,51 +87,24 @@ def gauss_image(factor: SphereFactor) -> SpherePointSet:
     return SpherePointSet(n=factor.ambient, points=factor.normals)
 
 
-def _max_margin_direction(X: np.ndarray):
-    """Maximize e subject to <w, x_i> >= e and |w|_inf <= 1."""
-    from scipy.optimize import linprog
+def _nearest_hull_point(X: np.ndarray):
+    """Convex weights y of the point z = X^T y of the hull of the rows of X
+    nearest the origin, and z itself.
 
-    S, d = X.shape
-    # variables (w_1..w_d, e); minimize -e
-    c = np.zeros(d + 1)
-    c[-1] = -1.0
-    A = np.concatenate([-X, np.ones((S, 1))], axis=1)
-    b = np.zeros(S)
-    bounds = [(-1.0, 1.0)] * d + [(None, None)]
-    res = linprog(c, A_ub=A, b_ub=b, bounds=bounds, method="highs")
-    if not res.success:
-        raise RuntimeError(f"margin program failed: {res.message}")
-    return res.x[:d], float(res.x[-1])
+    One nonnegative least-squares solve of [X^T; 1^T] y = (0, ..., 0, 1):
+    writing y = s u with u convex, for every scale s the best u gives the
+    nearest point, so y rescaled to sum one is exact (Lawson-Hanson).  y
+    is never zero, since any one point alone beats it, and a solver
+    failure raises RuntimeError.
+    """
+    from scipy.optimize import nnls
 
-
-def _zero_hull_weights(X: np.ndarray):
-    """Minimize |X^T y|_inf over convex weights y."""
-    from scipy.optimize import linprog
-
-    S, d = X.shape
-    # variables (y_1..y_S, u); minimize u
-    c = np.zeros(S + 1)
-    c[-1] = 1.0
-    A_rows = []
-    for sgn in (1.0, -1.0):
-        A_rows.append(np.concatenate([sgn * X.T, -np.ones((d, 1))], axis=1))
-    A = np.concatenate(A_rows, axis=0)
-    b = np.zeros(2 * d)
-    A_eq = np.concatenate([np.ones((1, S)), np.zeros((1, 1))], axis=1)
-    res = linprog(
-        c,
-        A_ub=A,
-        b_ub=b,
-        A_eq=A_eq,
-        b_eq=[1.0],
-        bounds=[(0.0, None)] * S + [(None, None)],
-        method="highs",
-    )
-    if not res.success:
-        raise RuntimeError(f"hull program failed: {res.message}")
-    y = np.clip(res.x[:S], 0.0, None)
+    A = np.concatenate([X.T, np.ones((1, len(X)))], axis=0)
+    rhs = np.zeros(len(A))
+    rhs[-1] = 1.0
+    y, _ = nnls(A, rhs)
     y /= y.sum()
-    return y, float(np.linalg.norm(X.T @ y))
+    return y, X.T @ y
 
 
 def _antipodal_pair(X: np.ndarray):
@@ -148,11 +124,11 @@ def hemisphere_test(pts: SpherePointSet, tol: float = 1e-9) -> HemisphereCertifi
 
     A pair of exactly antipodal points decides it at once: weights 1/2 on
     the pair give an infeasibility certificate with residual exactly 0
-    (method "antipodal").  Otherwise the max-margin direction program runs;
-    a positive margin above tol is a feasibility certificate, otherwise
-    convex weights combining the points to zero certify infeasibility
-    (method "lp").  Every certificate is checked by direct arithmetic
-    before being returned.
+    (method "antipodal").  Otherwise the nearest point z of the convex hull
+    to the origin decides (method "nearest-point"): within tol of zero, its
+    convex weights certify infeasibility; else z/|z| is the direction of
+    largest margin, and a positive recomputed margin certifies
+    feasibility.  A margin <= 0 past that tolerance is "boundary".
     """
     X = pts.points
     pair = _antipodal_pair(X)
@@ -163,41 +139,21 @@ def hemisphere_test(pts: SpherePointSet, tol: float = 1e-9) -> HemisphereCertifi
             "infeasible", "antipodal", convex_weights=y,
             residual=float(np.linalg.norm(X.T @ y)),
         )
-    w, margin_lp = _max_margin_direction(X)
-    wn = np.linalg.norm(w)
-    direction = w / wn if wn > 1e-12 else None
-    margin = float(np.min(X @ direction)) if direction is not None else -1.0
-    if margin_lp > tol and direction is not None and margin > 0.0:
-        from scipy.optimize import nnls
-
-        # the nearest hull point gives the best direction in the 2-norm
-        rho = 1e6
-        A = np.concatenate([X.T, rho * np.ones((1, len(X)))], axis=0)
-        rhs = np.concatenate([np.zeros(X.shape[1]), [rho]])
-        y, _ = nnls(A, rhs)
-        z = X.T @ y
-        zn = np.linalg.norm(z)
-        if zn > tol:
-            cand = z / zn
-            cand_margin = float(np.min(X @ cand))
-            if cand_margin > margin:
-                direction, margin = cand, cand_margin
-        return HemisphereCertificate("feasible", "lp", direction=direction, margin=margin)
-    y, residual = _zero_hull_weights(X)
-    assert np.all(y >= 0.0) and abs(y.sum() - 1.0) <= 1e-9
-    if residual <= tol:
+    y, z = _nearest_hull_point(X)
+    dist = float(np.linalg.norm(z))
+    if dist <= tol:
         return HemisphereCertificate(
-            "infeasible", "lp", convex_weights=y, residual=residual
+            "infeasible", "nearest-point", convex_weights=y, residual=dist
         )
-    # neither certificate is clean: the configuration sits on the decision
-    # boundary at this tolerance
+    direction = z / dist
+    margin = float(np.min(X @ direction))
+    if margin > 0.0:
+        return HemisphereCertificate(
+            "feasible", "nearest-point", direction=direction, margin=margin
+        )
     return HemisphereCertificate(
-        "boundary",
-        "lp",
-        direction=direction,
-        margin=margin,
-        convex_weights=y,
-        residual=residual,
+        "boundary", "nearest-point", direction=direction, margin=margin,
+        convex_weights=y, residual=dist,
     )
 
 

@@ -63,8 +63,9 @@ class SphereFactor:
             pts = np.asarray(self.points, dtype=float)
             if pts.ndim != 2 or pts.shape[1] != self.ambient + 1:
                 raise ValueError("points must be (S, ambient+1)")
-            if np.max(np.abs(np.linalg.norm(pts, axis=1) - 1.0)) > UNIT_TOL:
-                raise ValueError("sample points must be unit vectors")
+            # written as not (... <= tol) so that NaN and inf fail too
+            if not np.max(np.abs(np.linalg.norm(pts, axis=1) - 1.0)) <= UNIT_TOL:
+                raise ValueError("sample points must be finite unit vectors")
             object.__setattr__(self, "points", pts)
         if self.normals is not None:
             if self.points is None:
@@ -72,9 +73,9 @@ class SphereFactor:
             nor = np.asarray(self.normals, dtype=float)
             if nor.shape != self.points.shape:
                 raise ValueError("normals must align with points")
-            if np.max(np.abs(np.linalg.norm(nor, axis=1) - 1.0)) > UNIT_TOL:
-                raise ValueError("normals must be unit vectors")
-            if np.max(np.abs(np.sum(nor * self.points, axis=1))) > 1e-8:
+            if not np.max(np.abs(np.linalg.norm(nor, axis=1) - 1.0)) <= UNIT_TOL:
+                raise ValueError("normals must be finite unit vectors")
+            if not np.max(np.abs(np.sum(nor * self.points, axis=1))) <= 1e-8:
                 raise ValueError("normals must be orthogonal to their points")
             object.__setattr__(self, "normals", nor)
 

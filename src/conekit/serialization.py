@@ -27,6 +27,7 @@ __all__ = [
     "metric_from_dict",
     "factor_from_dict",
     "whole_number",
+    "real_number",
     "load_form",
     "load_metric",
 ]
@@ -121,6 +122,14 @@ def whole_number(value, field: str) -> int:
     ):
         raise ValueError(f"spec field {field!r} must be a whole number, got {value!r}")
     return int(value)
+
+
+def real_number(value, field: str) -> float:
+    """A spec field as a float: a JSON number.  Booleans and strings raise
+    ValueError rather than being converted."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"spec field {field!r} must be a number, got {value!r}")
+    return float(value)
 
 
 def factor_from_dict(data: dict, base_dir: str = ".") -> SphereFactor:

@@ -9,18 +9,20 @@ matrices by finite differences along great-circle curves instead of the
 closed-form spectra, p(t) by a dense search over unit normals and as the
 least term over all proper subset sums instead of its single term j* =
 k - k_min, and the normal radius from explicit chords between link points
-instead of arcsin(lambda_min).
+instead of arcsin(lambda_min), and the open-hemisphere decision by two
+HiGHS linear programs and an NNLS polish instead of one nearest-point solve.
 """
 
 import math
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.optimize import minimize
+from scipy.optimize import linprog, minimize, nnls
 
 from conekit import lawlor
 from conekit.comass import _check_pair, _eval_batch, _grad_batch
 from conekit.exterior import AlternatingForm, MetricTensor, _interior_matrix
+from conekit.obstruction import HemisphereCertificate
 from conekit.products import ProductLink, _require_round
 
 
@@ -369,3 +371,92 @@ def double_normal_chords(link: ProductLink, xs) -> list:
         ys = [-x if i in flipped else x for i, x in enumerate(xs)]
         out.append((flipped, *geodesic_chord(link, xs, ys)))
     return out
+
+
+# ---------------------------------------------------------------------------
+# open-hemisphere decision
+
+
+def _max_margin_direction(X: np.ndarray):
+    """Maximize e subject to <w, x_i> >= e and |w|_inf <= 1."""
+    S, d = X.shape
+    # variables (w_1..w_d, e); minimize -e
+    c = np.zeros(d + 1)
+    c[-1] = -1.0
+    A = np.concatenate([-X, np.ones((S, 1))], axis=1)
+    b = np.zeros(S)
+    bounds = [(-1.0, 1.0)] * d + [(None, None)]
+    res = linprog(c, A_ub=A, b_ub=b, bounds=bounds, method="highs")
+    if not res.success:
+        raise RuntimeError(f"margin program failed: {res.message}")
+    return res.x[:d], float(res.x[-1])
+
+
+def _zero_hull_weights(X: np.ndarray):
+    """Minimize |X^T y|_inf over convex weights y."""
+    S, d = X.shape
+    # variables (y_1..y_S, u); minimize u
+    c = np.zeros(S + 1)
+    c[-1] = 1.0
+    A_rows = []
+    for sgn in (1.0, -1.0):
+        A_rows.append(np.concatenate([sgn * X.T, -np.ones((d, 1))], axis=1))
+    A = np.concatenate(A_rows, axis=0)
+    b = np.zeros(2 * d)
+    A_eq = np.concatenate([np.ones((1, S)), np.zeros((1, 1))], axis=1)
+    res = linprog(
+        c,
+        A_ub=A,
+        b_ub=b,
+        A_eq=A_eq,
+        b_eq=[1.0],
+        bounds=[(0.0, None)] * S + [(None, None)],
+        method="highs",
+    )
+    if not res.success:
+        raise RuntimeError(f"hull program failed: {res.message}")
+    y = np.clip(res.x[:S], 0.0, None)
+    y /= y.sum()
+    return y, float(np.linalg.norm(X.T @ y))
+
+
+def hemisphere_by_lp(X: np.ndarray, tol: float = 1e-9) -> HemisphereCertificate:
+    """The open-hemisphere decision as ``hemisphere_test`` made it on sets
+    without an antipodal pair before the nearest-point solve: a box-normalized
+    max-margin LP, then either an NNLS 2-norm polish with a 1e6 penalty row
+    on the weight sum, or a second LP for the convex weights nearest zero in
+    the inf-norm.  Certificates carry method "lp"."""
+    w, margin_lp = _max_margin_direction(X)
+    wn = np.linalg.norm(w)
+    direction = w / wn if wn > 1e-12 else None
+    margin = float(np.min(X @ direction)) if direction is not None else -1.0
+    if margin_lp > tol and direction is not None and margin > 0.0:
+        # the nearest hull point gives the best direction in the 2-norm
+        rho = 1e6
+        A = np.concatenate([X.T, rho * np.ones((1, len(X)))], axis=0)
+        rhs = np.concatenate([np.zeros(X.shape[1]), [rho]])
+        y, _ = nnls(A, rhs)
+        z = X.T @ y
+        zn = np.linalg.norm(z)
+        if zn > tol:
+            cand = z / zn
+            cand_margin = float(np.min(X @ cand))
+            if cand_margin > margin:
+                direction, margin = cand, cand_margin
+        return HemisphereCertificate("feasible", "lp", direction=direction, margin=margin)
+    y, residual = _zero_hull_weights(X)
+    assert np.all(y >= 0.0) and abs(y.sum() - 1.0) <= 1e-9
+    if residual <= tol:
+        return HemisphereCertificate(
+            "infeasible", "lp", convex_weights=y, residual=residual
+        )
+    # neither certificate is clean: the configuration sits on the decision
+    # boundary at this tolerance
+    return HemisphereCertificate(
+        "boundary",
+        "lp",
+        direction=direction,
+        margin=margin,
+        convex_weights=y,
+        residual=residual,
+    )

@@ -9,7 +9,6 @@ from conekit.exterior import (
     AlternatingForm,
     DimensionMismatchError,
     MetricTensor,
-    MultiIndex,
     SimpleVector,
     contract,
     evaluate,
@@ -18,17 +17,6 @@ from conekit.exterior import (
     pullback,
     wedge,
 )
-
-
-def test_multi_index_validation():
-    assert MultiIndex((1, 3, 5)).degree == 3
-    assert MultiIndex((2, 4)) == (2, 4)
-    with pytest.raises(ValueError):
-        MultiIndex((3, 2))
-    with pytest.raises(ValueError):
-        MultiIndex((0, 1))
-    with pytest.raises(AttributeError):
-        MultiIndex((1, 2)).indices = (3, 4)
 
 
 def test_multi_indices_enumeration():

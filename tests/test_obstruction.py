@@ -17,6 +17,8 @@ from conekit.obstruction import (
 )
 from conekit.products import SphereFactor, hypersurface_factor, minimal_product
 
+from oracles import hemisphere_by_lp
+
 CHEAP = {"restarts": 8, "max_iters": 200, "seed": 0}
 
 
@@ -60,7 +62,7 @@ def test_hemisphere_feasible_cap():
     margins = pts.points @ cert.direction
     assert float(np.min(margins)) == pytest.approx(cert.margin)
     assert cert.margin > 0.1
-    assert cert.method == "lp"
+    assert cert.method == "nearest-point"
 
 
 def test_hemisphere_single_point():
@@ -80,14 +82,42 @@ def test_hemisphere_infeasible_antipodal_and_simplex():
     assert cert.residual <= 1e-9
     assert cert.method == "antipodal"
 
-    # no antipodal pair among three points at 120 degrees: the LP decides
+    # no antipodal pair among three points at 120 degrees: the nearest hull
+    # point, the origin, decides
     ang = 2.0 * np.pi * np.arange(3) / 3.0
     tri = SpherePointSet(1, np.column_stack([np.cos(ang), np.sin(ang)]))
     cert = hemisphere_test(tri)
-    assert cert.verdict == "infeasible" and cert.method == "lp"
+    assert cert.verdict == "infeasible" and cert.method == "nearest-point"
     y = cert.convex_weights
     assert np.all(y >= 0.0) and abs(y.sum() - 1.0) <= 1e-9
     assert np.linalg.norm(tri.points.T @ y) <= 1e-9
+
+
+def test_nearest_point_matches_the_linear_programs():
+    # generic sets in S^1 .. S^10 with 1 to 399 points, drawn around a random
+    # pole at random concentration so that both verdicts occur; none is built
+    # near the decision boundary, where the two tests read different norms
+    rng = np.random.default_rng(33)
+    verdicts = []
+    for _ in range(150):
+        d = int(rng.integers(2, 12))
+        pole = rng.standard_normal(d)
+        X = rng.uniform(0.0, 3.0) * pole / np.linalg.norm(pole) \
+            + rng.standard_normal((int(rng.integers(1, 400)), d))
+        X /= np.linalg.norm(X, axis=1, keepdims=True)
+        cert = hemisphere_test(SpherePointSet(d - 1, X))
+        ref = hemisphere_by_lp(X)
+        assert cert.method == "nearest-point"
+        assert cert.verdict == ref.verdict
+        if cert.verdict == "feasible":
+            assert cert.margin == float(np.min(X @ cert.direction))
+            assert cert.margin >= ref.margin - 1e-12
+        else:
+            y = cert.convex_weights
+            assert np.all(y >= 0.0) and abs(y.sum() - 1.0) <= 1e-12
+            assert cert.residual == float(np.linalg.norm(X.T @ y)) <= 1e-12
+        verdicts.append(cert.verdict)
+    assert verdicts.count("feasible") >= 30 and verdicts.count("infeasible") >= 30
 
 
 def test_antipodal_pair_fires_in_a_mixed_set():
@@ -104,9 +134,9 @@ def test_antipodal_pair_fires_in_a_mixed_set():
     assert np.flatnonzero(cert.convex_weights).tolist() == [7, 22]
     assert cert.convex_weights[7] == cert.convex_weights[22] == 0.5
     assert cert.residual == 0.0
-    # without the pair the same set is feasible by the LP
+    # without the pair the same set is feasible by its nearest hull point
     cert = hemisphere_test(SpherePointSet(3, np.delete(X, 22, axis=0)))
-    assert cert.verdict == "feasible" and cert.method == "lp"
+    assert cert.verdict == "feasible" and cert.method == "nearest-point"
 
 
 def test_hypersurface_gauss_image_is_obstructed_exactly():
@@ -129,10 +159,10 @@ def test_clifford_gauss_image_not_hemispherical():
     cert = hemisphere_test(image)
     assert cert.verdict == "infeasible" and cert.method == "antipodal"
     assert cert.residual == 0.0
-    # the draws alone hold no antipodal pair, so the linear program decides
+    # the draws alone hold no antipodal pair, so the nearest hull point decides
     draws = SpherePointSet(image.n, image.points[:link.samples])
     cert = hemisphere_test(draws)
-    assert cert.verdict == "infeasible" and cert.method == "lp"
+    assert cert.verdict == "infeasible" and cert.method == "nearest-point"
     assert cert.residual <= 1e-9
 
 
@@ -173,7 +203,7 @@ def test_obstruction_inapplicable_to_hemispherical_image():
     out = constant_calibration_obstruction(product)
     assert out["obstructed"] is False
     assert out["report"]["certificate"].verdict == "feasible"
-    assert out["report"]["certificate"].method == "lp"
+    assert out["report"]["certificate"].method == "nearest-point"
     assert np.min(out["report"]["per_sample_margins"]) > 0.0
 
 

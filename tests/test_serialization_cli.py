@@ -1,6 +1,7 @@
 """Tests for file formats and the batch command-line interface."""
 
 import json
+import math
 import os
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 from conekit.cli import build_parser, main
 from conekit.exterior import AlternatingForm, MetricTensor
+from conekit.products import SphereFactor, hypersurface_factor, minimal_product
 from conekit.serialization import (
     atomic_write_text,
     factor_from_dict,
@@ -292,6 +294,90 @@ def test_cli_obstruct_job(tmp_path):
     assert weights[0] == weights[80] == 0.5
 
 
+def _sampled_spec(tmp_path, name, points, normals, dim, ambient):
+    """A spec whose first factor is the sampled file factor name.json and
+    whose second is a round S^2."""
+    write_json(str(tmp_path / f"{name}.json"),
+               {"dim": dim, "ambient": ambient, "points": points, "normals": normals})
+    return _write_spec(tmp_path / f"{name}-spec.json", {
+        "factors": [{"type": "sampled", "path": f"{name}.json"},
+                    {"type": "sphere", "dim": 2}],
+        "samples": 20,
+    })
+
+
+def _latitude_circle(theta=0.4, count=40):
+    """Points and in-sphere unit normals of a latitude circle in S^2; the
+    normals share the sign of their last coordinate."""
+    phi = np.linspace(0.0, 2.0 * np.pi, count, endpoint=False)
+    c, s = math.cos(theta), math.sin(theta)
+    pts = np.column_stack([s * np.cos(phi), s * np.sin(phi), np.full_like(phi, c)])
+    nor = np.column_stack([c * np.cos(phi), c * np.sin(phi), np.full_like(phi, -s)])
+    return pts, nor
+
+
+def _torus_draws():
+    """Points and normals of the Clifford torus draws in S^3, without the
+    antipodes that hypersurface_factor appends."""
+    link = minimal_product([SphereFactor.round(1), SphereFactor.round(1)],
+                           samples=100, seed=1)
+    torus = hypersurface_factor(link)
+    return torus.points[:100], torus.normals[:100]
+
+
+def test_cli_obstruct_sampled_factors(tmp_path):
+    pts, nor = _latitude_circle()
+    spec = _sampled_spec(tmp_path, "circle", pts.tolist(), nor.tolist(), 1, 2)
+    out = tmp_path / "circle-out"
+    assert main(["obstruct", "--spec", spec, "--out", str(out)]) == 0
+    cert = read_json(str(out / "certificate.json"))
+    assert cert["obstructed"] is False and cert["verdict"] == "feasible"
+    assert cert["method"] == "nearest-point" and cert["gauss_points"] == 40
+    direction = np.asarray(cert["direction"])
+    assert cert["margin"] == float(np.min(nor @ direction)) > 0.0
+
+    pts, nor = _torus_draws()
+    spec = _sampled_spec(tmp_path, "torus", pts.tolist(), nor.tolist(), 2, 3)
+    out = tmp_path / "torus-out"
+    assert main(["obstruct", "--spec", spec, "--out", str(out),
+                 "--tol", "1e-9"]) == 0
+    cert = read_json(str(out / "certificate.json"))
+    assert cert["obstructed"] is True and cert["verdict"] == "infeasible"
+    assert cert["method"] == "nearest-point" and cert["gauss_points"] == 100
+    weights = np.asarray(cert["convex_weights"])
+    assert np.all(weights >= 0.0) and abs(weights.sum() - 1.0) <= 1e-12
+    assert np.linalg.norm(nor.T @ weights) <= cert["dual_residual"] + 1e-15
+    assert cert["dual_residual"] <= 1e-9
+
+
+def test_cli_obstruct_solver_failure_exits_3(tmp_path, monkeypatch):
+    import scipy.optimize
+
+    def stalled(A, b):
+        raise RuntimeError("Maximum number of iterations reached.")
+
+    monkeypatch.setattr(scipy.optimize, "nnls", stalled)
+    pts, nor = _torus_draws()
+    spec = _sampled_spec(tmp_path, "torus", pts.tolist(), nor.tolist(), 2, 3)
+    assert main(["obstruct", "--spec", spec, "--out", str(tmp_path / "o")]) == 3
+
+
+def test_cli_rejects_non_finite_samples(tmp_path):
+    pts, nor = _latitude_circle()
+    bad_point, bad_normal = pts.tolist(), nor.tolist()
+    bad_point[5][0] = float("nan")
+    bad_normal[5][2] = float("nan")
+    for name, points, normals in (("nan-point", bad_point, nor.tolist()),
+                                  ("nan-normal", pts.tolist(), bad_normal)):
+        spec = _sampled_spec(tmp_path, name, points, normals, 1, 2)
+        for command in ("validate", "obstruct"):
+            out = tmp_path / f"{name}-{command}"
+            assert main([command, "--spec", spec, "--out", str(out)]) == 2, (name, command)
+        diag = read_json(str(tmp_path / f"{name}-validate" / "diagnostics.json"))
+        (item,) = diag["diagnostics"]
+        assert item["item"] == "factors" and "finite unit vectors" in item["error"]
+
+
 def test_cli_replicate_job(tmp_path):
     spec = _write_spec(
         tmp_path / "repl.json",
@@ -337,6 +423,10 @@ def test_cli_validate_job(tmp_path):
         ("table-nan", {"ks": [4], "alphas": [float("nan")], "controls": ["c"]}, [],
          {"table": False}),
         ("table-name", {"ks": [4], "alphas": [1.0], "controls": ["G"]}, [],
+         {"table": False}),
+        ("table-alpha-type", {"ks": [4], "alphas": [True, "1.5"], "controls": ["F"]},
+         [], {"table": False}),
+        ("table-alpha-str", {"ks": [4], "alphas": ["1.5"], "controls": ["F"]}, [],
          {"table": False}),
     ):
         path = _write_spec(tmp_path / f"{name}.json", spec)
