@@ -92,9 +92,7 @@ def cmd_glue_sweep(spec, args, out_dir, base_dir):
     g1 = ser.load_metric(spec["metric1"], base_dir)
     g2 = ser.load_metric(spec["metric2"], base_dir)
     grid = np.linspace(0.0, 1.0, args.grid)
-    report = gluing.verify_gluing_bound(
-        phi, g1, g2, grid, tol=args.tol, comass_opts={"seed": args.seed}
-    )
+    report = gluing.verify_gluing_bound(phi, g1, g2, grid, comass_opts={"seed": args.seed})
     ser.write_csv(
         os.path.join(out_dir, "glue_sweep.csv"),
         ["s", "comass", "ccgp_bound", "improved_bound"],

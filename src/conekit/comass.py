@@ -28,6 +28,7 @@ comass to 1, and the rigidity check for calibration forms.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -144,8 +145,20 @@ def _grad_batch(first: np.ndarray, U: np.ndarray) -> np.ndarray:
 
 
 def _orthonormalize(U: np.ndarray) -> np.ndarray:
-    q, _ = np.linalg.qr(U)
-    return q
+    """Orthonormal frames with the column spans of the frames U (R, n, m):
+    one modified Gram-Schmidt pass, vectorized over the batch.
+
+    Orthogonality is lost only in proportion to cond(U) eps (Bjorck, BIT 7,
+    1967), but every column leaves the pass unit, so by Hadamard's
+    inequality a frame's Gram norm, and |phi| of it over the comass, is at
+    most 1 up to rounding.
+    """
+    Q = U.transpose(2, 0, 1).copy()  # column-major frames: Q[a] is column a
+    for a, q in enumerate(Q):
+        q /= np.sqrt(np.einsum("rn,rn->r", q, q))[:, None]
+        rest = Q[a + 1:]
+        rest -= np.einsum("rn,krn->kr", q, rest)[:, :, None] * q
+    return Q.transpose(1, 2, 0)
 
 
 def _orient(U: np.ndarray, G: np.ndarray) -> np.ndarray:
@@ -154,9 +167,11 @@ def _orient(U: np.ndarray, G: np.ndarray) -> np.ndarray:
     in the other columns, and return |phi(U)|."""
     f = np.einsum("rn,rn->r", U[:, :, 0], G[:, :, 0])
     neg = f < 0.0
-    U[neg, :, 0] *= -1.0
-    G[neg, :, 1:] *= -1.0
-    return np.abs(f)
+    if neg.any():
+        U[neg, :, 0] *= -1.0
+        G[neg, :, 1:] *= -1.0
+        f = np.abs(f)
+    return f
 
 
 def _frob(X: np.ndarray) -> np.ndarray:
@@ -177,6 +192,18 @@ def _check_pair(phi: AlternatingForm, g: MetricTensor):
         raise ValueError("comass is defined for forms of degree at least 1")
 
 
+def _check_options(restarts, max_iters, tol, warm_starts):
+    """Reject optimizer options before any work: a negative or fractional
+    count, no start at all, or a ``tol`` that is not a positive number."""
+    for name, count in (("restarts", restarts), ("max_iters", max_iters)):
+        if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 0:
+            raise ValueError(f"{name} must be an integer >= 0, got {count!r}")
+    if restarts + (len(warm_starts) if warm_starts else 0) < 1:
+        raise ValueError("the optimizer needs at least one restart or warm start")
+    if not (isinstance(tol, numbers.Real) and math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be a finite number > 0, got {tol!r}")
+
+
 def comass(
     phi: AlternatingForm,
     g: MetricTensor,
@@ -190,10 +217,11 @@ def comass(
     """max |phi(Q)| over simple m-vectors Q with unit Gram norm under g.
 
     Degrees 1, 2, n-2, n-1 and n take the closed form (``method="exact"``,
-    no restarts or iterations, and the optimizer options are ignored); every
-    other degree runs ``_optimize`` with the options given here.
+    no restarts or iterations, and the optimizer options are checked but not
+    used); every other degree runs ``_optimize`` with the options given here.
     """
     _check_pair(phi, g)
+    _check_options(restarts, max_iters, tol, warm_starts)
     if phi.is_zero():
         raise ValueError("comass of the zero form is degenerate; refusing")
     exact = _exact(phi, g)
@@ -261,17 +289,20 @@ def _optimize(
     """Multi-restart projected ascent on orthonormal m-frames in whitened
     coordinates, for any degree.
 
-    Each restart steps along the Euclidean gradient G, re-orthonormalized by
-    QR; its step grows by 1.5 after an improvement and halves otherwise.  A
-    restart is frozen once its Riemannian gradient G - U sym(U^T G) has norm
+    Each restart steps along the Euclidean gradient G, retracted by
+    ``_orthonormalize``: f is alternating, so any orthonormal basis of the
+    stepped plane gives the same iterate.  Its step grows by 1.5 after an
+    improvement and halves otherwise.  A restart is frozen once its Riemannian gradient G - U sym(U^T G) has norm
     at most ``tol`` |f|; f is linear in each column and alternating, so
     U^T G = f I and that gradient is G - f U.  At the default ``tol`` the
     value is within about 1e-12 relative of the maximum the restart climbs
     to.  Rounding keeps the residual above about 5e-8, so a smaller ``tol``
     runs every restart to ``max_iters`` and returns ``converged=False``.
-    ``warm_starts`` takes n x m factor matrices (in original coordinates),
-    appended to the random restarts.
+    ``warm_starts`` takes n x m factor matrices (in original coordinates)
+    with independent columns, appended to the random restarts.  Bad options
+    raise ValueError before any work (``_check_options``).
     """
+    _check_options(restarts, max_iters, tol, warm_starts)
     n, m = phi.n, phi.m
     first = _interior_matrix(_whitened_vector(phi, g), n, m)
     rng = np.random.default_rng(seed)
@@ -281,7 +312,10 @@ def _optimize(
     if warm_starts:
         warm = np.stack([LT @ np.asarray(V, dtype=float) for V in warm_starts])
         starts.append(warm)
-    U = _orthonormalize(np.concatenate(starts, axis=0))
+    with np.errstate(invalid="ignore"):  # 0/0 marks a dependent warm start
+        U = _orthonormalize(np.concatenate(starts, axis=0))
+    if not np.isfinite(U).all():
+        raise ValueError("a warm start has linearly dependent columns")
     R = U.shape[0]
     # the gradient at a frame also gives its value, so one gradient call per
     # iteration suffices, and a taken step keeps its trial gradient
@@ -306,11 +340,16 @@ def _optimize(
         iterations += 1
         gnorm = _frob(G)
         gnorm[gnorm == 0.0] = 1.0
+        # U^T G = f I and step <= 1 put the stepped frame's singular values
+        # in [1, 2], so one Gram-Schmidt pass leaves it orthonormal
         trial = _orthonormalize(U + (step / gnorm)[:, None, None] * G)
         trial_G = _grad_batch(first, trial)
         trial_f = _orient(trial, trial_G)
         better = trial_f > f
-        U[better], G[better], f[better] = trial[better], trial_G[better], trial_f[better]
+        if better.all():
+            U, G, f = trial, trial_G, trial_f
+        else:
+            U[better], G[better], f[better] = trial[better], trial_G[better], trial_f[better]
         step = np.minimum(np.where(better, 1.5 * step, 0.5 * step), 1.0)
     final_U[active], final_f[active] = U, f
 
@@ -345,9 +384,10 @@ def comass_bruteforce(
     concentrated around the incumbent best frame at a shrinking spread.
     Always a lower bound; converges to the comass as the budget grows.
     The ratio is invariant under a change of basis of the frame, so it is
-    evaluated on the g-orthonormal frame L^{-T} qr(L^T V) of the same
-    plane: dividing by the Gram determinant instead overshoots the comass
-    by up to 1e-3 relative on nearly degenerate frames.
+    evaluated on the g-orthonormal frame L^{-T} Q, Q = L^T V retracted as in
+    the optimizer: dividing by the Gram determinant instead overshoots the
+    comass by up to 1e-3 relative on nearly degenerate frames, where Q still
+    has unit columns and so the ratio stays a lower bound.
     """
     _check_pair(phi, g)
     if sample_count < 1:
@@ -359,7 +399,7 @@ def comass_bruteforce(
     rng = np.random.default_rng(seed)
 
     def ratios(V):
-        return np.abs(_eval_batch(first, Linv_T @ np.linalg.qr(L.T @ V)[0]))
+        return np.abs(_eval_batch(first, Linv_T @ _orthonormalize(L.T @ V)))
 
     def to_sphere(V):
         return V / np.linalg.norm(V, axis=1, keepdims=True)

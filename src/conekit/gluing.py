@@ -178,11 +178,11 @@ def verify_gluing_bound(
     g2: MetricTensor,
     s_grid,
     *,
-    tol: float = 1e-6,
     comass_opts: dict | None = None,
 ) -> GluingReport:
-    """Sweep the interpolated metrics and confirm the comass never exceeds
-    the convexity bound.
+    """Sweep the interpolated metrics and measure how far the comass
+    exceeds the convexity bound; the caller compares ``worst_violation``
+    with its own tolerance.
 
     Requires both endpoint comasses at most 1 + 1e-8; otherwise the
     hypothesis fails and the offending endpoint is reported.  Each grid

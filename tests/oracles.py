@@ -4,7 +4,8 @@ Each one computes a quantity conekit now obtains another way: the descent
 ODE by scipy's ``solve_ivp`` instead of the scalar DOP853 loop, the descent
 from the order-2 start 1 - a_max t^2 at t = 1e-3 that the order-30 series
 start replaced (the only place that start lives on), a tight reference
-descent from an order-40 series, comass by a constrained minimization, shape
+descent from an order-40 series, comass by a constrained minimization and by
+the step-rule ascent retracted by LAPACK's QR instead of Gram-Schmidt, shape
 matrices by finite differences along great-circle curves instead of the
 closed-form spectra, p(t) by a dense search over unit normals and as the
 least term over all proper subset sums instead of its single term j* =
@@ -20,7 +21,7 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import linprog, minimize, nnls
 
 from conekit import lawlor
-from conekit.comass import _check_pair, _eval_batch, _grad_batch
+from conekit.comass import _check_pair, _eval_batch, _grad_batch, _whitened_vector
 from conekit.exterior import AlternatingForm, MetricTensor, _interior_matrix
 from conekit.obstruction import HemisphereCertificate
 from conekit.products import ProductLink, _require_round
@@ -190,6 +191,37 @@ def comass_via_min(
     if not np.isfinite(best_gram2) or best_gram2 <= 0.0:
         raise RuntimeError("constrained minimization failed on all restarts")
     return 1.0 / math.sqrt(best_gram2)
+
+
+def step_rule_comass(phi, g, *, restarts=16, max_iters=400, tol=1e-10, seed=0):
+    """The optimizer as it was before the gradient stop: every restart runs
+    until all step sizes fall below ``tol``, each step retracted by
+    ``np.linalg.qr``, so it shares no retraction with the library."""
+    n, m = phi.n, phi.m
+    first = _interior_matrix(_whitened_vector(phi, g), n, m)
+    rng = np.random.default_rng(seed)
+    U = np.linalg.qr(rng.standard_normal((restarts, n, m)))[0]
+    f = _eval_batch(first, U)
+    U[f < 0.0, :, 0] *= -1.0
+    f = np.abs(f)
+    step = np.full(restarts, 0.5)
+    for _ in range(max_iters):
+        grad = _grad_batch(first, U)
+        gnorm = np.linalg.norm(grad.reshape(restarts, -1), axis=1)
+        gnorm[gnorm == 0.0] = 1.0
+        trial = np.linalg.qr(U + (step / gnorm)[:, None, None] * grad)[0]
+        ft = _eval_batch(first, trial)
+        trial[ft < 0.0, :, 0] *= -1.0
+        ft = np.abs(ft)
+        better = ft > f
+        U[better] = trial[better]
+        f[better] = ft[better]
+        step[better] *= 1.5
+        step[~better] *= 0.5
+        np.minimum(step, 1.0, out=step)
+        if np.all(step < tol):
+            break
+    return float(f.max())
 
 
 # ---------------------------------------------------------------------------

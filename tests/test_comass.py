@@ -94,6 +94,39 @@ def test_comass_rejects_zero_form_and_mismatch():
         comass(AlternatingForm(4, 0, {(): 2.0}), MetricTensor.euclidean(4))
 
 
+SLAG = AlternatingForm(6, 3, {(1, 3, 5): 1.0, (1, 4, 6): -1.0,
+                              (2, 3, 6): -1.0, (2, 4, 5): -1.0})
+
+
+@pytest.mark.parametrize("entry", [comass, _optimize])
+@pytest.mark.parametrize("options,match", [
+    ({"restarts": 0}, "at least one restart or warm start"),
+    ({"restarts": 2.5}, "restarts must be an integer"),
+    ({"restarts": -1}, "restarts must be an integer"),
+    ({"max_iters": -1}, "max_iters must be an integer"),
+    ({"tol": 0.0}, "tol must be a finite number"),
+    ({"tol": math.inf}, "tol must be a finite number"),
+])
+def test_optimizer_options_rejected_up_front(entry, options, match):
+    with pytest.raises(ValueError, match=match):
+        entry(SLAG, MetricTensor.euclidean(6), **options)
+
+
+def test_optimizer_options_at_their_limits():
+    g = MetricTensor.euclidean(6)
+    warm = [np.eye(6)[:, [0, 2, 4]]]  # the calibrated plane e1 ^ e3 ^ e5
+    res = comass(SLAG, g, restarts=0, warm_starts=warm)
+    assert res.restarts_used == 1 and abs(res.value - 1.0) <= 1e-12
+    still = _optimize(SLAG, g, max_iters=0, seed=1)
+    assert still.iterations == 0 and still.restarts_used == 32
+    with pytest.raises(ValueError, match="linearly dependent"):
+        comass(SLAG, g, restarts=0, warm_starts=[np.zeros((6, 3))])
+    # the exact path checks the options too, though it does not use them
+    kahler = AlternatingForm(4, 2, {(1, 2): 1.0, (3, 4): 1.0})
+    with pytest.raises(ValueError, match="max_iters"):
+        comass(kahler, MetricTensor.euclidean(4), max_iters=-1)
+
+
 def test_bruteforce_lower_bound_and_convergence():
     rng = np.random.default_rng(13)
     phi = _random_two_form(rng, 4)
