@@ -38,7 +38,6 @@ def _manifest(args, out_dir: str, exit_code: int, wall_s: float):
             "tol": args.tol,
             "grid": args.grid,
             "control": args.control,
-            "normalization": args.normalization,
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
             "exit_code": exit_code,
             "wall_s": wall_s,
@@ -141,12 +140,8 @@ def cmd_vanishing_table(spec, args, out_dir, base_dir):
         # theta comes from the public vanishing_angle, the entry point
         # perfbench/tracer.py records; only a lane without a hit is
         # descended again, to name how it ended
-        theta = lawlor.vanishing_angle(
-            control, alpha, k, normalization=args.normalization
-        )
-        end = "hit" if theta is not None else lawlor._angle(
-            control, alpha, k, normalization=args.normalization
-        )[1]
+        theta = lawlor.vanishing_angle(control, alpha, k)
+        end = "hit" if theta is not None else lawlor._angle(control, alpha, k)[1]
         rows.append((k, alpha, control, theta, theta is not None, end))
     ser.write_csv(
         os.path.join(out_dir, "vanishing_table.csv"),
@@ -165,9 +160,7 @@ def cmd_certify_cone(spec, args, out_dir, base_dir):
     model = products.curvature_model(link)
     radius = products.normal_radius(link)
     data = products.as_link_data(link, curvature=model, radius=radius)
-    verdict = lawlor.check_area_minimizing(
-        data, args.control, normalization=args.normalization
-    )
+    verdict = lawlor.check_area_minimizing(data, args.control)
     ser.write_json(
         os.path.join(out_dir, "report.json"),
         {
@@ -220,10 +213,7 @@ def cmd_obstruct(spec, args, out_dir, base_dir):
 def cmd_replicate(spec, args, out_dir, base_dir):
     base = ser.factor_from_dict(spec["base"], base_dir)
     result = products.replication_search(
-        base,
-        ser.whole_number(spec["n_max"], "n_max"),
-        args.control,
-        normalization=args.normalization,
+        base, ser.whole_number(spec["n_max"], "n_max"), args.control
     )
     rows = [
         (n, v.status, v.theta_used, v.R_half, v.passes)
@@ -304,9 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--control", choices=["F", "c", "custom"], default="custom")
     parser.add_argument("--tol", type=float, default=1e-6)
     parser.add_argument("--grid", type=int, default=11)
-    parser.add_argument(
-        "--normalization", choices=["k-plus-1", "k"], default="k-plus-1"
-    )
     return parser
 
 

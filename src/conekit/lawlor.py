@@ -11,11 +11,12 @@ The polar angle where the fastest admissible descent reaches zero is the
 vanishing angle; the criterion fires when it is at most half the normal
 radius of the link.
 
-Two printed forms of the descent ODE circulate, differing in whether the
-slope terms are divided by k or k+1.  Both are implemented behind the
-``normalization`` flag ("k-plus-1" for the k+1 variant obtained by solving the
-inequality's quadratic directly, "k" for the k variant); the k+1
-variant is the default.
+The slope divisor is K = k + 1, the dimension of the cone.  A quadratic
+departure h = 1 - a t^2 exists iff (K-2)^2 + 8 p2 >= 0, and with p2 =
+-alpha^2/2 that reads (k-1)^2 >= 4 alpha^2: for a hypersurface link with
+|A|^2 = alpha^2 this is Simons' stability inequality for the (k+1)-dimensional
+cone (Simons, Ann. of Math. 88, 1968).  The divisor K = k would give the
+threshold of a cone one dimension lower.
 
 Curvature inputs can be exact (p supplied) or conservative controls built
 from a bound alpha on the norm of the second fundamental form:
@@ -78,7 +79,6 @@ __all__ = [
     "check_area_minimizing",
 ]
 
-NORMALIZATIONS = ("k-plus-1", "k")
 DESCENT_ENDS = ("hit", "pinch", "no-departure", "t_cap")
 
 
@@ -121,15 +121,6 @@ _SERIES_TAIL = 1e-17
 T_SERIES_MAX = 0.2
 _TAYLOR_RTOL = 1e-13
 _START_HALVINGS = 40
-
-
-def _factor(k: int, normalization: str) -> float:
-    """Slope divisor in the calibration inequality / descent ODE."""
-    if normalization == "k-plus-1":
-        return float(k + 1)
-    if normalization == "k":
-        return float(k)
-    raise ValueError(f"unknown normalization {normalization!r}")
 
 
 @dataclass(frozen=True)
@@ -255,16 +246,14 @@ def c_control(alpha: float, t):
     return float(out) if out.ndim == 0 else out
 
 
-def slope_interval(
-    t: float, y: float, model: CurvatureModel, normalization: str = "k-plus-1"
-) -> tuple[float, float]:
+def slope_interval(t: float, y: float, model: CurvatureModel) -> tuple[float, float]:
     """Admissible slopes h'(t) at height y under the calibration inequality.
 
     Substituting u = h'/K into the inequality gives the quadratic
     (1+t^2) u^2 - 2 t y u + y^2 - p^2 <= 0, so the admissible slopes form
     the closed interval K (t y -+ sqrt((1+t^2) p^2 - y^2)) / (1+t^2).
     """
-    K = _factor(model.k, normalization)
+    K = model.k + 1.0
     p = model.p_fn(t)
     band = np.sqrt(t * t + 1.0) * p
     if not 0.0 < y <= band + 1e-14:
@@ -276,15 +265,14 @@ def slope_interval(
     return float(lo), float(hi)
 
 
-def second_order_coeffs(
-    k: int, p2: float, normalization: str = "k-plus-1"
-) -> tuple[float, float]:
+def second_order_coeffs(k: int, p2: float) -> tuple[float, float]:
     """Quadratic departure coefficients for h = 1 - a t^2 near t = 0.
 
-    Substituting the series into the descent equality with slope divisor K
-    yields a = (K/4) ((K-2) +- sqrt((K-2)^2 + 8 p2)); returns (a_min, a_max).
+    Substituting the series into the descent equality with slope divisor
+    K = k + 1 yields a = (K/4) ((K-2) +- sqrt((K-2)^2 + 8 p2)); returns
+    (a_min, a_max).
     """
-    K = _factor(k, normalization)
+    K = k + 1.0
     disc = (K - 2.0) ** 2 + 8.0 * p2
     if disc < 0.0:
         raise ValueError(
@@ -590,8 +578,8 @@ def _descend(rhs, t0: float, h0: float, t_end: float, atol: float, rtol: float) 
     return run
 
 
-def _fastest(model: CurvatureModel, normalization: str = "k-plus-1",
-             t_cap: float = 50.0, atol: float = 1e-10, rtol: float = 1e-10):
+def _fastest(model: CurvatureModel, t_cap: float = 50.0, atol: float = 1e-10,
+             rtol: float = 1e-10):
     """The fastest descent from h(0) = 1: (series, run, end, t_end), or None
     without a real quadratic departure or with one that does not descend.
 
@@ -601,13 +589,13 @@ def _fastest(model: CurvatureModel, normalization: str = "k-plus-1",
     p_fn at the start, and a t_cap not past the start, raise ValueError.
     """
     try:
-        _, a_max = second_order_coeffs(model.k, model.p2, normalization)
+        _, a_max = second_order_coeffs(model.k, model.p2)
     except ValueError:
         return None
     if a_max <= 0.0:
         # non-descending branch (k = 1 with p2 = 0)
         return None
-    K = _factor(model.k, normalization)
+    K = model.k + 1.0
     series = descent_series(model.taylor, K, a_max)
     rhs = _descent_rhs(K, model.p_fn)
     t0, h0 = _series_start(series, rhs)
@@ -622,7 +610,6 @@ def _fastest(model: CurvatureModel, normalization: str = "k-plus-1",
 def integrate_fastest(
     model: CurvatureModel,
     *,
-    normalization: str = "k-plus-1",
     t_cap: float = 50.0,
     atol: float = 1e-10,
     rtol: float = 1e-10,
@@ -645,7 +632,7 @@ def integrate_fastest(
     and theta.  ``t_start`` and ``series_order`` record the start.  A solver
     failure raises RuntimeError.
     """
-    fastest = _fastest(model, normalization, t_cap, atol, rtol)
+    fastest = _fastest(model, t_cap, atol, rtol)
     if fastest is None:
         t = np.linspace(0.0, t_cap, grid_points)
         return Profile(t, np.ones_like(t), None, None, "no-departure")
@@ -664,14 +651,12 @@ def integrate_fastest(
                    t0, len(series) - 1)
 
 
-def verify_profile(
-    profile: Profile, model: CurvatureModel, normalization: str = "k-plus-1"
-) -> dict:
+def verify_profile(profile: Profile, model: CurvatureModel) -> dict:
     """Pointwise calibration-inequality audit of a sampled profile.
 
-    Evaluates (h - t h'/K)^2 + (h'/K)^2 - p(t)^2 with central finite
-    differences at interior grid points, for both slope divisors; ok iff
-    the requested normalization's worst margin is at most 1e-6.
+    Evaluates (h - t h'/K)^2 + (h'/K)^2 - p(t)^2, K = k + 1, with central
+    finite differences at interior grid points; ok iff its worst margin is
+    at most 1e-6.
     """
     t = profile.t_samples
     h = profile.h_values
@@ -679,13 +664,10 @@ def verify_profile(
         raise ValueError("profile grid too coarse to audit")
     dh = np.gradient(h, t, edge_order=2)
     p2vals = np.asarray([model.p_fn(x) for x in t], dtype=float) ** 2
-    margins = {}
-    for name in NORMALIZATIONS:
-        K = _factor(model.k, name)
-        res = (h - t * dh / K) ** 2 + (dh / K) ** 2 - p2vals
-        margins[name] = float(np.max(res[1:-1]))
-    worst = margins[normalization]
-    return {"ok": worst <= 1e-6, "worst_margin": worst, "margins": margins}
+    K = model.k + 1.0
+    res = (h - t * dh / K) ** 2 + (dh / K) ** 2 - p2vals
+    worst = float(np.max(res[1:-1]))
+    return {"ok": worst <= 1e-6, "worst_margin": worst}
 
 
 def _f_taylor(alpha: float, k: int) -> tuple:
@@ -741,13 +723,12 @@ def _control_model(control: str, alpha: float, k: int, p_fn=None, taylor=None):
     raise ValueError(f"unknown control {control!r}")
 
 
-def _angle(control: str, alpha: float, k: int, p_fn=None, taylor=None, *,
-           normalization: str = "k-plus-1"):
+def _angle(control: str, alpha: float, k: int, p_fn=None, taylor=None):
     """(theta, end, (t_start, series_order)) of the fastest descent under
     the chosen curvature input: the vanishing angle (None without a hit),
     how it ended (one of DESCENT_ENDS), and where the ODE took over from
     which series order ((None, None) without a descent)."""
-    fastest = _fastest(_control_model(control, alpha, k, p_fn, taylor), normalization)
+    fastest = _fastest(_control_model(control, alpha, k, p_fn, taylor))
     if fastest is None:
         return None, "no-departure", (None, None)
     series, run, end, t_end = fastest
@@ -755,13 +736,7 @@ def _angle(control: str, alpha: float, k: int, p_fn=None, taylor=None, *,
 
 
 def vanishing_angle(
-    control: str,
-    alpha: float,
-    k: int,
-    p_fn=None,
-    taylor=None,
-    *,
-    normalization: str = "k-plus-1",
+    control: str, alpha: float, k: int, p_fn=None, taylor=None
 ) -> Optional[float]:
     """Polar angle arctan(t0) where the fastest descent hits zero under the
     chosen curvature input; None when no descent or no hit exists.
@@ -770,7 +745,7 @@ def vanishing_angle(
     and tolerances, but samples no profile.  F and c carry their own Taylor
     data; a custom p needs its Taylor data ``taylor`` as well.
     """
-    return _angle(control, alpha, k, p_fn, taylor, normalization=normalization)[0]
+    return _angle(control, alpha, k, p_fn, taylor)[0]
 
 
 def build_smooth_profile(
@@ -779,7 +754,6 @@ def build_smooth_profile(
     delta: float,
     theta2_gap: float,
     *,
-    normalization: str = "k-plus-1",
     grid_points: int = 4001,
 ) -> Profile:
     """Three-piece admissible profile: quadratic cap, descent, tangential landing.
@@ -791,12 +765,12 @@ def build_smooth_profile(
     quadratic cap is checked against the calibration inequality; a delta
     too large for it is rejected.
     """
-    a_min, a_max = second_order_coeffs(model.k, model.p2, normalization)
+    a_min, a_max = second_order_coeffs(model.k, model.p2)
     if not a_min < a < a_max:
         raise ValueError(f"a={a} outside the open interval ({a_min}, {a_max})")
     if delta <= 0.0 or theta2_gap <= 0.0:
         raise ValueError("delta and theta2_gap must be positive")
-    K = _factor(model.k, normalization)
+    K = model.k + 1.0
     t1 = np.tan(delta)
 
     # quadratic cap must satisfy the inequality strictly on (0, tan delta]
@@ -862,12 +836,7 @@ def build_smooth_profile(
                    len(run.ts) - 1, run.rhs_calls)
 
 
-def check_area_minimizing(
-    link: LinkData,
-    control: str = "F",
-    *,
-    normalization: str = "k-plus-1",
-) -> CriterionVerdict:
+def check_area_minimizing(link: LinkData, control: str = "F") -> CriterionVerdict:
     """Compare the vanishing angle with half the link's normal radius.
 
     A pass certifies the cone as area-minimizing; a fail is only ever
@@ -876,14 +845,8 @@ def check_area_minimizing(
     """
     if link.normal_radius is None or not np.isfinite(link.normal_radius):
         raise ValueError("link is missing a normal radius")
-    theta, end, origin = _angle(
-        control,
-        link.alpha,
-        link.k,
-        p_fn=link.p_fn,
-        taylor=link.taylor,
-        normalization=normalization,
-    )
+    theta, end, origin = _angle(control, link.alpha, link.k, p_fn=link.p_fn,
+                                taylor=link.taylor)
     R_half = 0.5 * link.normal_radius
     if theta is None:
         return CriterionVerdict(None, control, R_half, False, None, "inconclusive", end,

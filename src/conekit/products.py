@@ -320,13 +320,7 @@ def replication_counts(n_max: int) -> range:
     return range(2, n_max + 1)
 
 
-def replication_search(
-    base: SphereFactor,
-    n_max: int,
-    control: str = "F",
-    *,
-    normalization: str = "k-plus-1",
-) -> dict:
+def replication_search(base: SphereFactor, n_max: int, control: str = "F") -> dict:
     """Smallest number of copies of the base link whose product cone the
     criterion certifies, scanning n = 2 .. n_max.  The curvature data of
     each product is exact, so no samples are drawn."""
@@ -334,7 +328,7 @@ def replication_search(
     n_pass = None
     for n in replication_counts(n_max):
         data = as_link_data(minimal_product([base] * n))
-        verdict = check_area_minimizing(data, control, normalization=normalization)
+        verdict = check_area_minimizing(data, control)
         verdicts.append((n, verdict))
         if verdict.passes and n_pass is None:
             n_pass = n

@@ -9,6 +9,7 @@ tables; volatile metadata such as timestamps lives in a separate manifest.
 import csv
 import json
 import os
+import sys
 import tempfile
 
 import numpy as np
@@ -98,11 +99,24 @@ def form_to_dict(phi: AlternatingForm) -> dict:
 
 
 def form_from_dict(data: dict) -> AlternatingForm:
-    coeffs = {
-        tuple(int(s) for s in key.split(",")): float(val)
-        for key, val in data["coefficients"].items()
-    }
-    return AlternatingForm(int(data["n"]), int(data["m"]), coeffs)
+    """Form from {"n", "m", "coefficients": {"i,j,...": c}}; a field of the
+    wrong type or a non-finite coefficient raises ValueError naming it."""
+    n, m = whole_number(data["n"], "n"), whole_number(data["m"], "m")
+    coefficients = data["coefficients"]
+    if not isinstance(coefficients, dict):
+        raise ValueError(
+            f"spec field 'coefficients' must be a JSON object, got {coefficients!r}"
+        )
+    coeffs = {}
+    for key, val in coefficients.items():
+        try:
+            index = tuple(int(s) for s in key.split(","))
+        except ValueError:
+            raise ValueError(
+                f"spec field 'coefficients' key {key!r} is not comma-separated indices"
+            ) from None
+        coeffs[index] = real_number(val, f"coefficients[{key}]")
+    return AlternatingForm(n, m, coeffs)
 
 
 def metric_to_dict(g: MetricTensor) -> dict:
@@ -110,7 +124,18 @@ def metric_to_dict(g: MetricTensor) -> dict:
 
 
 def metric_from_dict(data: dict) -> MetricTensor:
-    return MetricTensor(np.asarray(data["matrix"], dtype=float))
+    """Metric from {"matrix": rows, "n": optional size}; an entry that is not
+    a finite number, or an "n" that disagrees with the matrix, raises
+    ValueError naming the field."""
+    rows = data["matrix"]
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise ValueError(f"spec field 'matrix' must be a JSON array of arrays, got {rows!r}")
+    g = MetricTensor([[real_number(x, "matrix") for x in row] for row in rows])
+    if "n" in data and whole_number(data["n"], "n") != g.n:
+        raise ValueError(
+            f"spec field 'n' is {data['n']!r} but the metric matrix is {g.n} x {g.n}"
+        )
+    return g
 
 
 def whole_number(value, field: str) -> int:
@@ -125,11 +150,14 @@ def whole_number(value, field: str) -> int:
 
 
 def real_number(value, field: str) -> float:
-    """A spec field as a float: a JSON number.  Booleans and strings raise
+    """A spec field as a float: a finite JSON number.  Booleans, strings, the
+    NaN and Infinity literals and integers beyond the float range raise
     ValueError rather than being converted."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"spec field {field!r} must be a number, got {value!r}")
-    return float(value)
+    if isinstance(value, (int, float)) and not isinstance(value, bool) and (
+        abs(value) <= sys.float_info.max
+    ):
+        return float(value)
+    raise ValueError(f"spec field {field!r} must be a finite number, got {value!r}")
 
 
 def factor_from_dict(data: dict, base_dir: str = ".") -> SphereFactor:

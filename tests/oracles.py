@@ -82,19 +82,19 @@ def descend_solve_ivp(rhs, t0, h0, t_end, atol, rtol):
     return SolveIvpDescent(sol, None)
 
 
-def order2_start_angle(model, normalization="k-plus-1", atol=1e-10, rtol=1e-10):
+def order2_start_angle(model, atol=1e-10, rtol=1e-10):
     """(theta, end) of the fastest descent started as conekit started it
     before the series start: h = 1 - a_max t^2 at t = 1e-3, an early leg to
     t = 0.2 at 1e-3 times the tolerances (rtol at least 3e-14), then the
     main leg to t = 50.  theta is None without a hit; end is one of
     lawlor.DESCENT_ENDS."""
     try:
-        _, a_max = lawlor.second_order_coeffs(model.k, model.p2, normalization)
+        _, a_max = lawlor.second_order_coeffs(model.k, model.p2)
     except ValueError:
         return None, "no-departure"
     if a_max <= 0.0:
         return None, "no-departure"
-    rhs = lawlor._descent_rhs(lawlor._factor(model.k, normalization), model.p_fn)
+    rhs = lawlor._descent_rhs(model.k + 1.0, model.p_fn)
     run = lawlor._descend(rhs, 1e-3, 1.0 - a_max * 1e-6, 0.2, 1e-3 * atol,
                           max(1e-3 * rtol, 3e-14))
     if run.end is None:
@@ -115,14 +115,13 @@ def control_taylor(control, alpha, k, order):
     return [1.0, 0.0, -0.5 * alpha * alpha, *poly[3:order + 1]]
 
 
-def series_reference_angle(model, taylor, normalization="k-plus-1", order=40,
-                           rtol=3e-14):
+def series_reference_angle(model, taylor, order=40, rtol=3e-14):
     """Tight reference vanishing angle: the fastest descent from its
     order-``order`` series (taylor holds p's coefficients that far), taken
     over where the last two terms fall to 1e-17 (at most t = 0.2), and one
     leg at atol 1e-16 and the given rtol."""
-    _, a_max = lawlor.second_order_coeffs(model.k, model.p2, normalization)
-    K = lawlor._factor(model.k, normalization)
+    _, a_max = lawlor.second_order_coeffs(model.k, model.p2)
+    K = model.k + 1.0
     c = lawlor.descent_series(taylor, K, a_max, order)
     tail = max(abs(c[-2]), abs(c[-1]))
     t0 = min(0.2, (1e-17 / tail) ** (1.0 / (order - 1))) if tail else 0.2

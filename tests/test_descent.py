@@ -28,8 +28,7 @@ from oracles import (
     series_reference_angle,
 )
 
-NORMALIZATIONS = ("k-plus-1", "k")
-KS = (1, 2, 3, 4, 5, 6, 8, 10, 12, 16, 20, 25, 30)
+KS = range(1, 31)
 
 
 # the certify products of the benchmark's job pools, with S3 x S3 and S1 x S1
@@ -52,18 +51,15 @@ def _product_model(dims):
 
 
 def _cases():
-    """(control, alpha, k, p_fn, taylor, normalization): the F and c
-    controls on k = 1..30 at alpha in {0, 1/2, 1, sqrt k}, and custom p from
-    the exact S3 x S3 curvature model and (1 - t^2)^6 with their Taylor
-    data, each under both slope divisors."""
-    cases = [(control, alpha, k, None, None, nz)
+    """(control, alpha, k, p_fn, taylor): the F and c controls on k =
+    1..30 at alpha in {0, 1/2, 1, sqrt k}, and custom p from the exact
+    S3 x S3 curvature model and (1 - t^2)^6 with their Taylor data."""
+    cases = [(control, alpha, k, None, None)
              for k in KS for alpha in (0.0, 0.5, 1.0, math.sqrt(k))
-             for control in ("F", "c") for nz in NORMALIZATIONS]
+             for control in ("F", "c")]
     s3xs3 = _product_model((3, 3))
-    for nz in NORMALIZATIONS:
-        cases.append(("custom", s3xs3.alpha, 6, s3xs3.p_fn, s3xs3.taylor, nz))
-        cases.append(("custom", math.sqrt(12), 12, lambda t: (1.0 - t * t) ** 6, SIXTH_POWER,
-                      nz))
+    cases.append(("custom", s3xs3.alpha, 6, s3xs3.p_fn, s3xs3.taylor))
+    cases.append(("custom", math.sqrt(12), 12, lambda t: (1.0 - t * t) ** 6, SIXTH_POWER))
     return cases
 
 
@@ -77,17 +73,15 @@ def test_theta_matches_solve_ivp_oracle(monkeypatch):
     cases = _cases()
     assert len(cases) >= 200
     ends = set()
-    for control, alpha, k, p_fn, taylor, nz in cases:
-        args = (control, alpha, k, p_fn, taylor)
-        theta, end, _ = lawlor._angle(*args, normalization=nz)
-        theta_ref, end_ref, _ = _with_oracle(monkeypatch, lawlor._angle, *args,
-                                             normalization=nz)
-        assert vanishing_angle(*args, normalization=nz) == theta
-        assert end == end_ref, (args, nz)
+    for args in cases:
+        theta, end, _ = lawlor._angle(*args)
+        theta_ref, end_ref, _ = _with_oracle(monkeypatch, lawlor._angle, *args)
+        assert vanishing_angle(*args) == theta
+        assert end == end_ref, args
         assert (theta is None) == (theta_ref is None) == (end != "hit")
         if theta is not None:
             # from the series start the two integrators agree to rounding
-            assert abs(theta - theta_ref) <= 1e-12, (args, nz)
+            assert abs(theta - theta_ref) <= 1e-12, args
         ends.add(end)
     assert ends == {"hit", "pinch", "no-departure"}
 
@@ -227,19 +221,19 @@ def test_rtol_floor_matches_solve_ivp(monkeypatch):
 
 
 def _series_lanes():
-    """(model, p's coefficients to order 40, normalization) for every lane
-    of ``_cases`` and every benchmark product that descends."""
+    """(model, p's coefficients to order 40) for every lane of ``_cases``
+    and every benchmark product that descends."""
     lanes = []
-    for control, alpha, k, p_fn, taylor, nz in _cases():
+    for control, alpha, k, p_fn, taylor in _cases():
         if control == "custom":
             model = CurvatureModel(k, alpha, p_fn, taylor)
         else:
             model = lawlor._control_model(control, alpha, k)
             taylor = control_taylor(control, alpha, k, 40)
-        lanes.append((model, taylor, nz))
+        lanes.append((model, taylor))
     for dims in BENCHMARK_PRODUCTS + SINGLE_FACTORS:
         model = _product_model(dims)
-        lanes += [(model, model.taylor, nz) for nz in NORMALIZATIONS]
+        lanes.append((model, model.taylor))
     return lanes
 
 
@@ -249,10 +243,10 @@ def test_series_start_removes_low_bias():
     # the series start is never below it and sits on a tight reference;
     # both starts end the same way on every lane
     hits = 0
-    for model, taylor, nz in _series_lanes():
-        lane = (model.k, model.alpha, nz)
-        fastest = lawlor._fastest(model, nz)
-        low, low_end = order2_start_angle(model, nz)
+    for model, taylor in _series_lanes():
+        lane = (model.k, model.alpha)
+        fastest = lawlor._fastest(model)
+        low, low_end = order2_start_angle(model)
         assert (fastest[2] if fastest else "no-departure") == low_end, lane
         if low_end != "hit":
             continue
@@ -262,7 +256,7 @@ def test_series_start_removes_low_bias():
         assert len(series) - 1 == lawlor.SERIES_ORDER and 0.02 < run.ts[0] <= 0.2
         assert run.ts[0] < t_end, lane
         assert theta >= low, lane
-        ref = series_reference_angle(model, taylor, nz)
+        ref = series_reference_angle(model, taylor)
         assert abs(theta - ref) <= 1e-11, (*lane, theta - ref)
     assert hits >= 150
 

@@ -1,10 +1,12 @@
 """Tests for the descent-profile criterion: controls, ODE, surgery, verdicts."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from conekit import lawlor
 from conekit.lawlor import (
     CurvatureModel,
     LinkData,
@@ -20,6 +22,7 @@ from conekit.lawlor import (
     vanishing_angle,
     verify_profile,
 )
+from conekit.products import SphereFactor, as_link_data, curvature_model, minimal_product
 
 SIMONS_TAYLOR = (1.0, 0.0, -3.0, 0.0, 3.0, 0.0, -1.0)  # (1 - t^2)^3
 FLAT_TAYLOR = (1.0, 0.0, 0.0)
@@ -69,19 +72,18 @@ def test_slope_interval_double_root_at_origin():
 
 
 def test_slope_interval_endpoints_satisfy_equality():
-    model = _simons_model()
-    for normalization, K in (("k-plus-1", 7.0), ("k", 6.0)):
-        t, y = 0.2, 0.8
-        lo, hi = slope_interval(t, y, model, normalization)
-        assert lo <= hi
-        p2 = model.p_fn(t) ** 2
-        for d in (lo, hi):
-            res = (y - t * d / K) ** 2 + (d / K) ** 2 - p2
-            assert abs(res) < 1e-10
-        # interior slopes are strictly admissible
-        mid = 0.5 * (lo + hi)
-        res = (y - t * mid / K) ** 2 + (mid / K) ** 2 - p2
-        assert res < 0.0
+    model, K = _simons_model(), 7.0
+    t, y = 0.2, 0.8
+    lo, hi = slope_interval(t, y, model)
+    assert lo <= hi
+    p2 = model.p_fn(t) ** 2
+    for d in (lo, hi):
+        res = (y - t * d / K) ** 2 + (d / K) ** 2 - p2
+        assert abs(res) < 1e-10
+    # interior slopes are strictly admissible
+    mid = 0.5 * (lo + hi)
+    res = (y - t * mid / K) ** 2 + (mid / K) ** 2 - p2
+    assert res < 0.0
 
 
 def test_slope_interval_rejects_inadmissible_height():
@@ -93,35 +95,59 @@ def test_slope_interval_rejects_inadmissible_height():
         slope_interval(0.2, 0.0, model)
 
 
+def _departs(k, p2):
+    try:
+        second_order_coeffs(k, p2)
+    except ValueError:
+        return False
+    return True
+
+
 def test_second_order_coeffs_values():
-    # flat case: roots 0 and K(K-2)/2
-    a_min, a_max = second_order_coeffs(6, 0.0, "k")
-    assert (a_min, a_max) == (0.0, 12.0)
-    a_min, a_max = second_order_coeffs(6, 0.0, "k-plus-1")
+    # flat case: roots 0 and K(K-2)/2 with K = k + 1
+    a_min, a_max = second_order_coeffs(6, 0.0)
     assert (a_min, a_max) == (0.0, 17.5)
     # double root at discriminant zero
-    k = 6
-    for normalization, K in (("k-plus-1", 7.0), ("k", 6.0)):
-        p2 = -((K - 2.0) ** 2) / 8.0
-        a_min, a_max = second_order_coeffs(k, p2, normalization)
-        assert abs(a_min - a_max) < 1e-12
-        assert abs(a_min - K * (K - 2.0) / 4.0) < 1e-12
+    k, K = 6, 7.0
+    p2 = -((K - 2.0) ** 2) / 8.0
+    a_min, a_max = second_order_coeffs(k, p2)
+    assert abs(a_min - a_max) < 1e-12
+    assert abs(a_min - K * (K - 2.0) / 4.0) < 1e-12
     with pytest.raises(ValueError, match="discriminant"):
         second_order_coeffs(2, -1.0)
+    # a quadratic departure exists iff (k - 1)^2 + 8 p2 >= 0, which for
+    # p2 = -alpha^2/2 is Simons' (k - 1)^2 >= 4 alpha^2; alpha = (k - 1)/2
+    # sits exactly on the boundary
+    for k in range(1, 31):
+        for alpha in (0.0, 0.5, 1.0, 2.0, 0.5 * (k - 1), 0.5 * k, math.sqrt(k)):
+            for control in ("F", "c"):
+                p2 = lawlor._control_model(control, alpha, k).p2
+                assert p2 == -0.5 * alpha * alpha
+                assert _departs(k, p2) == ((k - 1) ** 2 + 8.0 * p2 >= 0.0), (control, k, alpha)
+    # round products have alpha^2 = k, so they depart iff k^2 - 6k + 1 >= 0,
+    # that is k >= 6
+    for n in (2, 3):
+        for dims in itertools.combinations_with_replacement(range(1, 6), n):
+            model = curvature_model(minimal_product([SphereFactor.round(d) for d in dims]))
+            assert model.p2 == -0.5 * model.k
+            assert _departs(model.k, model.p2) == (model.k >= 6), dims
+    # the single divisor still certifies the cone over S3 x S3
+    s3xs3 = as_link_data(minimal_product([SphereFactor.round(3)] * 2))
+    assert check_area_minimizing(s3xs3, "custom").status == "passes"
 
 
 def test_second_order_coeffs_satisfy_departure_equation():
     # plugging h = 1 - a t^2 into the descent equality must close at order t
-    for normalization, K in (("k-plus-1", 7.0), ("k", 6.0)):
-        for p2 in (-0.5, -1.5, -3.0):
-            if (K - 2.0) ** 2 + 8.0 * p2 < 0.0:
-                with pytest.raises(ValueError, match="discriminant"):
-                    second_order_coeffs(6, p2, normalization)
-                continue
-            for a in second_order_coeffs(6, p2, normalization):
-                lhs = -2.0 * a
-                rhs = K * (1.0 - math.sqrt(1.0 + 2.0 * p2 + 2.0 * a))
-                assert abs(lhs - rhs) < 1e-9
+    K = 7.0
+    for p2 in (-0.5, -1.5, -3.0, -3.5):
+        if (K - 2.0) ** 2 + 8.0 * p2 < 0.0:
+            with pytest.raises(ValueError, match="discriminant"):
+                second_order_coeffs(6, p2)
+            continue
+        for a in second_order_coeffs(6, p2):
+            lhs = -2.0 * a
+            rhs = K * (1.0 - math.sqrt(1.0 + 2.0 * p2 + 2.0 * a))
+            assert abs(lhs - rhs) < 1e-9
 
 
 def _rk4_theta(model, K, a_max, t_boot=0.05, dt=2e-5, t_cap=2.0):
@@ -206,7 +232,7 @@ def test_verify_profile_cases():
     fastest = integrate_fastest(model)
     out = verify_profile(fastest, model)
     assert out["ok"] and out["worst_margin"] <= 1e-8
-    assert set(out["margins"]) == {"k-plus-1", "k"}
+    assert set(out) == {"ok", "worst_margin"}
 
     flat_model = CurvatureModel(4, 0.0, lambda t: 1.0, FLAT_TAYLOR)
     ts = np.linspace(0.0, 0.5, 200)

@@ -80,8 +80,7 @@ def test_tableau_equals_scipy_entry_for_entry():
 
 def _event_brackets():
     """(g, a, b, kind) of every event root the descents of the round-product
-    grid locate: products of 2-4 round spheres of dimension 1..7, both
-    normalizations."""
+    grid locate: products of 2-4 round spheres of dimension 1..7."""
     brackets, port = [], lawlor._brentq
 
     def record(g, a, b):
@@ -96,9 +95,7 @@ def _event_brackets():
             for dims in itertools.combinations_with_replacement(range(1, 8), n):
                 model = curvature_model(minimal_product([SphereFactor.round(d)
                                                          for d in dims]))
-                for nz in lawlor.NORMALIZATIONS:
-                    lawlor._angle("custom", model.alpha, model.k, model.p_fn,
-                                  model.taylor, normalization=nz)
+                lawlor._angle("custom", model.alpha, model.k, model.p_fn, model.taylor)
     finally:
         mp.undo()
     return brackets

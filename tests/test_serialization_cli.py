@@ -166,9 +166,10 @@ def test_cli_manifest_written_on_precondition_failure(tmp_path):
         assert manifest["command"] == command
 
 
-@pytest.mark.parametrize("alpha", [float("nan"), float("inf")])
+@pytest.mark.parametrize("alpha", [float("nan"), float("inf"), pytest.param(10**400, id="huge")])
 def test_cli_vanishing_table_rejects_non_finite_alpha(tmp_path, alpha):
-    # json writes these as the NaN and Infinity literals, which it reads back
+    # json writes these as the NaN and Infinity literals, which it reads
+    # back, and an integer beyond the float range as its digits
     spec = _write_spec(tmp_path / "table.json",
                        {"ks": [4], "alphas": [alpha], "controls": ["F", "c"]})
     out = tmp_path / "out"
@@ -248,6 +249,42 @@ def test_cli_certify_cone_passes_for_equal_three_spheres(tmp_path):
     assert report["descent_end"] == "hit"
     assert abs(report["alpha"] - np.sqrt(6)) < 1e-6
     assert abs(report["normal_radius"] - np.pi / 4) < 1e-6
+    # the slope divisor is always k + 1: there is no option to choose it
+    assert "normalization" not in read_json(str(out / "manifest.json"))
+    with pytest.raises(SystemExit) as exc:
+        main(["certify-cone", "--spec", spec, "--out", str(out), "--normalization", "k"])
+    assert exc.value.code == 2
+
+
+def test_cli_comass_rejects_mistyped_form_and_metric(tmp_path, capsys):
+    form = {"n": 4, "m": 2, "coefficients": {"1,2": 1.0, "3,4": 1.0}}
+    metric = {"n": 4, "matrix": np.eye(4).tolist()}
+    infinite = np.diag([float("inf"), 1.0, 1.0, 1.0]).tolist()
+    cases = {
+        "n": ({**form, "n": 4.7}, metric),
+        "m": ({**form, "m": True}, metric),
+        "coefficients[1,2]": ({**form, "coefficients": {"1,2": "1.5"}}, metric),
+        "coefficients[3,4]": ({**form, "coefficients": {"1,2": 1.0, "3,4": float("nan")}},
+                              metric),
+        "coefficients": ({**form, "coefficients": [1.0, 1.0]}, metric),
+        "coefficients key": ({**form, "coefficients": {"1,x": 1.0}}, metric),
+        "coefficients huge": ({**form, "coefficients": {"1,2": 10**400}}, metric),
+        "matrix": (form, {"n": 4, "matrix": [[1.0, 0.0], [0.0, "2"]]}),
+        "metric n": (form, {**metric, "n": 9}),
+        "metric inf": (form, {"matrix": infinite}),
+    }
+    for name, (f, g) in cases.items():
+        spec = _write_spec(tmp_path / "spec.json", {"form": f, "metric": g})
+        out = tmp_path / name.replace(" ", "-")
+        assert main(["comass", "--spec", spec, "--out", str(out)]) == 2, name
+        field = {"metric n": "n", "metric inf": "matrix", "coefficients key": "coefficients",
+                 "coefficients huge": "coefficients[1,2]"}.get(name, name)
+        assert f"spec field {field!r}" in capsys.readouterr().err, name
+        assert read_json(str(out / "manifest.json"))["exit_code"] == 2
+    # a metric without "n" takes its size from the matrix
+    spec = _write_spec(tmp_path / "spec.json",
+                       {"form": form, "metric": {"matrix": metric["matrix"]}})
+    assert main(["comass", "--spec", spec, "--out", str(tmp_path / "ok")]) == 0
 
 
 def test_cli_certify_cone_inconclusive_for_two_circles(tmp_path):

@@ -25,7 +25,6 @@ from conekit.products import SphereFactor, curvature_model, minimal_product
 from oracles import control_taylor
 from test_descent import BENCHMARK_PRODUCTS
 
-NORMALIZATIONS = ("k-plus-1", "k")
 SIMONS_P = (1, 0, -3, 0, 3, 0, -1)  # (1 - t^2)^3
 
 
@@ -91,19 +90,18 @@ def test_simons_series_is_exact_through_order_30():
 
 def _descending_lanes():
     """(taylor, K, a_max) for the F and c controls on k <= 30, alpha in
-    {0, 1/4, 1/2, 1, 2, 5, sqrt k}, both slope divisors, wherever a real
+    {0, 1/8, 1/4, 1/2, 3/4, 1, 3/2, 2, 3, 5, sqrt k}, wherever a real
     descending departure exists."""
     for k in range(1, 31):
-        for alpha in (0.0, 0.25, 0.5, 1.0, 2.0, 5.0, math.sqrt(k)):
+        for alpha in (0.0, 0.125, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0, 5.0, math.sqrt(k)):
             for control in ("F", "c"):
                 model = lawlor._control_model(control, alpha, k)
-                for nz in NORMALIZATIONS:
-                    try:
-                        a_max = second_order_coeffs(k, model.p2, nz)[1]
-                    except ValueError:
-                        continue
-                    if a_max > 0.0:
-                        yield model.taylor, lawlor._factor(k, nz), a_max
+                try:
+                    a_max = second_order_coeffs(k, model.p2)[1]
+                except ValueError:
+                    continue
+                if a_max > 0.0:
+                    yield model.taylor, k + 1.0, a_max
 
 
 def test_pivot_bound_over_the_control_grid():

@@ -193,14 +193,12 @@ def test_single_term_gives_the_subset_sum_verdicts():
     lanes = 0
     for link in _round_products(2) + _round_products(3):
         model, radius = curvature_model(link), normal_radius(link).value
-        for nz in ("k-plus-1", "k"):
-            verdicts = [check_area_minimizing(LinkData(link.k, model.alpha, radius, p_fn,
-                                                       model.taylor), "custom",
-                                              normalization=nz)
-                        for p_fn in (model.p_fn, p_over_subset_sums(link))]
-            assert verdicts[0] == verdicts[1], ([f.dim for f in link.factors], nz)
-            lanes += 1
-    assert lanes == 224
+        verdicts = [check_area_minimizing(LinkData(link.k, model.alpha, radius, p_fn,
+                                                   model.taylor), "custom")
+                    for p_fn in (model.p_fn, p_over_subset_sums(link))]
+        assert verdicts[0] == verdicts[1], [f.dim for f in link.factors]
+        lanes += 1
+    assert lanes == 112
 
 
 @pytest.mark.parametrize("dims", PRODUCTS + [(3,), (1, 5), (2, 2, 2, 3)])

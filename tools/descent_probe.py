@@ -1,6 +1,6 @@
 """Cost and accuracy of the descent ODE's series start.
 
-For every lane (control, alpha, k, normalization) it runs the fastest
+For every lane (control, alpha, k) it runs the fastest
 descent twice: from the order-30 series start, as the library does, and
 from the order-2 start h = 1 - a_max t^2 at t = 1e-3 that the series start
 replaced.  Each descent is one DOP853 run at the default tolerances.  It prints accepted
@@ -9,8 +9,8 @@ vanishing angle lies from a tight reference (an order-40 series start
 integrated at rtol 3e-14, ``tests/oracles.py``).
 
 Lane sets:
-  grid       the 208 F/c lanes of tests/test_descent.py (k <= 30, alpha in
-             {0, 1/2, 1, sqrt k}, both slope divisors)
+  grid       the 240 F/c lanes of tests/test_descent.py (k = 1..30, alpha
+             in {0, 1/2, 1, sqrt k})
   replicate  the descents of the perfbench replicate job lists for --seeds:
              the F-control replication searches (n copies of S^1 or S^2,
              alpha = sqrt k) and the vanishing-table lanes
@@ -33,13 +33,13 @@ from conekit import lawlor  # noqa: E402
 from oracles import control_taylor, series_reference_angle  # noqa: E402
 from perfbench import jobs  # noqa: E402
 
-KS = (1, 2, 3, 4, 5, 6, 8, 10, 12, 16, 20, 25, 30)
+KS = range(1, 31)
 
 
 def grid_lanes():
-    return [(control, alpha, k, nz) for k in KS
+    return [(control, alpha, k) for k in KS
             for alpha in (0.0, 0.5, 1.0, math.sqrt(k))
-            for control in ("F", "c") for nz in ("k-plus-1", "k")]
+            for control in ("F", "c")]
 
 
 def replicate_lanes(seeds):
@@ -49,19 +49,19 @@ def replicate_lanes(seeds):
             spec = job["spec"]
             if job["command"] == "replicate":
                 dim = spec["base"]["dim"]
-                lanes |= {("F", math.sqrt(n * dim), n * dim, "k-plus-1")
+                lanes |= {("F", math.sqrt(n * dim), n * dim)
                           for n in range(2, spec["n_max"] + 1)}
             else:
-                lanes |= {(c, a, k, "k-plus-1") for k in spec["ks"]
+                lanes |= {(c, a, k) for k in spec["ks"]
                           for a in spec["alphas"] for c in spec["controls"]}
     return sorted(lanes)
 
 
-def order2_run(model, nz):
+def order2_run(model):
     """One DOP853 run at the default tolerances from the order-2 start
     h = 1 - a_max t^2 at t = 1e-3 toward t = 50."""
-    a_max = lawlor.second_order_coeffs(model.k, model.p2, nz)[1]
-    rhs = lawlor._descent_rhs(lawlor._factor(model.k, nz), model.p_fn)
+    a_max = lawlor.second_order_coeffs(model.k, model.p2)[1]
+    rhs = lawlor._descent_rhs(model.k + 1.0, model.p_fn)
     return lawlor._descend(rhs, 1e-3, 1.0 - a_max * 1e-6, 50.0, 1e-10, 1e-10)
 
 
@@ -70,14 +70,14 @@ def probe(lanes):
     the lanes with a hit."""
     totals = {"series": [0, 0, 0.0], "order-2": [0, 0, 0.0]}
     bias, hits, t_starts = [], 0, []
-    for control, alpha, k, nz in lanes:
+    for control, alpha, k in lanes:
         model = lawlor._control_model(control, alpha, k)
-        fastest = lawlor._fastest(model, nz)
+        fastest = lawlor._fastest(model)
         if fastest is None:
             continue
         _, series_run, end, t_end = fastest
         t_starts.append(series_run.ts[0])
-        run = order2_run(model, nz)
+        run = order2_run(model)
         thetas = {"series": math.atan(t_end) if end == "hit" else None,
                   "order-2": math.atan(run.end[1]) if run.end and run.end[0] == "hit" else None}
         for name, r in (("series", series_run), ("order-2", run)):
@@ -86,7 +86,7 @@ def probe(lanes):
         if thetas["series"] is None:
             continue
         hits += 1
-        ref = series_reference_angle(model, control_taylor(control, alpha, k, 40), nz)
+        ref = series_reference_angle(model, control_taylor(control, alpha, k, 40))
         for name, theta in thetas.items():
             totals[name][2] = max(totals[name][2], abs(theta - ref))
         bias.append(thetas["series"] - thetas["order-2"])
