@@ -13,6 +13,7 @@ operations; no numbers are produced here.
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 import time
@@ -47,22 +48,21 @@ def _manifest(args, out_dir: str, exit_code: int, wall_s: float):
     )
 
 
-def _build_product(spec: dict, base_dir: str, seed: int):
+def _build_product(spec: dict, base_dir: str):
+    """The product of the spec's factors.  A ``samples`` key, in the spec
+    or in a ``product_hypersurface`` entry, is accepted and ignored: no
+    product is sampled."""
     factors = []
     for entry in _array(spec, "factors"):
         if isinstance(entry, dict) and entry.get("type") == "product_hypersurface":
             inner = products.minimal_product(
                 [products.SphereFactor.round(ser.whole_number(d, "dims"))
-                 for d in _array(entry, "dims")],
-                samples=ser.whole_number(entry.get("samples", 200), "samples"),
-                seed=seed,
+                 for d in _array(entry, "dims")]
             )
             factors.append(products.hypersurface_factor(inner))
         else:
             factors.append(ser.factor_from_dict(entry, base_dir))
-    return products.minimal_product(
-        factors, samples=ser.whole_number(spec.get("samples", 200), "samples"), seed=seed
-    )
+    return products.minimal_product(factors)
 
 
 def cmd_comass(spec, args, out_dir, base_dir):
@@ -156,7 +156,7 @@ def cmd_vanishing_table(spec, args, out_dir, base_dir):
 
 
 def cmd_certify_cone(spec, args, out_dir, base_dir):
-    link = _build_product(spec, base_dir, args.seed)
+    link = _build_product(spec, base_dir)
     model = products.curvature_model(link)
     radius = products.normal_radius(link)
     data = products.as_link_data(link, curvature=model, radius=radius)
@@ -187,7 +187,7 @@ def cmd_certify_cone(spec, args, out_dir, base_dir):
 
 
 def cmd_obstruct(spec, args, out_dir, base_dir):
-    link = _build_product(spec, base_dir, args.seed)
+    link = _build_product(spec, base_dir)
     out = obstruction.constant_calibration_obstruction(link, tol=args.tol)
     cert = out["report"]["certificate"]
     payload = {
@@ -250,7 +250,7 @@ def cmd_validate(spec, args, out_dir, base_dir):
         if key in spec:
             check(key, lambda key=key: ser.load_metric(spec[key], base_dir))
     if "factors" in spec:
-        check("factors", lambda: _build_product(spec, base_dir, args.seed))
+        check("factors", lambda: _build_product(spec, base_dir))
     if "base" in spec:
         check("base", lambda: ser.factor_from_dict(spec["base"], base_dir))
     if "base" in spec or "n_max" in spec:
@@ -279,6 +279,15 @@ COMMANDS = {
 }
 
 
+def _tolerance(text: str) -> float:
+    """``--tol``: a finite number >= 0, so that argparse exits 2 on NaN,
+    an infinity or a negative value instead of a job reading it."""
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
+    return value
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's argument parser, built once per process: parsing does not
@@ -292,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", default="out", help="output directory")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--control", choices=["F", "c", "custom"], default="custom")
-    parser.add_argument("--tol", type=float, default=1e-6)
+    parser.add_argument("--tol", type=_tolerance, default=1e-6)
     parser.add_argument("--grid", type=int, default=11)
     return parser
 

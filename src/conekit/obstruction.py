@@ -7,13 +7,14 @@ image (its unit normals read as points of the sphere) into an open
 hemisphere.  A set holding both x and -x lies in no open hemisphere, since
 no direction has positive inner product with both, and weights 1/2 on
 such a pair write zero exactly.  The Gauss map of a round hypersurface
-product is odd, nu(-x) = -nu(x), so its sampled Gauss images hold such
-pairs and are obstructed by this exact certificate.  Any other finite
-sample is decided by the point z of its convex hull nearest the origin
-(Wolfe 1976): either z = 0, and its convex weights write zero as a
-combination of the points, or z/|z| has inner product at least |z| with
-every point.  Certificates are recomputed by direct arithmetic, so the
-verdict never rests on solver internals.
+product is odd, nu(-x) = -nu(x), so one point and its antipode give such
+a pair, and ``products.hypersurface_factor`` holds just that pair: its
+certificate has two weights and residual 0.  Any other finite sample,
+such as a sampled factor read from a file, is decided by the point z of
+its convex hull nearest the origin (Wolfe 1976): either z = 0, and its
+convex weights write zero as a combination of the points, or z/|z| has
+inner product at least |z| with every point.  Certificates are recomputed
+by direct arithmetic, so the verdict never rests on solver internals.
 
 Also includes the comass bound for wedges of forms on complementary
 blocks, the mechanism for assembling calibrations on product spaces.
@@ -80,10 +81,10 @@ class HemisphereCertificate:
 
 def gauss_image(factor: SphereFactor) -> SpherePointSet:
     """Unit normals of a sampled hypersurface link, as sphere points."""
+    if factor.ambient - factor.dim != 1:
+        raise ValueError("Gauss image needs a codimension-one factor with sampled normals")
     if factor.normals is None:
         raise ValueError("factor carries no sampled normals")
-    if factor.ambient - factor.dim != 1:
-        raise ValueError("Gauss image needs a codimension-one factor")
     return SpherePointSet(n=factor.ambient, points=factor.normals)
 
 
@@ -166,16 +167,12 @@ def constant_calibration_obstruction(
     A constant calibration would pair with the planes spanned along the
     first factor at the fixed value +-lambda_1, forcing the factor's Gauss
     image into an open hemisphere; an infeasibility certificate for the
-    hemisphere test therefore obstructs every such calibration.  A Gauss
-    image holding nu and -nu, as every ``hypersurface_factor`` does, is
-    obstructed exactly by that pair.
+    hemisphere test therefore obstructs every such calibration.  The pair
+    nu, -nu of a ``hypersurface_factor`` is such a certificate, exactly.
+    ValueError when the first factor is not a codimension-one link with
+    sampled normals.
     """
-    first = product.factors[0]
-    if first.ambient - first.dim != 1:
-        raise ValueError("obstruction needs a codimension-one first factor")
-    if first.normals is None:
-        raise ValueError("first factor carries no sampled normals")
-    image = gauss_image(first)
+    image = gauss_image(product.factors[0])
     cert = hemisphere_test(image, tol=tol)
     report = {
         "lambda1": float(product.lambdas[0]),

@@ -12,15 +12,17 @@ The normal space at (lambda_i x_i) is spanned by the mixing normals
 v = (b_i x_i) with sum b_i lambda_i = 0, and the shape operator h^v is
 diagonal with eigenvalue -b_i / lambda_i of multiplicity k_i.  So
 alpha = sqrt(k) for unit b, p(t) is one closed-form polynomial with
-p2 = -k/2, and the normal radius is arcsin(lambda_min).
+p2 = -k/2, and the normal radius is arcsin(lambda_min).  A product of two
+round spheres is a hypersurface of its sphere; ``hypersurface_factor``
+records it at one point and its antipode, where the odd normal field
+takes opposite values, which is all the obstruction needs.
 General links may be supplied as sampled point/normal data, but curvature
 extraction is only implemented for products of round spheres.
 """
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache
 from typing import Optional
 
 import numpy as np
@@ -91,90 +93,29 @@ class SphereFactor:
 
 @dataclass
 class ProductLink:
-    """A scaled product link.  Its aligned per-factor sample points are
-    drawn on first use, so a link whose points are never read draws none."""
+    """A scaled product link: its factors, their scales lambda_i, its
+    dimension k and the dimension of the unit sphere it lies in."""
 
     factors: list
     lambdas: np.ndarray
     k: int
     ambient_sphere_dim: int
-    samples: int
-    seed: int
 
     @property
     def n_factors(self) -> int:
         return len(self.factors)
 
-    @property
-    def block_slices(self) -> list:
-        out, at = [], 0
-        for f in self.factors:
-            out.append(slice(at, at + f.ambient + 1))
-            at += f.ambient + 1
-        return out
 
-    @cached_property
-    def factor_points(self) -> list:
-        """``samples`` points per factor from one generator seeded with
-        ``seed``, factor by factor: a subsample (with replacement when the
-        factor has fewer points) of a sampled factor, uniform points of a
-        round one."""
-        rng = np.random.default_rng(self.seed)
-        out = []
-        for f in self.factors:
-            if f.points is None:
-                out.append(_sphere_samples(rng, self.samples, f.ambient))
-            else:
-                idx = rng.choice(len(f.points), size=self.samples,
-                                 replace=len(f.points) < self.samples)
-                out.append(f.points[idx])
-        return out
-
-    def embedded_points(self) -> np.ndarray:
-        """Unit-norm samples of the product in R^(ambient_sphere_dim + 1)."""
-        blocks = [
-            lam * pts for lam, pts in zip(self.lambdas, self.factor_points)
-        ]
-        return np.concatenate(blocks, axis=1)
-
-    def point_tuple(self, i: int) -> list:
-        return [pts[i] for pts in self.factor_points]
-
-
-def _sphere_samples(rng, count: int, ambient: int) -> np.ndarray:
-    v = rng.standard_normal((count, ambient + 1))
-    return v / np.linalg.norm(v, axis=1, keepdims=True)
-
-
-def minimal_product(
-    factors, *, samples: int = 200, seed: int = 0
-) -> ProductLink:
-    """Assemble the scaled product of the given factor links.
-
-    Scaling factors are sqrt(k_i / k) with exact rational squares, so the
-    concatenated samples land on the unit sphere to rounding error.  The
-    ``samples`` points per factor are drawn only when ``factor_points`` is
-    first read: by a sampled computation such as ``hypersurface_factor``,
-    whose Gauss image feeds the obstruction, but never by the exact
-    curvature data of round factors.
-    """
+def minimal_product(factors) -> ProductLink:
+    """Assemble the scaled product of the given factor links, each scaled
+    by lambda_i = sqrt(k_i / k)."""
     factors = list(factors)
     if not factors:
         raise ValueError("need at least one factor")
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
     k = sum(f.dim for f in factors)
-    assert sum(Fraction(f.dim, k) for f in factors) == 1
     lambdas = np.array([np.sqrt(f.dim / k) for f in factors])
     ambient = sum(f.ambient for f in factors) + len(factors) - 1
-    return ProductLink(
-        factors=factors,
-        lambdas=lambdas,
-        k=k,
-        ambient_sphere_dim=ambient,
-        samples=samples,
-        seed=seed,
-    )
+    return ProductLink(factors=factors, lambdas=lambdas, k=k, ambient_sphere_dim=ambient)
 
 
 def _require_round(link: ProductLink, what: str):
@@ -273,24 +214,25 @@ def normal_radius(link: ProductLink) -> NormalRadiusEstimate:
 
 def hypersurface_factor(link: ProductLink) -> SphereFactor:
     """Repackage a codimension-one product (two round factors) as a sampled
-    factor with its unit normal field nu = (lambda_2 x_1, -lambda_1 x_2).
+    factor: the point p = (lambda_1 e_0, lambda_2 e_0) and its antipode,
+    with the unit normal field nu = (lambda_2 x_1, -lambda_1 x_2) there.
 
-    The factor holds the link's ``samples`` points followed by their
-    antipodes, 2 ``samples`` points in all.  nu is odd, so the normal at -x
-    is exactly -nu(x), and the Gauss image is closed under x -> -x."""
+    nu is odd, so the normal at -p is exactly -nu(p).  The Gauss image
+    {nu(p), -nu(p)} lies in no open hemisphere, and this one pair is the
+    whole certificate the obstruction needs, so nothing is drawn."""
     _require_round(link, "hypersurface repackaging")
     if link.n_factors != 2:
         raise ValueError("only two-factor products are hypersurfaces in their sphere")
-    lam = link.lambdas
-    pts = link.embedded_points()
-    normals = np.concatenate(
-        [lam[1] * link.factor_points[0], -lam[0] * link.factor_points[1]], axis=1
-    )
+    lam1, lam2 = link.lambdas
+    split = link.factors[0].ambient + 1
+    p, nu = np.zeros((2, link.ambient_sphere_dim + 1))
+    p[0], p[split] = lam1, lam2
+    nu[0], nu[split] = lam2, -lam1
     return SphereFactor(
         dim=link.k,
         ambient=link.ambient_sphere_dim,
-        points=np.concatenate([pts, -pts]),
-        normals=np.concatenate([normals, -normals]),
+        points=np.stack([p, -p]),
+        normals=np.stack([nu, -nu]),
     )
 
 

@@ -12,6 +12,10 @@ least term over all proper subset sums instead of its single term j* =
 k - k_min, and the normal radius from explicit chords between link points
 instead of arcsin(lambda_min), and the open-hemisphere decision by two
 HiGHS linear programs and an NNLS polish instead of one nearest-point solve.
+It also keeps the seeded sampler of product points that products used
+before a round hypersurface factor became one exact antipodal pair: tests
+that need random points of a product, or a Gauss image with no antipodal
+pair, draw them here.
 """
 
 import math
@@ -224,6 +228,46 @@ def step_rule_comass(phi, g, *, restarts=16, max_iters=400, tol=1e-10, seed=0):
 
 
 # ---------------------------------------------------------------------------
+# random points of products
+
+
+def factor_draws(link: ProductLink, samples: int, seed: int) -> list:
+    """``samples`` points per factor from one generator seeded with
+    ``seed``, factor by factor: uniform points of a round factor, a
+    subsample (with replacement when the factor has fewer points) of a
+    sampled one.  This is the order in which products drew their points
+    before a round hypersurface factor became one exact antipodal pair, so
+    tests keep the inputs they were written against."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for f in link.factors:
+        if f.points is None:
+            v = rng.standard_normal((samples, f.ambient + 1))
+            out.append(v / np.linalg.norm(v, axis=1, keepdims=True))
+        else:
+            idx = rng.choice(len(f.points), size=samples,
+                             replace=len(f.points) < samples)
+            out.append(f.points[idx])
+    return out
+
+
+def hypersurface_draws(link: ProductLink, samples: int, seed: int):
+    """Points (lambda_1 x_1, lambda_2 x_2) of a two-factor round product at
+    its ``factor_draws``, and the unit normals (lambda_2 x_1, -lambda_1 x_2)
+    there: a Gauss image with no antipodal pair."""
+    x1, x2 = factor_draws(link, samples, seed)
+    lam1, lam2 = link.lambdas
+    return (np.concatenate([lam1 * x1, lam2 * x2], axis=1),
+            np.concatenate([lam2 * x1, -lam1 * x2], axis=1))
+
+
+def block_slices(link: ProductLink) -> list:
+    """The slices of each factor's coordinates in R^(ambient_sphere_dim + 1)."""
+    ends = np.cumsum([0] + [f.ambient + 1 for f in link.factors])
+    return [slice(a, b) for a, b in zip(ends[:-1], ends[1:])]
+
+
+# ---------------------------------------------------------------------------
 # second fundamental forms of round products
 
 
@@ -245,7 +289,7 @@ def _curve_point(link: ProductLink, xs, direction, s: float) -> np.ndarray:
     velocity given by per-factor tangents (factor great circles)."""
     d = link.ambient_sphere_dim + 1
     out = np.zeros(d)
-    for i, sl in enumerate(link.block_slices):
+    for i, sl in enumerate(block_slices(link)):
         lam = link.lambdas[i]
         w = direction.get(i)
         if w is None:
@@ -292,24 +336,24 @@ def _sff_vectors(link: ProductLink, xs: list, eps: float = 1e-4):
 
 
 def numeric_second_fundamental_form(
-    link: ProductLink, x, v: np.ndarray
+    link: ProductLink, xs, v: np.ndarray
 ) -> np.ndarray:
-    """Shape matrix h^v at a sample point, by finite differences.
+    """Shape matrix h^v at a point, by finite differences.
 
-    ``x`` is either a sample index or a list of per-factor unit points;
-    ``v`` must be a unit vector normal to the link and tangent to the
-    ambient sphere at that point.
+    ``xs`` lists the point's per-factor unit points; ``v`` must be a unit
+    vector normal to the link and tangent to the ambient sphere there.
     """
     _require_round(link, "second fundamental form")
-    xs = link.point_tuple(x) if isinstance(x, (int, np.integer)) else list(x)
+    xs = list(xs)
     v = np.asarray(v, dtype=float)
     x0 = _curve_point(link, xs, {}, 0.0)
     if abs(np.linalg.norm(v) - 1.0) > 1e-8 or abs(v @ x0) > 1e-8:
         raise ValueError("v must be a unit vector orthogonal to the point")
     S, basis = _sff_vectors(link, xs)
+    slices = block_slices(link)
     for i, u in basis:
         emb = np.zeros(v.size)
-        emb[link.block_slices[i]] = u
+        emb[slices[i]] = u
         if abs(v @ emb) > 1e-8:
             raise ValueError("v has a tangential component")
     H = S @ v
@@ -383,7 +427,7 @@ def geodesic_chord(link: ProductLink, xs, ys):
     for start, end, coords in ((p, q, xs), (q, p, ys)):
         u = end - c * start
         u /= np.linalg.norm(u)
-        parts = [u[sl] - (u[sl] @ z) * z for sl, z in zip(link.block_slices, coords)]
+        parts = [u[sl] - (u[sl] @ z) * z for sl, z in zip(block_slices(link), coords)]
         tangential = max(tangential, float(np.linalg.norm(np.concatenate(parts))))
     return 0.5 * math.acos(c), tangential
 

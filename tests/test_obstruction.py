@@ -17,7 +17,7 @@ from conekit.obstruction import (
 )
 from conekit.products import SphereFactor, hypersurface_factor, minimal_product
 
-from oracles import hemisphere_by_lp
+from oracles import hemisphere_by_lp, hypersurface_draws
 
 CHEAP = {"restarts": 8, "max_iters": 200, "seed": 0}
 
@@ -140,45 +140,41 @@ def test_antipodal_pair_fires_in_a_mixed_set():
 
 
 def test_hypersurface_gauss_image_is_obstructed_exactly():
-    link = minimal_product([SphereFactor.round(1), SphereFactor.round(2)],
-                           samples=100, seed=6)
+    link = minimal_product([SphereFactor.round(1), SphereFactor.round(2)])
     image = gauss_image(hypersurface_factor(link))
-    assert len(image.points) == 200
+    assert len(image.points) == 2
     cert = hemisphere_test(image)
     assert cert.verdict == "infeasible" and cert.method == "antipodal"
     assert cert.residual == 0.0
     y = cert.convex_weights
-    assert np.flatnonzero(y).tolist() == [0, 100] and y[0] == y[100] == 0.5
+    assert np.flatnonzero(y).tolist() == [0, 1] and y[0] == y[1] == 0.5
     assert np.all(image.points.T @ y == 0.0)
 
 
 def test_clifford_gauss_image_not_hemispherical():
-    link = minimal_product([SphereFactor.round(1), SphereFactor.round(1)],
-                           samples=100, seed=1)
+    link = minimal_product([SphereFactor.round(1), SphereFactor.round(1)])
     image = gauss_image(hypersurface_factor(link))
     cert = hemisphere_test(image)
     assert cert.verdict == "infeasible" and cert.method == "antipodal"
     assert cert.residual == 0.0
-    # the draws alone hold no antipodal pair, so the nearest hull point decides
-    draws = SpherePointSet(image.n, image.points[:link.samples])
+    # random draws hold no antipodal pair, so the nearest hull point decides
+    _, normals = hypersurface_draws(link, 100, 1)
+    draws = SpherePointSet(image.n, normals)
     cert = hemisphere_test(draws)
     assert cert.verdict == "infeasible" and cert.method == "nearest-point"
     assert cert.residual <= 1e-9
 
 
 def test_obstruction_torus_cross_sphere():
-    torus = minimal_product([SphereFactor.round(1), SphereFactor.round(1)],
-                            samples=100, seed=2)
-    product = minimal_product(
-        [hypersurface_factor(torus), SphereFactor.round(3)], samples=50, seed=3
-    )
+    torus = minimal_product([SphereFactor.round(1), SphereFactor.round(1)])
+    product = minimal_product([hypersurface_factor(torus), SphereFactor.round(3)])
     out = constant_calibration_obstruction(product)
     assert out["obstructed"] is True
     rep = out["report"]
     assert rep["certificate"].verdict == "infeasible"
     assert rep["dual_residual"] == 0.0
     assert rep["certificate"].method == "antipodal"
-    assert rep["gauss_points"] == 200
+    assert rep["gauss_points"] == 2
     assert abs(rep["lambda1"] - math.sqrt(2.0 / 5.0)) < 1e-12
 
 
@@ -198,8 +194,7 @@ def test_obstruction_inapplicable_to_hemispherical_image():
         -np.sin(theta) * np.ones_like(phi),
     ])
     circle = SphereFactor(dim=1, ambient=2, points=pts, normals=nor)
-    product = minimal_product([circle, SphereFactor.round(2)], samples=40,
-                              seed=4)
+    product = minimal_product([circle, SphereFactor.round(2)])
     out = constant_calibration_obstruction(product)
     assert out["obstructed"] is False
     assert out["report"]["certificate"].verdict == "feasible"
@@ -208,8 +203,7 @@ def test_obstruction_inapplicable_to_hemispherical_image():
 
 
 def test_obstruction_requires_codimension_one_first_factor():
-    link = minimal_product([SphereFactor.round(1), SphereFactor.round(3)],
-                           samples=10, seed=5)
+    link = minimal_product([SphereFactor.round(1), SphereFactor.round(3)])
     with pytest.raises(ValueError, match="codimension"):
         constant_calibration_obstruction(link)
 

@@ -16,17 +16,20 @@ from conekit.products import (
     normal_radius,
     replication_search,
 )
-from oracles import numeric_second_fundamental_form
+from oracles import block_slices, factor_draws, numeric_second_fundamental_form
 
 
 def _clifford():
-    return minimal_product([SphereFactor.round(1), SphereFactor.round(1)],
-                           samples=40, seed=0)
+    return minimal_product([SphereFactor.round(1), SphereFactor.round(1)])
 
 
 def _simons():
-    return minimal_product([SphereFactor.round(3), SphereFactor.round(3)],
-                           samples=40, seed=0)
+    return minimal_product([SphereFactor.round(3), SphereFactor.round(3)])
+
+
+def _point(link, i, samples, seed):
+    """Factor coordinates of the i-th of ``samples`` seeded draws."""
+    return [pts[i] for pts in factor_draws(link, samples, seed)]
 
 
 def test_sphere_factor_validation():
@@ -46,49 +49,40 @@ def test_sphere_factor_validation():
 
 
 def test_minimal_product_assembly():
-    link = minimal_product([SphereFactor.round(1), SphereFactor.round(3)],
-                           samples=25, seed=3)
+    link = minimal_product([SphereFactor.round(1), SphereFactor.round(3)])
     assert link.k == 4 and link.ambient_sphere_dim == 5
     np.testing.assert_allclose(link.lambdas, [0.5, math.sqrt(3) / 2])
-    pts = link.embedded_points()
-    assert pts.shape == (25, 6)
-    np.testing.assert_allclose(np.linalg.norm(pts, axis=1), 1.0, atol=1e-12)
-    assert [s.stop - s.start for s in link.block_slices] == [2, 4]
-    tup = link.point_tuple(0)
-    assert len(tup) == 2 and tup[0].size == 2 and tup[1].size == 4
 
 
 def test_round_products_draw_no_samples():
-    # the exact curvature data read no sample point, and points drawn on
-    # first read follow one generator factor by factor, the order that
-    # obstruct certificates depend on
+    # a product holds its factors and their exact scales and nothing that
+    # could hold sample points; the exact curvature data need none
     circle = SphereFactor(dim=1, ambient=2, points=np.eye(3)[:2],
                           normals=np.eye(3)[[1, 0]])
-    simons = minimal_product([SphereFactor.round(3)] * 2, samples=5, seed=9)
+    simons = minimal_product([SphereFactor.round(3)] * 2)
     as_link_data(simons)
-    assert "factor_points" not in vars(simons)
-    link = minimal_product([SphereFactor.round(3), circle,
-                            SphereFactor.round(2)], samples=5, seed=9)
-    assert "factor_points" not in vars(link)
+    assert set(vars(simons)) == {"factors", "lambdas", "k", "ambient_sphere_dim"}
+    with pytest.raises(TypeError):
+        minimal_product([SphereFactor.round(1)], samples=5)
+    # the test sampler draws from one generator factor by factor
+    link = minimal_product([SphereFactor.round(3), circle, SphereFactor.round(2)])
     rng = np.random.default_rng(9)
     first = rng.standard_normal((5, 4))
     picks = rng.choice(2, size=5, replace=True)
     last = rng.standard_normal((5, 3))
-    pts = link.factor_points
+    pts = factor_draws(link, 5, 9)
     unit = np.linalg.norm
     np.testing.assert_array_equal(pts[0], first / unit(first, axis=1, keepdims=True))
     np.testing.assert_array_equal(pts[1], circle.points[picks])
     np.testing.assert_array_equal(pts[2], last / unit(last, axis=1, keepdims=True))
-    with pytest.raises(ValueError, match="samples"):
-        minimal_product([SphereFactor.round(1)], samples=0)
 
 
 def test_clifford_shape_matrix_eigenvalues():
     link = _clifford()
-    xs = link.point_tuple(0)
+    xs = _point(link, 0, 40, 0)
     b = np.array([1.0, -1.0]) / math.sqrt(2)
     v = np.zeros(4)
-    for i, sl in enumerate(link.block_slices):
+    for i, sl in enumerate(block_slices(link)):
         v[sl] = b[i] * xs[i]
     H = numeric_second_fundamental_form(link, xs, v)
     np.testing.assert_allclose(np.sort(np.linalg.eigvalsh(H)), [-1.0, 1.0],
@@ -98,13 +92,12 @@ def test_clifford_shape_matrix_eigenvalues():
 def test_unequal_product_principal_curvatures():
     # S^1 x S^3 scaled by (1/2, sqrt(3)/2): the single mixing normal has
     # shape eigenvalues -sqrt(3) on the circle block and 1/sqrt(3) thrice
-    link = minimal_product([SphereFactor.round(1), SphereFactor.round(3)],
-                           samples=10, seed=4)
+    link = minimal_product([SphereFactor.round(1), SphereFactor.round(3)])
     lam = link.lambdas
-    xs = link.point_tuple(2)
+    xs = _point(link, 2, 10, 4)
     b = np.array([lam[1], -lam[0]])
     v = np.zeros(link.ambient_sphere_dim + 1)
-    for i, sl in enumerate(link.block_slices):
+    for i, sl in enumerate(block_slices(link)):
         v[sl] = b[i] * xs[i]
     H = numeric_second_fundamental_form(link, xs, v)
     eigs = np.sort(np.linalg.eigvalsh(H))
@@ -117,10 +110,10 @@ def test_unequal_product_principal_curvatures():
 
 def test_sff_rejects_bad_normals():
     link = _clifford()
-    xs = link.point_tuple(0)
+    xs = _point(link, 0, 40, 0)
     with pytest.raises(ValueError, match="unit"):
         numeric_second_fundamental_form(link, xs, np.zeros(4))
-    x0 = link.embedded_points()[0]
+    x0 = np.concatenate([lam * x for lam, x in zip(link.lambdas, xs)])
     with pytest.raises(ValueError, match="orthogonal"):
         numeric_second_fundamental_form(link, xs, x0)
 
@@ -143,7 +136,7 @@ def test_curvature_model_equal_three_spheres():
 
 
 def test_curvature_model_single_round_factor():
-    link = minimal_product([SphereFactor.round(3)], samples=10, seed=5)
+    link = minimal_product([SphereFactor.round(3)])
     model = curvature_model(link)
     assert model.alpha == 0.0 and model.p2 == 0.0 and model.p_fn(0.4) == 1.0
 
@@ -156,7 +149,7 @@ def test_normal_radius_clifford_is_quarter_pi():
 
 
 def test_normal_radius_totally_geodesic_equator():
-    link = minimal_product([SphereFactor.round(3)], samples=10, seed=6)
+    link = minimal_product([SphereFactor.round(3)])
     est = normal_radius(link)
     assert float(est) == math.pi / 2 and est.binding == "hemisphere-cap"
 
@@ -169,12 +162,11 @@ def test_hypersurface_factor_round_trip():
     np.testing.assert_allclose(dots, 0.0, atol=1e-12)
     np.testing.assert_allclose(np.linalg.norm(factor.normals, axis=1), 1.0,
                                atol=1e-12)
-    # the draws, then their antipodes, with normals nu(-x) = -nu(x)
-    S = link.samples
-    assert len(factor.points) == 2 * S
-    assert np.array_equal(factor.points[S:], -factor.points[:S])
-    assert np.array_equal(factor.normals[S:], -factor.normals[:S])
-    triple = minimal_product([SphereFactor.round(1)] * 3, samples=5, seed=7)
+    # one point, then its antipode, with normals nu(-x) = -nu(x)
+    assert len(factor.points) == 2
+    assert np.array_equal(factor.points[1:], -factor.points[:1])
+    assert np.array_equal(factor.normals[1:], -factor.normals[:1])
+    triple = minimal_product([SphereFactor.round(1)] * 3)
     with pytest.raises(ValueError, match="two-factor"):
         hypersurface_factor(triple)
 

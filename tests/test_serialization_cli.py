@@ -9,7 +9,7 @@ import pytest
 
 from conekit.cli import build_parser, main
 from conekit.exterior import AlternatingForm, MetricTensor
-from conekit.products import SphereFactor, hypersurface_factor, minimal_product
+from conekit.products import UNIT_TOL, SphereFactor, hypersurface_factor, minimal_product
 from conekit.serialization import (
     atomic_write_text,
     factor_from_dict,
@@ -22,6 +22,7 @@ from conekit.serialization import (
     write_csv,
     write_json,
 )
+from oracles import hypersurface_draws
 
 
 def _write_spec(path, payload):
@@ -126,9 +127,6 @@ def test_cli_manifest_written_on_precondition_failure(tmp_path):
         "dim": {"factors": [{"type": "sphere", "dim": 3.9}, sphere]},
         "dim-bool": {"factors": [{"type": "sphere", "dim": True}, sphere]},
         "dims": {"factors": [{"type": "product_hypersurface", "dims": [1, 2.5]}, sphere]},
-        "samples": {"factors": [sphere, sphere], "samples": 60.5},
-        "hyper-samples": {"factors": [{"type": "product_hypersurface", "dims": [1, 2],
-                                       "samples": 20.5}, sphere]},
         "n_max": {"base": sphere, "n_max": 3.5},
         "n_max-bool": {"base": sphere, "n_max": True},
         "ks-default-control": {"ks": [2.5], "alphas": [1.0]},
@@ -150,9 +148,8 @@ def test_cli_manifest_written_on_precondition_failure(tmp_path):
         ("vanishing-table", whole["ks"], tmp_path / "ks-half"),
         ("vanishing-table", whole["ks-bool"], tmp_path / "ks-bool"),
         *(("certify-cone", whole[name], tmp_path / f"{name}-certify")
-          for name in ("dim", "dim-bool", "samples")),
-        *(("obstruct", whole[name], tmp_path / f"{name}-obstruct")
-          for name in ("dims", "hyper-samples")),
+          for name in ("dim", "dim-bool")),
+        ("obstruct", whole["dims"], tmp_path / "dims-obstruct"),
         ("replicate", whole["n_max"], tmp_path / "n_max-half"),
         ("replicate", whole["n_max-bool"], tmp_path / "n_max-bool"),
         # validate rejects what the job commands reject
@@ -323,12 +320,61 @@ def test_cli_obstruct_job(tmp_path):
     assert main(["obstruct", "--spec", spec, "--out", str(out)]) == 0
     cert = read_json(str(out / "certificate.json"))
     assert cert["obstructed"] is True and cert["verdict"] == "infeasible"
-    # the 80 draws and their antipodes: the exact pair certificate
-    assert cert["method"] == "antipodal" and cert["gauss_points"] == 160
+    # one point and its antipode: the exact pair certificate
+    assert cert["method"] == "antipodal" and cert["gauss_points"] == 2
     assert cert["dual_residual"] == 0.0
     weights = np.asarray(cert["convex_weights"])
-    assert np.flatnonzero(weights).tolist() == [0, 80]
-    assert weights[0] == weights[80] == 0.5
+    assert np.flatnonzero(weights).tolist() == [0, 1]
+    assert weights[0] == weights[1] == 0.5
+
+
+# the hypersurface dimensions of the benchmark's obstruct jobs
+HYPERSURFACES = [(1, 1), (1, 2), (2, 2), (1, 3), (2, 3), (3, 3)]
+
+
+@pytest.mark.parametrize("dims", HYPERSURFACES, ids=[f"S{a}xS{b}" for a, b in HYPERSURFACES])
+def test_round_hypersurface_is_one_exact_antipodal_pair(tmp_path, dims):
+    factor = hypersurface_factor(minimal_product([SphereFactor.round(d) for d in dims]))
+    points, normals = factor.points, factor.normals
+    assert points.shape == normals.shape == (2, sum(dims) + 2)
+    for rows in (points, normals):
+        assert np.max(np.abs(np.linalg.norm(rows, axis=1) - 1.0)) <= UNIT_TOL
+        assert (-rows[0]).tobytes() == rows[1].tobytes()
+    assert np.all(np.sum(points * normals, axis=1) == 0.0)
+    # the certificate draws nothing: neither --seed nor a samples key moves a byte
+    hyper = {"type": "product_hypersurface", "dims": list(dims)}
+    sphere = {"type": "sphere", "dim": 2}
+    specs = {"plain": {"factors": [hyper, sphere]},
+             "samples": {"factors": [{**hyper, "samples": 240}, sphere], "samples": 60}}
+    certs = set()
+    for name, spec in specs.items():
+        path = _write_spec(tmp_path / f"{name}.json", spec)
+        for seed in ("0", "7"):
+            out = tmp_path / f"{name}-{seed}"
+            assert main(["obstruct", "--spec", path, "--out", str(out), "--seed", seed]) == 0
+            certs.add((out / "certificate.json").read_bytes())
+    assert len(certs) == 1
+    cert = json.loads(certs.pop())
+    assert cert["obstructed"] is True and cert["method"] == "antipodal"
+    assert cert["gauss_points"] == 2 and cert["convex_weights"] == [0.5, 0.5]
+    assert cert["dual_residual"] == 0.0
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1"])
+def test_cli_rejects_bad_tol(tmp_path, tol):
+    form = {"n": 4, "m": 2, "coefficients": {"1,2": 1.0, "3,4": 1.0}}
+    glue = _write_spec(tmp_path / "glue.json", {
+        "form": form, "metric1": {"n": 4, "matrix": np.eye(4).tolist()},
+        "metric2": {"n": 4, "matrix": (2.0 * np.eye(4)).tolist()}})
+    obstruct = _write_spec(tmp_path / "obstruct.json", {"factors": [
+        {"type": "product_hypersurface", "dims": [1, 1]}, {"type": "sphere", "dim": 2}]})
+    for command, spec in (("glue-sweep", glue), ("obstruct", obstruct)):
+        out = tmp_path / command
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--spec", spec, "--out", str(out), f"--tol={tol}", "--grid", "3"])
+        assert exc.value.code == 2
+        assert not out.exists()
+        assert main([command, "--spec", spec, "--out", str(out), "--tol=0", "--grid", "3"]) == 0
 
 
 def _sampled_spec(tmp_path, name, points, normals, dim, ambient):
@@ -354,12 +400,10 @@ def _latitude_circle(theta=0.4, count=40):
 
 
 def _torus_draws():
-    """Points and normals of the Clifford torus draws in S^3, without the
-    antipodes that hypersurface_factor appends."""
-    link = minimal_product([SphereFactor.round(1), SphereFactor.round(1)],
-                           samples=100, seed=1)
-    torus = hypersurface_factor(link)
-    return torus.points[:100], torus.normals[:100]
+    """Points and normals of 100 random points of the Clifford torus in
+    S^3, a Gauss image with no antipodal pair."""
+    link = minimal_product([SphereFactor.round(1), SphereFactor.round(1)])
+    return hypersurface_draws(link, 100, 1)
 
 
 def test_cli_obstruct_sampled_factors(tmp_path):

@@ -28,7 +28,9 @@ from conekit.products import (
 )
 from oracles import (
     _sff_vectors,
+    block_slices,
     double_normal_chords,
+    factor_draws,
     geodesic_chord,
     numeric_second_fundamental_form,
     p_by_normal_search,
@@ -40,14 +42,18 @@ from oracles import (
 PRODUCTS = [(1, 1), (1, 3), (2, 3), (3, 3), (1, 2, 3), (1, 1, 1, 1), (2, 2, 4)]
 
 
-def _link(dims, samples=30, seed=0):
-    return minimal_product([SphereFactor.round(d) for d in dims],
-                           samples=samples, seed=seed)
+def _link(dims):
+    return minimal_product([SphereFactor.round(d) for d in dims])
+
+
+def _point(link, i, samples=30, seed=0):
+    """Factor coordinates of the i-th of ``samples`` seeded draws."""
+    return [pts[i] for pts in factor_draws(link, samples, seed)]
 
 
 def _normal(link, xs, b):
     v = np.zeros(link.ambient_sphere_dim + 1)
-    for i, sl in enumerate(link.block_slices):
+    for i, sl in enumerate(block_slices(link)):
         v[sl] = b[i] * xs[i]
     return v
 
@@ -61,7 +67,7 @@ def test_spectra_match_finite_difference_eigenvalues(dims):
     link = _link(dims)
     rng = np.random.default_rng(sum(dims))
     for b in unit_mixing_normals(link, rng, 4):
-        xs = link.point_tuple(int(rng.integers(link.samples)))
+        xs = _point(link, int(rng.integers(30)))
         H = numeric_second_fundamental_form(link, xs, _normal(link, xs, b))
         np.testing.assert_allclose(np.sort(shape_spectrum(link, b)),
                                    np.linalg.eigvalsh(H), atol=1e-6)
@@ -122,7 +128,7 @@ def test_p_fn_matches_determinant_oracle(dims):
     # p(t) is the least det(I - t h^v) over the stationary normals, with
     # h^v the finite-difference shape matrix
     link = _link(dims)
-    xs = link.point_tuple(0)
+    xs = _point(link, 0)
     S, _ = _sff_vectors(link, xs)
     mats = []
     for b in _stationary_normals(link):
@@ -224,7 +230,7 @@ def test_focal_bound_closed_form(dims):
     assert abs(math.atan(1.0 / kappa) - expected) <= 1e-12
     randoms = unit_mixing_normals(link, np.random.default_rng(0), 200)
     assert max(np.max(np.abs(shape_spectrum(link, b))) for b in randoms) <= kappa + 1e-12
-    xs = link.point_tuple(0)
+    xs = _point(link, 0)
     fd = max(np.max(np.abs(np.linalg.eigvalsh(
         numeric_second_fundamental_form(link, xs, _normal(link, xs, b)))))
         for b in axes)
@@ -238,8 +244,8 @@ def test_focal_bound_closed_form(dims):
 def test_normal_radius_matches_double_normal_oracle(dims):
     # half the shortest chord normal to the link at both ends, over every
     # such chord from a sample point, is the normal radius
-    link = _link(dims, samples=5, seed=sum(dims))
-    chords = double_normal_chords(link, link.point_tuple(3))
+    link = _link(dims)
+    chords = double_normal_chords(link, _point(link, 3, samples=5, seed=sum(dims)))
     assert max(tangential for *_, tangential in chords) <= 1e-12
     flipped, half, _ = min(chords, key=lambda chord: chord[1])
     assert abs(normal_radius(link).value - half) <= 1e-12
@@ -250,15 +256,16 @@ NEAR_ANTIPODAL = [(12, 1), (20, 1), (4, 1), (20, 2), (40, 2)]
 DELTA = 0.05
 
 
-def _near_antipodal(copies, turned, samples=30, seed=0):
-    """Product of circles whose samples 0 and 1 agree in every factor but
-    the first ``turned``, where they are antipodal up to an angle DELTA."""
-    link = _link((1,) * copies, samples=samples, seed=seed)
+def _near_antipodal(copies, turned):
+    """Product of circles and two of its points that agree in every factor
+    but the first ``turned``, where they are antipodal up to an angle
+    DELTA."""
+    link = _link((1,) * copies)
+    xs = _point(link, 0)
     c, s = math.cos(math.pi - DELTA), math.sin(math.pi - DELTA)
-    for i, pts in enumerate(link.factor_points):
-        x = pts[0]
-        pts[1] = [c * x[0] - s * x[1], s * x[0] + c * x[1]] if i < turned else x
-    return link
+    ys = [np.array([c * x[0] - s * x[1], s * x[0] + c * x[1]]) if i < turned else x
+          for i, x in enumerate(xs)]
+    return link, xs, ys
 
 
 @pytest.mark.parametrize("copies, turned", NEAR_ANTIPODAL,
@@ -268,11 +275,10 @@ def test_near_antipodal_sample_pair_is_not_a_double_normal(copies, turned):
     # shorter than the reach when one factor is turned, but it has a
     # tangential part, while the exactly antipodal pair is a double normal
     # no shorter than the normal radius
-    link = _near_antipodal(copies, turned)
+    link, xs, ys = _near_antipodal(copies, turned)
     R = normal_radius(link).value
     assert abs(R - math.asin(math.sqrt(1.0 / copies))) <= 1e-12
-    xs = link.point_tuple(0)
-    half, tangential = geodesic_chord(link, xs, link.point_tuple(1))
+    half, tangential = geodesic_chord(link, xs, ys)
     expected = 0.5 * math.acos(1.0 - turned * (1.0 + math.cos(DELTA)) / copies)
     assert abs(half - expected) <= 1e-12
     assert tangential > 0.01
@@ -288,8 +294,8 @@ def test_avoidance_bound_finite_without_binding():
     # the 2-turned pair in 40 circles is a chord of finite half length, below
     # pi/2 and in closed form, yet longer than the reach and not normal, so
     # the focal distance still sets the normal radius
-    link = _near_antipodal(40, 2)
-    half, tangential = geodesic_chord(link, link.point_tuple(0), link.point_tuple(1))
+    link, xs, ys = _near_antipodal(40, 2)
+    half, tangential = geodesic_chord(link, xs, ys)
     assert half < math.pi / 2
     expected = 0.5 * math.acos(1.0 - 2.0 * (1.0 + math.cos(DELTA)) / 40)
     assert abs(half - expected) <= 1e-12
