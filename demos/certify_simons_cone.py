@@ -4,18 +4,18 @@ The pipeline reads off the exact curvature data of the round product link
 (the bound alpha = sqrt(k), the determinant infimum p(t) with its quadratic
 coefficient p2 = -k/2, and the normal radius arcsin(lambda_min)) without
 drawing any sample, and compares the vanishing angle of the fastest
-admissible descent with half that radius.  The link data carry p's Taylor
-coefficients, so the descent starts from its order-30 series, as in
-``conekit certify-cone``.  The same pipeline is run on the
-two-circle link, where the quadratic departure has no real root and the
-verdict is inconclusive.
+admissible descent with half that radius.  The link data carry that
+curvature model itself, with p's Taylor coefficients, so the descent starts
+from its order-30 series, as in ``conekit certify-cone``.  The same
+pipeline is run on the two-circle link, where the quadratic departure has
+no real root and the verdict is inconclusive.
 """
 
 import math
 
 from conekit import (
+    LinkData,
     SphereFactor,
-    as_link_data,
     check_area_minimizing,
     curvature_model,
     minimal_product,
@@ -28,8 +28,7 @@ def report(name, dims):
     link = minimal_product([SphereFactor.round(d) for d in dims])
     model = curvature_model(link)
     radius = normal_radius(link)
-    data = as_link_data(link, curvature=model, radius=radius)
-    verdict = check_area_minimizing(data, "custom")
+    verdict = check_area_minimizing(LinkData(model, radius.value), "custom")
     print(f"--- {name} ---")
     print(f"link dimension k      : {link.k}")
     print(f"curvature bound alpha : {model.alpha:.6f}")

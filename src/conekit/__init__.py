@@ -45,9 +45,7 @@ from .lawlor import (
     LinkData,
     Profile,
     build_smooth_profile,
-    c_control,
     check_area_minimizing,
-    f_control,
     integrate_fastest,
     second_order_coeffs,
     slope_interval,
@@ -67,7 +65,6 @@ from .products import (
     NormalRadiusEstimate,
     ProductLink,
     SphereFactor,
-    as_link_data,
     curvature_model,
     hypersurface_factor,
     minimal_product,

@@ -141,7 +141,8 @@ def cmd_vanishing_table(spec, args, out_dir, base_dir):
         # perfbench/tracer.py records; only a lane without a hit is
         # descended again, to name how it ended
         theta = lawlor.vanishing_angle(control, alpha, k)
-        end = "hit" if theta is not None else lawlor._angle(control, alpha, k)[1]
+        end = ("hit" if theta is not None
+               else lawlor._angle(lawlor._control_model(control, alpha, k))[1])
         rows.append((k, alpha, control, theta, theta is not None, end))
     ser.write_csv(
         os.path.join(out_dir, "vanishing_table.csv"),
@@ -159,7 +160,7 @@ def cmd_certify_cone(spec, args, out_dir, base_dir):
     link = _build_product(spec, base_dir)
     model = products.curvature_model(link)
     radius = products.normal_radius(link)
-    data = products.as_link_data(link, curvature=model, radius=radius)
+    data = lawlor.LinkData(model, radius.value)
     verdict = lawlor.check_area_minimizing(data, args.control)
     ser.write_json(
         os.path.join(out_dir, "report.json"),
@@ -231,6 +232,14 @@ def cmd_replicate(spec, args, out_dir, base_dir):
     return EXIT_OK
 
 
+def _round_curvature(link):
+    """Build the curvature model of a round product, as certify-cone does,
+    so that a product out of range fails validation.  A product with a
+    factor that is not round is left alone: only obstruct takes one."""
+    if all(f.is_round for f in link.factors):
+        products.curvature_model(link)
+
+
 def cmd_validate(spec, args, out_dir, base_dir):
     diagnostics = []
     fatal = False
@@ -250,11 +259,13 @@ def cmd_validate(spec, args, out_dir, base_dir):
         if key in spec:
             check(key, lambda key=key: ser.load_metric(spec[key], base_dir))
     if "factors" in spec:
-        check("factors", lambda: _build_product(spec, base_dir))
+        check("factors", lambda: _round_curvature(_build_product(spec, base_dir)))
     if "base" in spec:
         check("base", lambda: ser.factor_from_dict(spec["base"], base_dir))
     if "base" in spec or "n_max" in spec:
-        check("n_max", lambda: products.replication_counts(
+        # every product a replicate job descends on, up to the largest
+        check("n_max", lambda: products.replication_links(
+            ser.factor_from_dict(spec["base"], base_dir),
             ser.whole_number(spec["n_max"], "n_max")))
     if any(key in spec for key in ("ks", "alphas", "controls")):
         check("table", lambda: _table_lanes(spec, args.control))

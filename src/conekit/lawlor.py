@@ -18,9 +18,10 @@ departure h = 1 - a t^2 exists iff (K-2)^2 + 8 p2 >= 0, and with p2 =
 cone (Simons, Ann. of Math. 88, 1968).  The divisor K = k would give the
 threshold of a cone one dimension lower.
 
-Curvature inputs can be exact (p supplied) or conservative controls built
-from a bound alpha on the norm of the second fundamental form:
-F(alpha,t,k+1) and the coarser (1-alpha t) e^(alpha t).
+A link's curvature input is one ``CurvatureModel``, passed unchanged from
+the product to the descent: the custom control descends on it, and the
+conservative controls F(alpha,t,k+1) and the coarser (1-alpha t) e^(alpha t)
+are built from its k and its bound alpha on the second fundamental form.
 
 The descent starts from the exact Taylor series of its fastest branch.
 With u = h'/K the descent equality reads (h - t u)^2 + u^2 = p^2, a
@@ -28,7 +29,7 @@ polynomial identity in the coefficients of h and p with no square root:
 h = 1 - a_max t^2 + ..., and for n >= 3 the coefficient of t^n solves one
 linear equation whose pivot 2 - n (1 + r/K), r = sqrt((K-2)^2 + 8 p2), is at
 most 2 - n.  Every curvature model carries p's Taylor coefficients (the F
-and c controls, round-sphere products, and any custom p), so the series
+and c controls, round-sphere products, and hand-built models), so the series
 runs to order 30 and the ODE takes over where its last two terms fall below
 1e-17, at most t = 0.2.
 
@@ -67,8 +68,6 @@ __all__ = [
     "Profile",
     "CriterionVerdict",
     "LinkData",
-    "f_control",
-    "c_control",
     "slope_interval",
     "second_order_coeffs",
     "descent_series",
@@ -143,7 +142,8 @@ class CurvatureModel:
             raise ValueError("link dimension k must be >= 1")
         if not (math.isfinite(self.alpha) and self.alpha >= 0.0):
             raise ValueError(f"alpha must be finite and >= 0, got {self.alpha!r}")
-        if abs(self.p_fn(0.0) - 1.0) > 1e-10:
+        # written as not (... <= tol) so that NaN and inf fail too
+        if not abs(self.p_fn(0.0) - 1.0) <= 1e-10:
             raise ValueError("p(0) must equal 1")
         taylor = tuple(float(c) for c in self.taylor)
         if len(taylor) < 3 or taylor[:2] != (1.0, 0.0):
@@ -212,38 +212,11 @@ class CriterionVerdict:
 
 @dataclass(frozen=True)
 class LinkData:
-    """Minimal inputs the criterion needs about a link; the custom control
-    also needs p and its Taylor data as in ``CurvatureModel``."""
+    """What the criterion needs about a link: its curvature model, which
+    also gives k and alpha, and its normal radius."""
 
-    k: int
-    alpha: float
+    curvature: CurvatureModel
     normal_radius: float
-    p_fn: Optional[Callable[[float], float]] = None
-    taylor: Optional[tuple] = None
-
-
-def f_control(alpha: float, t, k: int):
-    """Sharper curvature control (1 - a t sqrt(k/(k+1))) (1 + a t / sqrt(k(k+1)))^k.
-
-    Equals 1 at t = 0 and lies below the exact p(t) whenever alpha bounds
-    the second fundamental form norm.
-    """
-    if alpha < 0.0 or k < 1:
-        raise ValueError("need alpha >= 0 and k >= 1")
-    t = np.asarray(t, dtype=float)
-    out = (1.0 - alpha * t * np.sqrt(k / (k + 1.0))) * (
-        1.0 + alpha * t / np.sqrt(k * (k + 1.0))
-    ) ** k
-    return float(out) if out.ndim == 0 else out
-
-
-def c_control(alpha: float, t):
-    """Coarser curvature control (1 - alpha t) exp(alpha t)."""
-    if alpha < 0.0:
-        raise ValueError("need alpha >= 0")
-    t = np.asarray(t, dtype=float)
-    out = (1.0 - alpha * t) * np.exp(alpha * t)
-    return float(out) if out.ndim == 0 else out
 
 
 def slope_interval(t: float, y: float, model: CurvatureModel) -> tuple[float, float]:
@@ -673,9 +646,15 @@ def verify_profile(profile: Profile, model: CurvatureModel) -> dict:
 def _f_taylor(alpha: float, k: int) -> tuple:
     """Coefficients of the F control, the polynomial
     (1 - alpha sqrt(k/(k+1)) t) (1 + alpha t / sqrt(k(k+1)))^k of degree k+1,
-    whose t and t^2 coefficients are exactly 0 and -alpha^2/2."""
+    whose t and t^2 coefficients are exactly 0 and -alpha^2/2.  A binomial
+    term beyond the float range raises ValueError naming k and alpha."""
     lead, b = alpha * math.sqrt(k / (k + 1.0)), alpha / math.sqrt(k * (k + 1.0))
-    binom = [math.comb(k, i) * b**i for i in range(k + 1)] + [0.0]
+    try:
+        binom = [math.comb(k, i) * b**i for i in range(k + 1)] + [0.0]
+    except OverflowError:
+        raise ValueError(
+            f"F control coefficients do not fit a float at k = {k}, alpha = {alpha!r}"
+        ) from None
     out = [binom[i] - lead * binom[i - 1] for i in range(1, k + 2)]
     return (1.0, 0.0, -0.5 * alpha * alpha, *out[2:])
 
@@ -692,10 +671,10 @@ def _c_taylor(alpha: float) -> tuple:
     return tuple(out)
 
 
-def _control_model(control: str, alpha: float, k: int, p_fn=None, taylor=None):
-    """Curvature model of a control; F and c get scalar closures that
-    evaluate f_control and c_control in the same order of operations, and
-    their Taylor coefficients."""
+def _control_model(control: str, alpha: float, k: int) -> CurvatureModel:
+    """Curvature model of the F or c control at alpha and k: a scalar
+    closure for p and its Taylor coefficients.  Any other control raises
+    ValueError."""
     if k < 1:
         # before the F coefficients, which divide by k and k + 1
         raise ValueError("link dimension k must be >= 1")
@@ -715,37 +694,30 @@ def _control_model(control: str, alpha: float, k: int, p_fn=None, taylor=None):
             return (1.0 - at) * math.exp(at)
 
         return CurvatureModel(k, alpha, c_scalar, _c_taylor(a))
-    if control == "custom":
-        missing = [name for name, x in (("p_fn", p_fn), ("taylor", taylor)) if x is None]
-        if missing:
-            raise ValueError(f"custom control requires p_fn and taylor, missing {missing}")
-        return CurvatureModel(k, alpha, p_fn, taylor)
-    raise ValueError(f"unknown control {control!r}")
+    raise ValueError(f"unknown control {control!r}: the controls are 'F' and 'c'")
 
 
-def _angle(control: str, alpha: float, k: int, p_fn=None, taylor=None):
+def _angle(model: CurvatureModel):
     """(theta, end, (t_start, series_order)) of the fastest descent under
-    the chosen curvature input: the vanishing angle (None without a hit),
-    how it ended (one of DESCENT_ENDS), and where the ODE took over from
-    which series order ((None, None) without a descent)."""
-    fastest = _fastest(_control_model(control, alpha, k, p_fn, taylor))
+    the model: the vanishing angle (None without a hit), how it ended (one
+    of DESCENT_ENDS), and where the ODE took over from which series order
+    ((None, None) without a descent)."""
+    fastest = _fastest(model)
     if fastest is None:
         return None, "no-departure", (None, None)
     series, run, end, t_end = fastest
     return (math.atan(t_end) if end == "hit" else None), end, (run.ts[0], len(series) - 1)
 
 
-def vanishing_angle(
-    control: str, alpha: float, k: int, p_fn=None, taylor=None
-) -> Optional[float]:
+def vanishing_angle(control: str, alpha: float, k: int) -> Optional[float]:
     """Polar angle arctan(t0) where the fastest descent hits zero under the
-    chosen curvature input; None when no descent or no hit exists.
+    F or c control; None when no descent or no hit exists.
 
     Runs the descent of ``integrate_fastest`` with its default start, cap
-    and tolerances, but samples no profile.  F and c carry their own Taylor
-    data; a custom p needs its Taylor data ``taylor`` as well.
+    and tolerances, but samples no profile.  A link's own model is
+    descended by ``check_area_minimizing`` under the custom control.
     """
-    return _angle(control, alpha, k, p_fn, taylor)[0]
+    return _angle(_control_model(control, alpha, k))[0]
 
 
 def build_smooth_profile(
@@ -839,14 +811,18 @@ def build_smooth_profile(
 def check_area_minimizing(link: LinkData, control: str = "F") -> CriterionVerdict:
     """Compare the vanishing angle with half the link's normal radius.
 
-    A pass certifies the cone as area-minimizing; a fail is only ever
-    inconclusive.  Margins within 1e-6 of zero are flagged as boundary
-    cases too tight to trust numerically.
+    The custom control descends on the link's curvature model itself; F
+    and c on the control built from its alpha and k.  A pass certifies the
+    cone as area-minimizing; a fail is only ever inconclusive.  Margins
+    within 1e-6 of zero are flagged as boundary cases too tight to trust
+    numerically.
     """
     if link.normal_radius is None or not np.isfinite(link.normal_radius):
         raise ValueError("link is missing a normal radius")
-    theta, end, origin = _angle(control, link.alpha, link.k, p_fn=link.p_fn,
-                                taylor=link.taylor)
+    model = link.curvature
+    if control != "custom":
+        model = _control_model(control, model.alpha, model.k)
+    theta, end, origin = _angle(model)
     R_half = 0.5 * link.normal_radius
     if theta is None:
         return CriterionVerdict(None, control, R_half, False, None, "inconclusive", end,

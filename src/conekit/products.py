@@ -3,9 +3,10 @@
 The product of links L_i^{k_i} in S^{N_i}, each factor scaled by
 lambda_i = sqrt(k_i / k) with k = sum k_i, is a minimal submanifold of the
 unit sphere S^(sum N_i + n - 1).  This module assembles such products and
-computes the quantities the cone criterion consumes: a curvature bound
-alpha, the determinant infimum p(t), its quadratic coefficient p2, and the
-normal radius.
+computes the quantities the cone criterion consumes: the curvature model
+(a bound alpha, the determinant infimum p(t) and its Taylor data, whose
+quadratic coefficient is p2) and the normal radius.  ``LinkData`` carries
+that one model to the descent unchanged.
 
 For a product of round spheres all four are exact and nothing is sampled.
 The normal space at (lambda_i x_i) is spanned by the mixing normals
@@ -37,9 +38,8 @@ __all__ = [
     "curvature_model",
     "normal_radius",
     "hypersurface_factor",
-    "replication_counts",
+    "replication_links",
     "replication_search",
-    "as_link_data",
 ]
 
 UNIT_TOL = 1e-10
@@ -146,7 +146,8 @@ def curvature_model(link: ProductLink) -> CurvatureModel:
     its polynomial's coefficients are the model's Taylor data.  It is exact
     for 0 <= t < t_focal; the descent ends by t_focal, because
     p(t_focal) = 0 closes the band, and its series start lies before its
-    end, so nothing reads p_fn beyond it.
+    end, so nothing reads p_fn beyond it.  A product whose Taylor data do
+    not fit a float raises ValueError.
     """
     _require_round(link, "curvature model")
     k = link.k
@@ -169,13 +170,21 @@ def _term_taylor(j: int, m: int) -> tuple:
     """Coefficients, lowest order first, of the term
     q_j = (1 + a t)^j (1 - b t)^m of ``curvature_model``: the integer
     polynomial (1 + m s)^j (1 - j s)^m, expanded exactly, at
-    s = t / sqrt(j m), so each is one rounded integer over sqrt(j m)^n."""
-    coeffs = [1]
-    for root, power in ((m, j), (-j, m)):
-        for _ in range(power):
-            coeffs = [x + root * y for x, y in zip(coeffs + [0], [0] + coeffs)]
+    s = t / sqrt(j m), so each is one rounded integer over sqrt(j m)^n.
+    ValueError names k = j + m when an integer or a power of the scale
+    exceeds the float range."""
     scale = math.sqrt(j * m)
-    return tuple(float(c) / scale**n for n, c in enumerate(coeffs))
+    try:
+        # the top power first, so that a k out of range fails before the
+        # expansion, whose cost grows as k^2
+        scale ** (j + m)
+        coeffs = [1]
+        for root, power in ((m, j), (-j, m)):
+            for _ in range(power):
+                coeffs = [x + root * y for x, y in zip(coeffs + [0], [0] + coeffs)]
+        return tuple(float(c) / scale**n for n, c in enumerate(coeffs))
+    except OverflowError:
+        raise ValueError(f"Taylor coefficients of p do not fit a float at k = {j + m}") from None
 
 
 @dataclass(frozen=True)
@@ -236,42 +245,24 @@ def hypersurface_factor(link: ProductLink) -> SphereFactor:
     )
 
 
-def as_link_data(
-    link: ProductLink,
-    *,
-    curvature: Optional[CurvatureModel] = None,
-    radius: Optional[NormalRadiusEstimate] = None,
-) -> LinkData:
-    """Bundle the criterion inputs, computing anything not supplied."""
-    model = curvature if curvature is not None else curvature_model(link)
-    R = radius if radius is not None else normal_radius(link)
-    return LinkData(
-        k=link.k,
-        alpha=model.alpha,
-        normal_radius=float(R),
-        p_fn=model.p_fn,
-        taylor=model.taylor,
-    )
-
-
-def replication_counts(n_max: int) -> range:
-    """The copy counts n = 2 .. n_max that ``replication_search`` scans;
-    ValueError when n_max < 2."""
+def replication_links(base: SphereFactor, n_max: int) -> list:
+    """(n, LinkData) of the products of n = 2 .. n_max copies of the base
+    link, all built before any descent, so a product out of range raises
+    ValueError before the first one; so does n_max < 2."""
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
-    return range(2, n_max + 1)
+    links = []
+    for n in range(2, n_max + 1):
+        link = minimal_product([base] * n)
+        links.append((n, LinkData(curvature_model(link), normal_radius(link).value)))
+    return links
 
 
 def replication_search(base: SphereFactor, n_max: int, control: str = "F") -> dict:
     """Smallest number of copies of the base link whose product cone the
     criterion certifies, scanning n = 2 .. n_max.  The curvature data of
     each product is exact, so no samples are drawn."""
-    verdicts = []
-    n_pass = None
-    for n in replication_counts(n_max):
-        data = as_link_data(minimal_product([base] * n))
-        verdict = check_area_minimizing(data, control)
-        verdicts.append((n, verdict))
-        if verdict.passes and n_pass is None:
-            n_pass = n
+    verdicts = [(n, check_area_minimizing(data, control))
+                for n, data in replication_links(base, n_max)]
+    n_pass = next((n for n, verdict in verdicts if verdict.passes), None)
     return {"n_pass": n_pass, "verdicts": verdicts}

@@ -1,17 +1,19 @@
 """Second implementations kept only to test the library against.
 
-Each one computes a quantity conekit now obtains another way: the descent
-ODE by scipy's ``solve_ivp`` instead of the scalar DOP853 loop, the descent
-from the order-2 start 1 - a_max t^2 at t = 1e-3 that the order-30 series
-start replaced (the only place that start lives on), a tight reference
-descent from an order-40 series, comass by a constrained minimization and by
-the step-rule ascent retracted by LAPACK's QR instead of Gram-Schmidt, shape
-matrices by finite differences along great-circle curves instead of the
-closed-form spectra, p(t) by a dense search over unit normals and as the
-least term over all proper subset sums instead of its single term j* =
-k - k_min, and the normal radius from explicit chords between link points
-instead of arcsin(lambda_min), and the open-hemisphere decision by two
-HiGHS linear programs and an NNLS polish instead of one nearest-point solve.
+Each one computes a quantity conekit now obtains another way: the F and c
+curvature controls in numpy instead of the scalar closures of
+``lawlor._control_model``, the descent ODE by scipy's ``solve_ivp`` instead
+of the scalar DOP853 loop, the descent from the order-2 start 1 - a_max t^2
+at t = 1e-3 that the order-30 series start replaced (the only place that
+start lives on), a tight reference descent from an order-40 series, comass
+by a constrained minimization and by the step-rule ascent retracted by
+LAPACK's QR instead of Gram-Schmidt, shape matrices by finite differences
+along great-circle curves instead of the closed-form spectra, p(t) by a
+dense search over unit normals and as the least term over all proper subset
+sums instead of its single term j* = k - k_min, and the normal radius from
+explicit chords between link points instead of arcsin(lambda_min), and the
+open-hemisphere decision by two HiGHS linear programs and an NNLS polish
+instead of one nearest-point solve.
 It also keeps the seeded sampler of product points that products used
 before a round hypersurface factor became one exact antipodal pair: tests
 that need random points of a product, or a Gauss image with no antipodal
@@ -29,6 +31,34 @@ from conekit.comass import _check_pair, _eval_batch, _grad_batch, _whitened_vect
 from conekit.exterior import AlternatingForm, MetricTensor, _interior_matrix
 from conekit.obstruction import HemisphereCertificate
 from conekit.products import ProductLink, _require_round
+
+
+# ---------------------------------------------------------------------------
+# curvature controls
+
+
+def f_control(alpha: float, t, k: int):
+    """Sharper curvature control (1 - a t sqrt(k/(k+1))) (1 + a t / sqrt(k(k+1)))^k.
+
+    Equals 1 at t = 0 and lies below the exact p(t) whenever alpha bounds
+    the second fundamental form norm.
+    """
+    if alpha < 0.0 or k < 1:
+        raise ValueError("need alpha >= 0 and k >= 1")
+    t = np.asarray(t, dtype=float)
+    out = (1.0 - alpha * t * np.sqrt(k / (k + 1.0))) * (
+        1.0 + alpha * t / np.sqrt(k * (k + 1.0))
+    ) ** k
+    return float(out) if out.ndim == 0 else out
+
+
+def c_control(alpha: float, t):
+    """Coarser curvature control (1 - alpha t) exp(alpha t)."""
+    if alpha < 0.0:
+        raise ValueError("need alpha >= 0")
+    t = np.asarray(t, dtype=float)
+    out = (1.0 - alpha * t) * np.exp(alpha * t)
+    return float(out) if out.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------

@@ -170,9 +170,7 @@ def _cone_verdict(dims, p_exact):
     link = minimal_product([SphereFactor.round(d) for d in dims])
     model = curvature_model(link)
     radius = normal_radius(link)
-    p_fn, taylor = p_exact
-    data = LinkData(k=link.k, alpha=model.alpha, normal_radius=float(radius),
-                    p_fn=p_fn, taylor=taylor)
+    data = LinkData(CurvatureModel(link.k, model.alpha, *p_exact), float(radius))
     return check_area_minimizing(data, "custom"), model, radius
 
 

@@ -13,17 +13,17 @@ from conekit.lawlor import (
     CurvatureModel,
     LinkData,
     build_smooth_profile,
-    c_control,
     check_area_minimizing,
-    f_control,
     integrate_fastest,
     second_order_coeffs,
     vanishing_angle,
 )
 from conekit.products import SphereFactor, curvature_model, minimal_product
 from oracles import (
+    c_control,
     control_taylor,
     descend_solve_ivp,
+    f_control,
     order2_start_angle,
     series_reference_angle,
 )
@@ -51,15 +51,15 @@ def _product_model(dims):
 
 
 def _cases():
-    """(control, alpha, k, p_fn, taylor): the F and c controls on k =
-    1..30 at alpha in {0, 1/2, 1, sqrt k}, and custom p from the exact
-    S3 x S3 curvature model and (1 - t^2)^6 with their Taylor data."""
-    cases = [(control, alpha, k, None, None)
+    """(control, model): the F and c controls on k = 1..30 at alpha in
+    {0, 1/2, 1, sqrt k}, and custom models, the exact S3 x S3 curvature
+    model and (1 - t^2)^6 with its Taylor data."""
+    cases = [(control, lawlor._control_model(control, alpha, k))
              for k in KS for alpha in (0.0, 0.5, 1.0, math.sqrt(k))
              for control in ("F", "c")]
-    s3xs3 = _product_model((3, 3))
-    cases.append(("custom", s3xs3.alpha, 6, s3xs3.p_fn, s3xs3.taylor))
-    cases.append(("custom", math.sqrt(12), 12, lambda t: (1.0 - t * t) ** 6, SIXTH_POWER))
+    cases.append(("custom", _product_model((3, 3))))
+    cases.append(("custom", CurvatureModel(12, math.sqrt(12), lambda t: (1.0 - t * t) ** 6,
+                                           SIXTH_POWER)))
     return cases
 
 
@@ -73,10 +73,15 @@ def test_theta_matches_solve_ivp_oracle(monkeypatch):
     cases = _cases()
     assert len(cases) >= 200
     ends = set()
-    for args in cases:
-        theta, end, _ = lawlor._angle(*args)
-        theta_ref, end_ref, _ = _with_oracle(monkeypatch, lawlor._angle, *args)
-        assert vanishing_angle(*args) == theta
+    for control, model in cases:
+        args = (control, model.alpha, model.k)
+        theta, end, _ = lawlor._angle(model)
+        theta_ref, end_ref, _ = _with_oracle(monkeypatch, lawlor._angle, model)
+        if control == "custom":
+            link = LinkData(model, math.pi / 2)
+            assert check_area_minimizing(link, control).theta_used == theta
+        else:
+            assert vanishing_angle(*args) == theta
         assert end == end_ref, args
         assert (theta is None) == (theta_ref is None) == (end != "hit")
         if theta is not None:
@@ -167,16 +172,18 @@ def test_profile_end_reasons_and_counts():
 
 
 def test_verdict_carries_descent_end():
-    simons = LinkData(6, math.sqrt(6), math.pi / 4, _simons_p, SIMONS_TAYLOR)
+    simons = LinkData(_simons(), math.pi / 4)
     verdict = check_area_minimizing(simons, "custom")
     assert verdict.end == "hit" and verdict.series_order == lawlor.SERIES_ORDER
     assert verdict.t_start == integrate_fastest(_simons()).t_start > 1e-3
     f_verdict = check_area_minimizing(simons, "F")
     assert f_verdict.series_order == lawlor.SERIES_ORDER and f_verdict.t_start > 1e-3
-    clifford = LinkData(2, math.sqrt(2), math.pi / 4, lambda t: 1.0 - t * t, CLIFFORD_TAYLOR)
+    clifford = LinkData(CurvatureModel(2, math.sqrt(2), lambda t: 1.0 - t * t,
+                                       CLIFFORD_TAYLOR), math.pi / 4)
     flat = check_area_minimizing(clifford, "custom")
     assert flat.end == "no-departure" and flat.t_start is flat.series_order is None
-    assert check_area_minimizing(LinkData(4, 1.5, 0.5), "F").end == "pinch"
+    pinch = LinkData(lawlor._control_model("F", 1.5, 4), 0.5)
+    assert check_area_minimizing(pinch, "F").end == "pinch"
 
 
 def _rough(t):
@@ -224,12 +231,11 @@ def _series_lanes():
     """(model, p's coefficients to order 40) for every lane of ``_cases``
     and every benchmark product that descends."""
     lanes = []
-    for control, alpha, k, p_fn, taylor in _cases():
+    for control, model in _cases():
         if control == "custom":
-            model = CurvatureModel(k, alpha, p_fn, taylor)
+            taylor = model.taylor
         else:
-            model = lawlor._control_model(control, alpha, k)
-            taylor = control_taylor(control, alpha, k, 40)
+            taylor = control_taylor(control, model.alpha, model.k, 40)
         lanes.append((model, taylor))
     for dims in BENCHMARK_PRODUCTS + SINGLE_FACTORS:
         model = _product_model(dims)

@@ -12,17 +12,16 @@ from conekit.lawlor import (
     LinkData,
     Profile,
     build_smooth_profile,
-    c_control,
     check_area_minimizing,
     descent_series,
-    f_control,
     integrate_fastest,
     second_order_coeffs,
     slope_interval,
     vanishing_angle,
     verify_profile,
 )
-from conekit.products import SphereFactor, as_link_data, curvature_model, minimal_product
+from conekit.products import SphereFactor, curvature_model, minimal_product, normal_radius
+from oracles import c_control, f_control
 
 SIMONS_TAYLOR = (1.0, 0.0, -3.0, 0.0, 3.0, 0.0, -1.0)  # (1 - t^2)^3
 FLAT_TAYLOR = (1.0, 0.0, 0.0)
@@ -132,7 +131,8 @@ def test_second_order_coeffs_values():
             assert model.p2 == -0.5 * model.k
             assert _departs(model.k, model.p2) == (model.k >= 6), dims
     # the single divisor still certifies the cone over S3 x S3
-    s3xs3 = as_link_data(minimal_product([SphereFactor.round(3)] * 2))
+    link = minimal_product([SphereFactor.round(3)] * 2)
+    s3xs3 = LinkData(curvature_model(link), normal_radius(link).value)
     assert check_area_minimizing(s3xs3, "custom").status == "passes"
 
 
@@ -316,43 +316,39 @@ def test_smooth_profile_angle_decreases_toward_fastest():
 
 
 def test_check_area_minimizing_verdicts():
-    simons = LinkData(
-        6,
-        math.sqrt(6),
-        math.pi / 4,
-        p_fn=lambda t: (1 - t * t) ** 3 if abs(t) < 1 else 0.0,
-        taylor=SIMONS_TAYLOR,
-    )
+    simons = LinkData(_simons_model(), math.pi / 4)
     v = check_area_minimizing(simons, "custom")
     assert v.passes and v.status == "passes" and v.margin > 0.0
     assert v.R_half == math.pi / 8
 
     clifford = LinkData(
-        2,
-        math.sqrt(2),
+        CurvatureModel(2, math.sqrt(2), lambda t: max(1 - t * t, 0.0), CLIFFORD_TAYLOR),
         math.pi / 4,
-        p_fn=lambda t: max(1 - t * t, 0.0),
-        taylor=CLIFFORD_TAYLOR,
     )
     v2 = check_area_minimizing(clifford, "custom")
     assert not v2.passes and v2.status == "inconclusive"
     assert v2.theta_used is None
 
     with pytest.raises(ValueError, match="normal radius"):
-        check_area_minimizing(LinkData(4, 1.0, float("nan")), "F")
+        check_area_minimizing(LinkData(lawlor._control_model("F", 1.0, 4), float("nan")), "F")
 
 
 def test_check_area_minimizing_equator_threshold():
     # flat link with maximal normal radius: passes exactly when the
     # zero-curvature vanishing angle clears pi/4
     theta0 = vanishing_angle("F", 0.0, 6)
-    verdict = check_area_minimizing(LinkData(6, 0.0, math.pi / 2), "F")
+    flat = LinkData(lawlor._control_model("F", 0.0, 6), math.pi / 2)
+    verdict = check_area_minimizing(flat, "F")
     assert verdict.passes == (theta0 <= math.pi / 4)
 
 
 def test_curvature_model_validation():
     with pytest.raises(ValueError, match="p\\(0\\)"):
         CurvatureModel(4, 1.0, lambda t: 1.0 + t + 0.5, (1.0, 0.0, -0.5))
+    # NaN and inf at 0 fail the check too, not only the descent
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="p\\(0\\) must equal 1"):
+            CurvatureModel(4, 1.0, lambda t, bad=bad: bad, (1.0, 0.0, -0.5))
     with pytest.raises(ValueError, match="p2"):
         CurvatureModel(4, 1.0, lambda t: 1.0, (1.0, 0.0, 0.5))
     with pytest.raises(ValueError):

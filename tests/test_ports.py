@@ -95,7 +95,7 @@ def _event_brackets():
             for dims in itertools.combinations_with_replacement(range(1, 8), n):
                 model = curvature_model(minimal_product([SphereFactor.round(d)
                                                          for d in dims]))
-                lawlor._angle("custom", model.alpha, model.k, model.p_fn, model.taylor)
+                lawlor._angle(model)
     finally:
         mp.undo()
     return brackets

@@ -1,15 +1,17 @@
 """Tests for scaled sphere products and their exact curvature data."""
 
+import importlib
+import json
 import math
 
 import numpy as np
 import pytest
 
+from conekit import cli, gluing, lawlor, obstruction, products
 from conekit.products import (
     NormalRadiusEstimate,
     ProductLink,
     SphereFactor,
-    as_link_data,
     curvature_model,
     hypersurface_factor,
     minimal_product,
@@ -60,7 +62,8 @@ def test_round_products_draw_no_samples():
     circle = SphereFactor(dim=1, ambient=2, points=np.eye(3)[:2],
                           normals=np.eye(3)[[1, 0]])
     simons = minimal_product([SphereFactor.round(3)] * 2)
-    as_link_data(simons)
+    curvature_model(simons)
+    normal_radius(simons)
     assert set(vars(simons)) == {"factors", "lambdas", "k", "ambient_sphere_dim"}
     with pytest.raises(TypeError):
         minimal_product([SphereFactor.round(1)], samples=5)
@@ -171,15 +174,6 @@ def test_hypersurface_factor_round_trip():
         hypersurface_factor(triple)
 
 
-def test_as_link_data_bundles_inputs():
-    link = _clifford()
-    data = as_link_data(link)
-    assert data.k == 2
-    assert abs(data.alpha - math.sqrt(2)) < 1e-6
-    assert abs(data.normal_radius - math.pi / 4) < 1e-6
-    assert abs(data.p_fn(0.5) - 0.75) < 1e-5
-
-
 def test_replication_search_small_products_fail():
     # a few circles are far too curved relative to their normal radius
     out = replication_search(SphereFactor.round(1), 4, "F")
@@ -188,3 +182,50 @@ def test_replication_search_small_products_fail():
     assert all(not v.passes for _, v in out["verdicts"])
     with pytest.raises(ValueError):
         replication_search(SphereFactor.round(1), 1)
+
+
+def test_replication_builds_every_link_before_a_descent(monkeypatch):
+    # 256 circles is the largest count whose Taylor data fit a float; a
+    # search past it fails before its first descent
+    calls = []
+    monkeypatch.setattr(products, "check_area_minimizing",
+                        lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match="k = 257"):
+        replication_search(SphereFactor.round(1), 260, "F")
+    assert calls == []
+    links = products.replication_links(SphereFactor.round(1), 256)
+    assert [n for n, _ in links] == list(range(2, 257))
+    assert all(data.curvature.k == n for n, data in links)
+
+
+def test_certify_descends_on_the_model_curvature_model_returns(tmp_path, monkeypatch):
+    # the contract of perfbench/tracer.py: it swaps the p_fn field of the
+    # model products.curvature_model returns, and the certify descent must
+    # call that field; it also needs these imported names to stay bound
+    comass_fn = importlib.import_module("conekit.comass").comass
+    assert cli._comass is comass_fn and gluing.comass is comass_fn
+    assert obstruction.comass is comass_fn
+    assert products.check_area_minimizing is lawlor.check_area_minimizing
+    spec = tmp_path / "s3xs3.json"
+    spec.write_text(json.dumps({"factors": [{"type": "sphere", "dim": 3}] * 2}))
+    argv = ["certify-cone", "--spec", str(spec), "--control", "custom", "--out"]
+    assert cli.main([*argv, str(tmp_path / "plain")]) == 0
+    calls = []
+    build = products.curvature_model
+
+    def wrapped_model(link):
+        model = build(link)
+        p_fn = model.p_fn
+
+        def counted(t):
+            calls.append(t)
+            return p_fn(t)
+
+        object.__setattr__(model, "p_fn", counted)
+        return model
+
+    monkeypatch.setattr(products, "curvature_model", wrapped_model)
+    assert cli.main([*argv, str(tmp_path / "wrapped")]) == 0
+    assert len(calls) > 100
+    assert ((tmp_path / "wrapped" / "report.json").read_bytes()
+            == (tmp_path / "plain" / "report.json").read_bytes())

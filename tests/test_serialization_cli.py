@@ -459,6 +459,34 @@ def test_cli_rejects_non_finite_samples(tmp_path):
         assert item["item"] == "factors" and "finite unit vectors" in item["error"]
 
 
+# links whose curvature data do not fit a float: S^81 x S^81 (k = 162), the
+# F control at k = 1030, and 257 circles, the first count past 256
+BEYOND_FLOATS = {
+    "certify": ("certify-cone", {"factors": [{"type": "sphere", "dim": 81}] * 2}, [],
+                "k = 162"),
+    "table": ("vanishing-table", {"ks": [1030], "alphas": [1.0], "controls": ["F"]}, [],
+              "k = 1030"),
+    "replicate": ("replicate", {"base": {"type": "sphere", "dim": 1}, "n_max": 260},
+                  ["--control", "F"], "k = 257"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BEYOND_FLOATS))
+def test_cli_rejects_links_beyond_the_float_range(tmp_path, capsys, name):
+    # a precondition failure, exit 2 with a manifest, before any descent;
+    # validate rejects the same spec
+    command, spec, extra, where = BEYOND_FLOATS[name]
+    path = _write_spec(tmp_path / "spec.json", spec)
+    out = tmp_path / "out"
+    assert main([command, "--spec", path, "--out", str(out), *extra]) == 2
+    assert where in capsys.readouterr().err
+    assert read_json(str(out / "manifest.json"))["exit_code"] == 2
+    assert os.listdir(out) == ["manifest.json"]
+    assert main(["validate", "--spec", path, "--out", str(tmp_path / "v"), *extra]) == 2
+    diag = read_json(str(tmp_path / "v" / "diagnostics.json"))
+    assert [where in d.get("error", "") for d in diag["diagnostics"]].count(True) == 1
+
+
 def test_cli_replicate_job(tmp_path):
     spec = _write_spec(
         tmp_path / "repl.json",

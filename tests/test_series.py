@@ -206,12 +206,36 @@ def test_taylor_data_rejections():
     wrong = CurvatureModel(6, math.sqrt(6), p, (1.0, 0.0, -3.0, 0.0, 3.0))
     with pytest.raises(ValueError, match="Taylor data give p"):
         integrate_fastest(wrong)
-    link = LinkData(6, math.sqrt(6), math.pi / 4, p, (1.0, 0.0, -3.0, 1e-9))
+    link = LinkData(CurvatureModel(6, math.sqrt(6), p, (1.0, 0.0, -3.0, 1e-9)), math.pi / 4)
     with pytest.raises(ValueError, match="Taylor data give p"):
         check_area_minimizing(link, "custom")
-    # a custom p needs its Taylor data
-    with pytest.raises(ValueError, match="missing \\['taylor'\\]"):
-        check_area_minimizing(LinkData(6, math.sqrt(6), math.pi / 4, p), "custom")
+
+
+def test_custom_is_not_a_control_of_its_own(tmp_path, capsys):
+    # a custom input is a link's curvature model; the angle entry point and
+    # a vanishing table, which have no link, take only F and c
+    with pytest.raises(ValueError, match="'F' and 'c'"):
+        lawlor.vanishing_angle("custom", math.sqrt(6), 6)
+    spec = tmp_path / "table.json"
+    spec.write_text(json.dumps({"ks": [6], "alphas": [1.0]}))
+    out = tmp_path / "out"
+    assert main(["vanishing-table", "--spec", str(spec), "--out", str(out),
+                 "--control", "custom"]) == 2
+    assert "'F' and 'c'" in capsys.readouterr().err
+    assert json.loads((out / "manifest.json").read_text())["exit_code"] == 2
+    assert not (out / "vanishing_table.csv").exists()
+
+
+def test_taylor_data_beyond_the_float_range():
+    # the largest F control and circle product whose coefficients fit a
+    # float, and the first past each, which name their k
+    assert all(math.isfinite(c) for c in lawlor._control_model("F", 1.0, 1029).taylor)
+    with pytest.raises(ValueError, match="k = 1030"):
+        lawlor._control_model("F", 1.0, 1030)
+    circles = [SphereFactor.round(1)] * 256
+    assert all(math.isfinite(c) for c in curvature_model(minimal_product(circles)).taylor)
+    with pytest.raises(ValueError, match="k = 257"):
+        curvature_model(minimal_product(circles + [SphereFactor.round(1)]))
 
 
 def test_series_start_lies_before_the_descent_end(monkeypatch):

@@ -4,12 +4,13 @@ finite-difference, dense-search and explicit-chord oracles they replace."""
 import itertools
 import json
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from conekit import products
+from conekit import lawlor, products
 from conekit.cli import main
 from conekit.lawlor import (
     CurvatureModel,
@@ -18,7 +19,6 @@ from conekit.lawlor import (
     check_area_minimizing,
     integrate_fastest,
     second_order_coeffs,
-    vanishing_angle,
 )
 from conekit.products import (
     SphereFactor,
@@ -199,8 +199,7 @@ def test_single_term_gives_the_subset_sum_verdicts():
     lanes = 0
     for link in _round_products(2) + _round_products(3):
         model, radius = curvature_model(link), normal_radius(link).value
-        verdicts = [check_area_minimizing(LinkData(link.k, model.alpha, radius, p_fn,
-                                                   model.taylor), "custom")
+        verdicts = [check_area_minimizing(LinkData(replace(model, p_fn=p_fn), radius), "custom")
                     for p_fn in (model.p_fn, p_over_subset_sums(link))]
         assert verdicts[0] == verdicts[1], [f.dim for f in link.factors]
         lanes += 1
@@ -317,7 +316,7 @@ def test_ode_failure_raises():
     model = CurvatureModel(6, math.sqrt(6), _nan_after(0.25), SIMONS_TAYLOR)
     with pytest.raises(RuntimeError, match="descent ODE failed at t = 0.25"):
         integrate_fastest(model)
-    data = LinkData(6, math.sqrt(6), 0.8, model.p_fn, SIMONS_TAYLOR)
+    data = LinkData(model, 0.8)
     with pytest.raises(RuntimeError):
         check_area_minimizing(data, "custom")
     a_min, a_max = second_order_coeffs(6, -3.0)
@@ -333,7 +332,7 @@ def test_ode_failure_in_early_leg_raises():
     with pytest.raises(RuntimeError, match="descent ODE failed"):
         integrate_fastest(model)
     with pytest.raises(RuntimeError, match="descent ODE failed"):
-        vanishing_angle("custom", math.sqrt(6), 6, model.p_fn, SIMONS_TAYLOR)
+        lawlor._angle(model)
 
 
 def test_cli_ode_failure_exits_three_with_manifest(tmp_path, monkeypatch):
