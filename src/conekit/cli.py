@@ -311,10 +311,20 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--spec", required=True, help="job specification JSON")
     parser.add_argument("--out", default="out", help="output directory")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--control", choices=["F", "c", "custom"], default="custom")
+    parser.add_argument("--control", choices=["F", "c", "custom"])
     parser.add_argument("--tol", type=_tolerance, default=1e-6)
     parser.add_argument("--grid", type=int, default=11)
     return parser
+
+
+def _default_control(command: str, spec: dict) -> str:
+    """The control a job takes when ``--control`` is not given: F for the
+    lanes of a vanishing table whose spec names no ``controls`` (in
+    vanishing-table and in validate's table item), since a table has no
+    link to descend on; custom, the link's own curvature model, otherwise."""
+    table = (command in ("vanishing-table", "validate") and "controls" not in spec
+             and ("ks" in spec or "alphas" in spec))
+    return "F" if table else "custom"
 
 
 def _run(args, out_dir: str) -> int:
@@ -327,6 +337,9 @@ def _run(args, out_dir: str) -> int:
         print(f"error: spec must be a JSON object, got {type(spec).__name__}",
               file=sys.stderr)
         return EXIT_PRECONDITION
+    if args.control is None:
+        # resolved here, once, so that the job and its manifest agree
+        args.control = _default_control(args.command, spec)
     base_dir = os.path.dirname(os.path.abspath(args.spec))
     try:
         return COMMANDS[args.command](spec, args, out_dir, base_dir)

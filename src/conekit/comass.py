@@ -18,18 +18,16 @@ phi(u_1, ..., u_m) = iota_{u_m} ... iota_{u_1} phi, where each iota is a
 gather through a signed index table plus a batched mat-vec, so memory stays
 O(R n C(n, m-1)) for R frames.
 
-An independent lower bound comes from a seeded brute-force sampler.
-
-Also provides the canonical decomposition of a form with respect to a simple
-m-vector it evaluates to 1 on, the adapted metric that renormalizes the
-comass to 1, and the rigidity check for calibration forms.
+The random-search lower bound, the canonical decomposition along a
+calibrated plane and the adapted metrics, which no job reports, are kept
+in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,24 +38,10 @@ from .exterior import (
     _contract_frames,
     _hodge_star,
     _interior_matrix,
-    evaluate,
-    gram_norm,
-    multi_indices,
     pullback,
-    wedge,
 )
 
-__all__ = [
-    "ComassResult",
-    "Decomposition",
-    "comass",
-    "comass_bruteforce",
-    "comass_analytic",
-    "decompose",
-    "adapted_base_metric",
-    "adapted_metric",
-    "calibration_decomposition_check",
-]
+__all__ = ["ComassResult", "comass"]
 
 
 @dataclass(frozen=True)
@@ -77,39 +61,6 @@ class ComassResult:
     converged: bool
     residual: float
     restarts_at_max: int = 0
-
-
-@dataclass(frozen=True)
-class Decomposition:
-    """phi = v_1* ^ ... ^ v_m* + sum a_I v_I* in the dual basis of V + W."""
-
-    V_basis: np.ndarray  # n x m, columns span V
-    W_basis: np.ndarray  # n x (n-m), columns span W
-    leading_sign: int
-    tail_coeffs: dict[tuple[int, ...], float] = field(default_factory=dict)
-
-    @property
-    def basis(self) -> np.ndarray:
-        return np.column_stack([self.V_basis, self.W_basis])
-
-    def reassemble(self) -> AlternatingForm:
-        """Rebuild the form from the decomposition data (testing aid)."""
-        n = self.basis.shape[0]
-        m = self.V_basis.shape[1]
-        dual = np.linalg.inv(self.basis)  # row i is the covector dual to basis col i
-        covs = [AlternatingForm(n, 1, {(j + 1,): dual[i, j] for j in range(n)})
-                for i in range(n)]
-
-        def dual_wedge(idx):
-            out = covs[idx[0] - 1]
-            for i in idx[1:]:
-                out = wedge(out, covs[i - 1])
-            return out
-
-        form = dual_wedge(tuple(range(1, m + 1))) * float(self.leading_sign)
-        for I, a in self.tail_coeffs.items():
-            form = form + dual_wedge(I) * a
-        return form
 
 
 # ---------------------------------------------------------------------------
@@ -367,253 +318,3 @@ def _optimize(
         residual=float(residual[best]),
         restarts_at_max=int(active.size),
     )
-
-
-def comass_bruteforce(
-    phi: AlternatingForm,
-    g: MetricTensor,
-    sample_count: int,
-    seed: int = 0,
-    rounds: int = 12,
-) -> float:
-    """Seeded random-search lower bound: max |phi(Q)| / ||Q||_g over frames
-    whose factors are drawn from the unit sphere.
-
-    Zeroth-order and independent of the gradient optimizer: the budget is
-    spent in rounds, each mixing fresh uniform sphere draws with draws
-    concentrated around the incumbent best frame at a shrinking spread.
-    Always a lower bound; converges to the comass as the budget grows.
-    The ratio is invariant under a change of basis of the frame, so it is
-    evaluated on the g-orthonormal frame L^{-T} Q, Q = L^T V retracted as in
-    the optimizer: dividing by the Gram determinant instead overshoots the
-    comass by up to 1e-3 relative on nearly degenerate frames, where Q still
-    has unit columns and so the ratio stays a lower bound.
-    """
-    _check_pair(phi, g)
-    if sample_count < 1:
-        raise ValueError("sample_count must be >= 1")
-    n, m = phi.n, phi.m
-    first = _interior_matrix(phi.vector, n, m)
-    L = g.cholesky
-    Linv_T = np.linalg.inv(L).T
-    rng = np.random.default_rng(seed)
-
-    def ratios(V):
-        return np.abs(_eval_batch(first, Linv_T @ _orthonormalize(L.T @ V)))
-
-    def to_sphere(V):
-        return V / np.linalg.norm(V, axis=1, keepdims=True)
-
-    rounds = max(1, min(rounds, sample_count))
-    per_round = sample_count // rounds
-    leftover = sample_count - per_round * rounds
-    best_val = 0.0
-    best_frame = None
-    spread = 0.5
-    for r in range(rounds):
-        size = per_round + (leftover if r == rounds - 1 else 0)
-        if size == 0:
-            continue
-        uniform = to_sphere(rng.standard_normal((size, n, m)))
-        if best_frame is not None:
-            half = size // 2
-            local = to_sphere(
-                best_frame[None] + spread * rng.standard_normal((half, n, m))
-            )
-            V = np.concatenate([uniform[: size - half], local], axis=0)
-        else:
-            V = uniform
-        vals = ratios(V)
-        top = int(np.argmax(vals))
-        if vals[top] > best_val:
-            best_val = float(vals[top])
-            best_frame = V[top]
-        spread *= 0.5
-    return best_val
-
-
-def comass_analytic(phi: AlternatingForm, g: MetricTensor) -> float:
-    """Closed-form comass for degrees 1, 2, n-2, n-1 and n: the value of the
-    exact path of ``comass``.
-
-    Degree 1: the dual norm sqrt(c^T g^{-1} c).  Degree 2: the largest
-    singular value of the whitened skew coefficient matrix L^{-1} A L^{-T}.
-    Degrees n-2, n-1 and n: the same applied to the whitened Hodge star.
-    """
-    _check_pair(phi, g)
-    exact = _exact(phi, g)
-    if exact is None:
-        raise ValueError(f"no closed-form comass for degree {phi.m} on R^{phi.n}")
-    return exact.value
-
-
-# ---------------------------------------------------------------------------
-# canonical decomposition and the adapted metric
-
-
-def _lambda_matrix(phi: AlternatingForm, V: np.ndarray) -> np.ndarray:
-    """Rows are the covectors lambda_i(v) = phi(eta_i ^ v) of the decomposition.
-
-    eta_i = (-1)^(m+i) v_1 ^ ... ^ hat v_i ^ ... ^ v_m, so lambda_i is the
-    gradient of phi(V) in the i-th factor; for m = 1 it is phi itself.
-    """
-    first = _interior_matrix(phi.vector, phi.n, phi.m)
-    return _grad_batch(first, V[None])[0].T
-
-
-def _null_space(A: np.ndarray) -> np.ndarray:
-    """Orthonormal basis (columns) of ker A from the SVD, with the rank
-    cutoff max(M, N) eps s_max of ``scipy.linalg.null_space``."""
-    _, s, vh = np.linalg.svd(A, full_matrices=True)
-    rank = int(np.sum(s > max(A.shape) * np.finfo(float).eps * np.amax(s, initial=0.0)))
-    return vh[rank:].T
-
-
-def decompose(phi: AlternatingForm, xi: SimpleVector, *, tol: float = 1e-9) -> Decomposition:
-    """Canonical decomposition of phi with respect to xi, phi(xi) = 1.
-
-    Returns the unique complementary subspace W = intersection of ker lambda_i
-    together with the tail coefficients a_I, which vanish unless I has at
-    least two indices beyond m.
-    """
-    n, m = phi.n, phi.m
-    if xi.n != n or xi.m != m:
-        raise ValueError("xi must be a simple m-vector in the form's space")
-    val = evaluate(phi, xi)
-    if abs(val - 1.0) > tol:
-        raise ValueError(
-            f"phi(xi) = {val:.12g}, expected 1; normalize phi by 1/phi(xi) first"
-        )
-    V = xi.matrix
-    if np.linalg.matrix_rank(V, tol=1e-10) < m:
-        raise ValueError("xi factors are linearly dependent")
-
-    lam = _lambda_matrix(phi, V)
-    # pairing lambda_i(v_j) = delta_ij is automatic given phi(xi) = 1
-    W = _null_space(lam)
-    if W.shape[1] != n - m:
-        raise RuntimeError("kernel intersection has wrong dimension")
-
-    B = np.column_stack([V, W])
-    leading = evaluate(phi, SimpleVector.from_matrix(B[:, :m]))
-    tail: dict[tuple[int, ...], float] = {}
-    for I in multi_indices(n, m):
-        if I == tuple(range(1, m + 1)):
-            continue
-        beyond = sum(1 for i in I if i > m)
-        b = evaluate(phi, SimpleVector.from_matrix(B[:, [i - 1 for i in I]]))
-        if beyond >= 2:
-            if b != 0.0:
-                tail[I] = float(b)
-        elif abs(b) > 1e-8:
-            raise RuntimeError(
-                f"tail coefficient a_{I} = {b:.3g} violates the vanishing condition"
-            )
-    return Decomposition(
-        V_basis=V.copy(),
-        W_basis=W,
-        leading_sign=1 if leading > 0 else -1,
-        tail_coeffs=tail,
-    )
-
-
-def adapted_base_metric(decomp: Decomposition) -> MetricTensor:
-    """A metric making the decomposition basis orthonormal, so V and W are
-    perpendicular and the leading simple vector has unit Gram norm."""
-    Binv = np.linalg.inv(decomp.basis)
-    G = Binv.T @ Binv
-    return MetricTensor(0.5 * (G + G.T))
-
-
-def adapted_metric(
-    phi: AlternatingForm,
-    xi: SimpleVector,
-    base_g: MetricTensor,
-    C2: float,
-    *,
-    comass_opts: dict | None = None,
-) -> MetricTensor:
-    """Scale base_g by C2 on W to pin the comass of phi at phi(xi).
-
-    Requires base_g to make V perpendicular to W with xi of unit Gram norm,
-    and C2 > binom(n, m) * comass(phi, base_g) / phi(xi).
-    """
-    n, m = phi.n, phi.m
-    theta = evaluate(phi, xi)
-    if theta < 1e-6:
-        raise ValueError(f"phi(xi) = {theta:.3g} too close to degenerate")
-    decomp = decompose(phi * (1.0 / theta), xi)
-    B = decomp.basis
-    gram = B.T @ base_g.matrix @ B
-    cross = gram[:m, m:]
-    if np.abs(cross).max() > 1e-8:
-        raise ValueError("base metric does not make V perpendicular to W")
-    if abs(gram_norm(xi, base_g) - 1.0) > 1e-8:
-        raise ValueError("xi does not have unit Gram norm under the base metric")
-
-    opts = comass_opts or {}
-    base_comass = comass(phi, base_g, **opts).value
-    threshold = math.comb(n, m) * base_comass / theta
-    if C2 <= threshold:
-        raise ValueError(
-            f"C2 = {C2:g} must exceed binom(n,m)*comass/theta = {threshold:g}"
-        )
-
-    blocks = gram.copy()
-    blocks[:m, m:] = 0.0
-    blocks[m:, :m] = 0.0
-    blocks[m:, m:] *= float(C2)
-    Binv = np.linalg.inv(B)
-    G = Binv.T @ blocks @ Binv
-    return MetricTensor(0.5 * (G + G.T))
-
-
-def calibration_decomposition_check(
-    phi: AlternatingForm,
-    xi: SimpleVector,
-    g: MetricTensor,
-    *,
-    tol: float = 1e-8,
-    comass_opts: dict | None = None,
-) -> dict:
-    """Rigidity of W for a calibration: lambda_i must kill every completion
-    direction v_j (i <= m < j) in a g-orthonormal basis extending xi.
-
-    A violating pair yields the probe vector with evaluation sqrt(1 + a^2) > 1,
-    a certified comass violation.
-    """
-    n, m = phi.n, phi.m
-    V = xi.matrix
-    if np.abs(V.T @ g.matrix @ V - np.eye(m)).max() > 1e-8:
-        raise ValueError("xi factors are not g-orthonormal")
-    if abs(evaluate(phi, xi) - 1.0) > 1e-8:
-        raise ValueError("phi(xi) must equal 1")
-    opts = comass_opts or {}
-    cm = comass(phi, g, **opts).value
-    if cm > 1.0 + 1e-9:
-        raise ValueError(f"phi is not a calibration: comass {cm:.9g} > 1")
-
-    # g-orthonormal completion of the frame
-    L = g.cholesky
-    U = L.T @ V
-    full = np.linalg.qr(
-        np.column_stack([U, np.eye(n)])
-    )[0][:, :n]
-    comp = np.linalg.solve(L.T, full[:, m:])  # v_{m+1}, ..., v_n
-
-    lam = _lambda_matrix(phi, V)
-    vals = lam @ comp  # (m, n - m)
-    bad = np.argwhere(np.abs(vals) > tol)
-    if bad.size:
-        i, j = int(bad[0, 0]), int(bad[0, 1])
-        a = float(vals[i, j])
-        mixed = V.copy()
-        mixed[:, i] = (V[:, i] + a * comp[:, j]) / math.sqrt(1.0 + a * a)
-        return {
-            "is_rigid_W": False,
-            "violating_pair": (i + 1, m + 1 + j),
-            "coupling": a,
-            "probe": SimpleVector.from_matrix(mixed),
-            "probe_value": math.sqrt(1.0 + a * a),
-        }
-    return {"is_rigid_W": True, "violating_pair": None}

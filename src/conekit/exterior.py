@@ -1,11 +1,13 @@
 """Exact multilinear algebra on R^n: alternating forms, simple m-vectors,
-wedge products, contractions, Gram norms and pullbacks.
+evaluation, Gram norms, pullbacks, the Hodge star and the batched
+interior-product kernel that comass runs on.
 
 Forms with constant coefficients are stored as dense vectors over the
 lexicographically ordered strictly increasing multi-indices (1-based, as is
 conventional for dx_1, dx_2, ...).  All values are immutable after
 construction and every operation is a pure function, so everything here is
-safe to evaluate concurrently.
+safe to evaluate concurrently.  The wedge product and the contraction of a
+form, which no job uses, are kept in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -22,8 +24,6 @@ __all__ = [
     "SimpleVector",
     "MetricTensor",
     "multi_indices",
-    "wedge",
-    "contract",
     "evaluate",
     "gram_norm",
     "pullback",
@@ -298,17 +298,6 @@ class SimpleVector:
         """n x m matrix whose columns are the factors."""
         return self._mat
 
-    def concat(self, other: "SimpleVector") -> "SimpleVector":
-        """The simple vector self ^ other (factor lists concatenated)."""
-        if other.n != self.n:
-            raise DimensionMismatchError("ambient dimensions differ")
-        return SimpleVector(self.factors + other.factors)
-
-    def scale(self, c: float) -> "SimpleVector":
-        facs = self.factors
-        facs[0] = facs[0] * float(c)
-        return SimpleVector(facs)
-
     def __repr__(self):
         return f"SimpleVector(n={self.n}, m={self.m})"
 
@@ -390,27 +379,6 @@ def _merge_sign(I: tuple[int, ...], J: tuple[int, ...]):
     return tuple(merged), (-1 if inversions % 2 else 1)
 
 
-def wedge(phi: AlternatingForm, psi: AlternatingForm) -> AlternatingForm:
-    """Exterior product of two forms on the same R^n."""
-    if phi.n != psi.n:
-        raise DimensionMismatchError(
-            f"ambient dimensions differ: {phi.n} vs {psi.n}"
-        )
-    p, q = phi.m, psi.m
-    if p + q > phi.n:
-        raise DimensionMismatchError(
-            f"degree {p}+{q} exceeds ambient dimension {phi.n}"
-        )
-    out: dict[tuple[int, ...], float] = {}
-    for I, a in phi.coeffs.items():
-        for J, b in psi.coeffs.items():
-            K, sign = _merge_sign(I, J)
-            if K is None:
-                continue
-            out[K] = out.get(K, 0.0) + sign * a * b
-    return AlternatingForm(phi.n, p + q, out)
-
-
 def evaluate(phi: AlternatingForm, Q: SimpleVector) -> float:
     """phi(v_1, ..., v_m), the determinant expansion against the factors."""
     if phi.n != Q.n:
@@ -422,19 +390,6 @@ def evaluate(phi: AlternatingForm, Q: SimpleVector) -> float:
     rows = _index_rows(phi.n, phi.m)
     minors = Q.matrix[rows, :]  # (C, m, m)
     return float(np.linalg.det(minors) @ phi.vector)
-
-
-def contract(eta: SimpleVector, phi: AlternatingForm) -> AlternatingForm:
-    """Interior product: the form psi with psi(v...) = phi(eta factors, v...)."""
-    if eta.n != phi.n:
-        raise DimensionMismatchError(f"ambient dimensions differ: {eta.n} vs {phi.n}")
-    r, p = eta.m, phi.m
-    if r > p:
-        raise DimensionMismatchError(f"cannot contract degree {r} into degree {p}")
-    U = eta.matrix[None]
-    psi = U[:, :, 0] @ _interior_matrix(phi.vector, phi.n, p)
-    psi = _contract_frames(psi, U[:, :, 1:], p - 1)
-    return AlternatingForm.from_vector(phi.n, p - r, psi[0])
 
 
 def gram_norm(Q: SimpleVector, g: MetricTensor) -> float:

@@ -42,19 +42,22 @@ is read from scipy's ``dop853_coefficients.py``, loaded by file path: that
 file needs only numpy, while importing it as a scipy module would first run
 ``scipy.integrate``'s package import, which loads scipy.linalg and
 scipy.optimize.  The 7th-order dense output is built only for the steps
-where an event is located or a profile is sampled, and event times are
-found by Brent's method (Brent, Algorithms for Minimization without
-Derivatives, 1973) in a port of scipy's ``brentq`` to Python floats.
+where an event is located, and event times are found by Brent's method
+(Brent, Algorithms for Minimization without Derivatives, 1973) in a port
+of scipy's ``brentq`` to Python floats.
 Every descent records where it started and the order of its series, how it
 ended ("hit", "pinch", "no-departure" or "t_cap") and what it cost
 (accepted steps, right-hand-side calls).
+
+The jobs read a descent only through its verdict or its vanishing angle.
+Sampled profiles with their pointwise audit, the slope interval and smooth
+profile surgery tangent to the axis are kept in ``tests/oracles.py``.
 """
 
 import importlib.util
 import math
 import sys
 import warnings
-from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain
 from operator import mul
@@ -65,15 +68,10 @@ import numpy as np
 
 __all__ = [
     "CurvatureModel",
-    "Profile",
     "CriterionVerdict",
     "LinkData",
-    "slope_interval",
     "second_order_coeffs",
     "descent_series",
-    "integrate_fastest",
-    "build_smooth_profile",
-    "verify_profile",
     "vanishing_angle",
     "check_area_minimizing",
 ]
@@ -170,30 +168,6 @@ class CurvatureModel:
 
 
 @dataclass(frozen=True)
-class Profile:
-    """Sampled descent profile h(t) with its axis-hit location, if any, how
-    the descent ended (one of DESCENT_ENDS), its accepted steps and
-    right-hand-side calls, and where the ODE took over from the series
-    start and that series' order (None without a descent)."""
-
-    t_samples: np.ndarray
-    h_values: np.ndarray
-    vanishing_t: Optional[float]
-    theta: Optional[float]
-    end: Optional[str] = None
-    steps: int = 0
-    rhs_calls: int = 0
-    t_start: Optional[float] = None
-    series_order: Optional[int] = None
-
-    def __post_init__(self):
-        if abs(self.h_values[0] - 1.0) > 1e-9 or self.t_samples[0] != 0.0:
-            raise ValueError("profile must start at h(0) = 1")
-        if self.end is not None and self.end not in DESCENT_ENDS:
-            raise ValueError(f"unknown descent end {self.end!r}")
-
-
-@dataclass(frozen=True)
 class CriterionVerdict:
     """Outcome of comparing a vanishing angle with half the normal radius,
     how the descent behind the angle ended, and where it started and from
@@ -217,25 +191,6 @@ class LinkData:
 
     curvature: CurvatureModel
     normal_radius: float
-
-
-def slope_interval(t: float, y: float, model: CurvatureModel) -> tuple[float, float]:
-    """Admissible slopes h'(t) at height y under the calibration inequality.
-
-    Substituting u = h'/K into the inequality gives the quadratic
-    (1+t^2) u^2 - 2 t y u + y^2 - p^2 <= 0, so the admissible slopes form
-    the closed interval K (t y -+ sqrt((1+t^2) p^2 - y^2)) / (1+t^2).
-    """
-    K = model.k + 1.0
-    p = model.p_fn(t)
-    band = np.sqrt(t * t + 1.0) * p
-    if not 0.0 < y <= band + 1e-14:
-        raise ValueError(f"height y={y} outside the admissible band (0, {band}]")
-    disc = max((t * t + 1.0) * p * p - y * y, 0.0)
-    root = np.sqrt(disc)
-    lo = K * (t * y - root) / (t * t + 1.0)
-    hi = K * (t * y + root) / (t * t + 1.0)
-    return float(lo), float(hi)
 
 
 def second_order_coeffs(k: int, p2: float) -> tuple[float, float]:
@@ -345,7 +300,8 @@ def _descent_rhs(K: float, p_fn):
 
 class _Descent:
     """One adaptive DOP853 run: its nodes (ts, ys), the stage slopes of
-    every accepted step, how it ended, and its dense output on demand.
+    every accepted step, how it ended, and the dense output of a step on
+    demand (``_at``).
 
     ``end`` is ("hit", t) or ("pinch", t) when an event stopped the run at
     t, which is then the last node, and None when it reached its end point.
@@ -383,19 +339,6 @@ class _Descent:
         for j, f in enumerate(reversed(self._interpolant(i))):
             y = (y + f) * (x if j % 2 == 0 else 1.0 - x)
         return y + y_old
-
-    def __call__(self, t):
-        """Dense output at t; a node belongs to the step that ends there."""
-        last = len(self.steps) - 1
-        if np.ndim(t) == 0:
-            return float(self._at(min(max(bisect_left(self.ts, t) - 1, 0), last), t))
-        t = np.asarray(t, dtype=float)
-        seg = np.clip(np.searchsorted(self.ts, t, side="left") - 1, 0, last)
-        out = np.empty_like(t)
-        for i in np.unique(seg):
-            mask = seg == i
-            out[mask] = self._at(int(i), t[mask])
-        return out
 
 
 def _brentq(f, xa: float, xb: float) -> float:
@@ -580,69 +523,6 @@ def _fastest(model: CurvatureModel, t_cap: float = 50.0, atol: float = 1e-10,
     return series, run, end, t_end
 
 
-def integrate_fastest(
-    model: CurvatureModel,
-    *,
-    t_cap: float = 50.0,
-    atol: float = 1e-10,
-    rtol: float = 1e-10,
-    grid_points: int = 4001,
-) -> Profile:
-    """Fastest admissible descent from h(0) = 1, sampled on a grid.
-
-    The start is a degenerate double root (the slope interval at (0,1) is
-    the single point 0), so the integration starts from the order-30 Taylor
-    series of the fastest branch on [0, t_boot], with t_boot where its last
-    two terms fall to 1e-17 (at most 0.2), halved until h > 0 inside the
-    open band there.  A t_cap not past the start raises ValueError.  Then
-    one scalar DOP853 run follows the ODE toward t_cap at atol and rtol; it
-    lies within 9.5e-13 of a tight reference on the F/c grid of
-    ``tests/test_descent.py``.  h is sampled from the series on [0, t_boot]
-    and from the run's dense output after it, on grid_points points up to
-    where the descent stopped.  ``end`` records how it stopped: "hit",
-    "pinch", "no-departure" (no real quadratic departure, or one that does
-    not descend; h = 1 up to t_cap) or "t_cap"; only a hit sets vanishing_t
-    and theta.  ``t_start`` and ``series_order`` record the start.  A solver
-    failure raises RuntimeError.
-    """
-    fastest = _fastest(model, t_cap, atol, rtol)
-    if fastest is None:
-        t = np.linspace(0.0, t_cap, grid_points)
-        return Profile(t, np.ones_like(t), None, None, "no-departure")
-    series, run, end, t_end = fastest
-    t0 = run.ts[0]
-    ts = np.linspace(0.0, t_end, grid_points)
-    boot = ts <= t0
-    hs = np.empty_like(ts)
-    hs[boot] = _horner(series, ts[boot])
-    hs[~boot] = np.clip(run(ts[~boot]), 0.0, None)
-    t_hit = t_end if end == "hit" else None
-    if t_hit is not None:
-        hs[-1] = 0.0
-    theta = math.atan(t_hit) if t_hit is not None else None
-    return Profile(ts, hs, t_hit, theta, end, len(run.ts) - 1, run.rhs_calls,
-                   t0, len(series) - 1)
-
-
-def verify_profile(profile: Profile, model: CurvatureModel) -> dict:
-    """Pointwise calibration-inequality audit of a sampled profile.
-
-    Evaluates (h - t h'/K)^2 + (h'/K)^2 - p(t)^2, K = k + 1, with central
-    finite differences at interior grid points; ok iff its worst margin is
-    at most 1e-6.
-    """
-    t = profile.t_samples
-    h = profile.h_values
-    if t.size < 5:
-        raise ValueError("profile grid too coarse to audit")
-    dh = np.gradient(h, t, edge_order=2)
-    p2vals = np.asarray([model.p_fn(x) for x in t], dtype=float) ** 2
-    K = model.k + 1.0
-    res = (h - t * dh / K) ** 2 + (dh / K) ** 2 - p2vals
-    worst = float(np.max(res[1:-1]))
-    return {"ok": worst <= 1e-6, "worst_margin": worst}
-
-
 def _f_taylor(alpha: float, k: int) -> tuple:
     """Coefficients of the F control, the polynomial
     (1 - alpha sqrt(k/(k+1)) t) (1 + alpha t / sqrt(k(k+1)))^k of degree k+1,
@@ -713,99 +593,11 @@ def vanishing_angle(control: str, alpha: float, k: int) -> Optional[float]:
     """Polar angle arctan(t0) where the fastest descent hits zero under the
     F or c control; None when no descent or no hit exists.
 
-    Runs the descent of ``integrate_fastest`` with its default start, cap
-    and tolerances, but samples no profile.  A link's own model is
-    descended by ``check_area_minimizing`` under the custom control.
+    Runs ``_fastest`` at its default cap and tolerances.  A link's own
+    model is descended by ``check_area_minimizing`` under the custom
+    control.
     """
     return _angle(_control_model(control, alpha, k))[0]
-
-
-def build_smooth_profile(
-    model: CurvatureModel,
-    a: float,
-    delta: float,
-    theta2_gap: float,
-    *,
-    grid_points: int = 4001,
-) -> Profile:
-    """Three-piece admissible profile: quadratic cap, descent, tangential landing.
-
-    Follows 1 - a t^2 on [0, tan(delta)] for a strictly between the
-    quadratic departure coefficients, continues by the fastest-descent ODE,
-    and replaces the tail with a cubic blend meeting the t-axis with zero
-    slope at a point within theta2_gap (in angle) of the raw hit.  The
-    quadratic cap is checked against the calibration inequality; a delta
-    too large for it is rejected.
-    """
-    a_min, a_max = second_order_coeffs(model.k, model.p2)
-    if not a_min < a < a_max:
-        raise ValueError(f"a={a} outside the open interval ({a_min}, {a_max})")
-    if delta <= 0.0 or theta2_gap <= 0.0:
-        raise ValueError("delta and theta2_gap must be positive")
-    K = model.k + 1.0
-    t1 = np.tan(delta)
-
-    # quadratic cap must satisfy the inequality strictly on (0, tan delta]
-    tc = np.linspace(t1 / 400.0, t1, 400)
-    hc = 1.0 - a * tc * tc
-    dc = -2.0 * a * tc
-    pc = np.asarray([model.p_fn(x) for x in tc]) ** 2
-    res = (hc - tc * dc / K) ** 2 + (dc / K) ** 2 - pc
-    if np.max(res) > 1e-12 or hc[-1] <= 0.0:
-        raise ValueError("delta too large: quadratic cap violates the inequality")
-
-    rhs = _descent_rhs(K, model.p_fn)
-    run = _descend(rhs, t1, 1.0 - a * t1 * t1, 50.0, 1e-10, 1e-10)
-    if run.end is None:
-        raise ValueError("descent after the quadratic cap never reaches the axis")
-    if run.end[0] == "pinch":
-        raise ValueError("descent leaves the admissible band before the axis")
-    t_hat = run.end[1]
-
-    # tangential landing: cubic Hermite from a point shortly before the raw
-    # hit to (t2, 0) with zero slope, t2 past the hit but within the gap
-    t2 = np.tan(min(np.arctan(t_hat) + 0.5 * theta2_gap, np.pi / 2 - 1e-9))
-    for shrink in range(40):
-        w = (t2 - t_hat) * 0.5**shrink
-        ta = t_hat - w
-        if ta <= t1:
-            continue
-        ha = run(ta)
-        da = rhs(ta, ha)[0]
-        tb = t_hat + w
-        span = tb - ta
-        u = lambda t: (t - ta) / span
-        # Hermite basis with target value 0 and slope 0 at tb
-        def blend(t):
-            x = u(t)
-            return ha * (2 * x**3 - 3 * x**2 + 1) + da * span * (x**3 - 2 * x**2 + x)
-
-        def dblend(t):
-            x = u(t)
-            return (ha * (6 * x**2 - 6 * x) / span) + da * (3 * x**2 - 4 * x + 1)
-
-        tg = np.linspace(ta, tb, 200)
-        hg = np.asarray([blend(t) for t in tg])
-        dg = np.asarray([dblend(t) for t in tg])
-        pg = np.asarray([model.p_fn(t) for t in tg]) ** 2
-        rg = (hg - tg * dg / K) ** 2 + (dg / K) ** 2 - pg
-        if np.min(hg[:-1]) > 0.0 and np.max(rg) <= 1e-9:
-            break
-    else:
-        raise ValueError("could not fit an admissible tangential landing")
-    t_land = tb
-
-    ts = np.linspace(0.0, t_land, grid_points)
-    hs = np.empty_like(ts)
-    seg1 = ts <= t1
-    seg3 = ts >= ta
-    seg2 = ~(seg1 | seg3)
-    hs[seg1] = 1.0 - a * ts[seg1] ** 2
-    hs[seg2] = run(ts[seg2])
-    hs[seg3] = np.clip([blend(t) for t in ts[seg3]], 0.0, None)
-    hs[-1] = 0.0
-    return Profile(ts, hs, float(t_land), float(np.arctan(t_land)), "hit",
-                   len(run.ts) - 1, run.rhs_calls)
 
 
 def check_area_minimizing(link: LinkData, control: str = "F") -> CriterionVerdict:

@@ -16,18 +16,18 @@ convex weights write zero as a combination of the points, or z/|z| has
 inner product at least |z| with every point.  Certificates are recomputed
 by direct arithmetic, so the verdict never rests on solver internals.
 
-Also includes the comass bound for wedges of forms on complementary
-blocks, the mechanism for assembling calibrations on product spaces.
+The comass bound for wedges of forms on complementary blocks, which no job
+reports, is kept in ``tests/oracles.py``.
 """
 
-from dataclasses import dataclass, field
-from math import comb
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .comass import comass
-from .exterior import AlternatingForm, MetricTensor, pullback, wedge
+# unused here, but perfbench/tracer.py's REQUIRED_SITES expects the name
+# comass bound in this module
+from .comass import comass  # noqa: F401
 from .products import ProductLink, SphereFactor
 
 __all__ = [
@@ -36,8 +36,6 @@ __all__ = [
     "gauss_image",
     "hemisphere_test",
     "constant_calibration_obstruction",
-    "wedge_comass_bound",
-    "wedge_comass_check",
 ]
 
 
@@ -179,53 +177,4 @@ def constant_calibration_obstruction(
         "gauss_points": len(image.points),
         "certificate": cert,
     }
-    if cert.verdict == "feasible":
-        report["per_sample_margins"] = image.points @ cert.direction
-    elif cert.convex_weights is not None:
-        report["dual_residual"] = cert.residual
     return {"obstructed": cert.verdict == "infeasible", "report": report}
-
-
-def wedge_comass_bound(C1: float, m1: int, C2: float, m2: int) -> float:
-    """Comass bound binom(m1+m2, m1) C1 C2 for a wedge of forms living on
-    complementary coordinate blocks with block comasses C1, C2."""
-    if C1 < 0.0 or C2 < 0.0:
-        raise ValueError("comass inputs must be nonnegative")
-    if m1 < 1 or m2 < 1:
-        raise ValueError("degrees must be >= 1")
-    return comb(m1 + m2, m1) * C1 * C2
-
-
-def wedge_comass_check(
-    phi1: AlternatingForm,
-    g1: MetricTensor,
-    phi2: AlternatingForm,
-    g2: MetricTensor,
-    *,
-    comass_opts: dict | None = None,
-) -> dict:
-    """Measure the comass of phi1 ^ phi2 under the block metric g1 + g2 and
-    compare with the binomial bound from the block comasses."""
-    opts = comass_opts or {}
-    n1, n2 = phi1.n, phi2.n
-    P1 = np.concatenate([np.eye(n1), np.zeros((n1, n2))], axis=1)
-    P2 = np.concatenate([np.zeros((n2, n1)), np.eye(n2)], axis=1)
-    big = wedge(pullback(P1, phi1), pullback(P2, phi2))
-    gblock = MetricTensor(
-        np.block(
-            [
-                [g1.matrix, np.zeros((n1, n2))],
-                [np.zeros((n2, n1)), g2.matrix],
-            ]
-        )
-    )
-    C1 = comass(phi1, g1, **opts).value
-    C2 = comass(phi2, g2, **opts).value
-    measured = comass(big, gblock, **opts).value
-    bound = wedge_comass_bound(C1, phi1.m, C2, phi2.m)
-    return {
-        "measured": measured,
-        "bound": bound,
-        "block_comasses": (C1, C2),
-        "ok": measured <= bound + 1e-6,
-    }

@@ -5,26 +5,22 @@ import math
 import numpy as np
 import pytest
 
-from conekit.comass import (
-    _optimize,
-    adapted_base_metric,
-    adapted_metric,
-    calibration_decomposition_check,
-    comass,
-    comass_analytic,
-    comass_bruteforce,
-    decompose,
-)
+from conekit.comass import _optimize, comass
 from conekit.exterior import (
     AlternatingForm,
     MetricTensor,
     SimpleVector,
     evaluate,
     gram_norm,
-    multi_indices,
-    wedge,
 )
-from oracles import comass_via_min
+from oracles import (
+    adapted_base_metric,
+    adapted_metric,
+    calibration_decomposition_check,
+    comass_bruteforce,
+    comass_via_min,
+    decompose,
+)
 
 
 def _random_spd(rng, n):
@@ -53,7 +49,8 @@ def test_degree_one_comass_is_dual_norm():
         phi = AlternatingForm(n, 1, c)
         g = _random_spd(rng, n)
         exact = math.sqrt(float(c @ np.linalg.solve(g.matrix, c)))
-        assert abs(comass_analytic(phi, g) - exact) < 1e-12
+        res = comass(phi, g)
+        assert res.method == "exact" and abs(res.value - exact) < 1e-12
         assert abs(_optimize(phi, g, restarts=8, seed=1).value - exact) < 1e-8 * exact
 
 
@@ -131,7 +128,9 @@ def test_bruteforce_lower_bound_and_convergence():
     rng = np.random.default_rng(13)
     phi = _random_two_form(rng, 4)
     g = _random_spd(rng, 4)
-    exact = comass_analytic(phi, g)
+    res = comass(phi, g)
+    assert res.method == "exact"
+    exact = res.value
     prev = 0.0
     for count in (100, 2000, 50000):
         val = comass_bruteforce(phi, g, count, seed=5)
@@ -227,6 +226,23 @@ def test_adapted_metric_rejects_small_scale():
     base = adapted_base_metric(decompose(phi, xi))
     with pytest.raises(ValueError, match="C2"):
         adapted_metric(phi, xi, base, 0.5)
+
+
+def test_adapted_metric_threshold_bounds_the_comass_from_above():
+    # Re(dz1 ^ dz2 ^ dz3) on (x1, x2, x3, y1, y2, y3) calibrates the x-plane
+    # with comass 1, so the threshold binom(6, 3) comass / phi(xi) is 20;
+    # the coefficient norm 2 puts the checked threshold at 40, wherever an
+    # optimizer's lower bound on the comass would have put it
+    phi = AlternatingForm(6, 3, {(1, 2, 3): 1.0, (1, 5, 6): -1.0,
+                                 (2, 4, 6): 1.0, (3, 4, 5): -1.0})
+    xi = SimpleVector.basis(6, (1, 2, 3))
+    base = MetricTensor.euclidean(6)
+    assert evaluate(phi, xi) == 1.0
+    for C2 in (15.0, 30.0, 40.0):
+        with pytest.raises(ValueError, match="= 40"):
+            adapted_metric(phi, xi, base, C2)
+    g = adapted_metric(phi, xi, base, 41.0)
+    np.testing.assert_allclose(g.matrix, np.diag([1.0] * 3 + [41.0] * 3), atol=1e-12)
 
 
 def test_rigidity_check_detects_coupling():

@@ -15,9 +15,9 @@ from conekit.exterior import (
     _interior_matrix,
     evaluate,
 )
-from conekit.gluing import ccgp_bound, glued_metric, improved_bound, verify_gluing_bound
+from conekit.gluing import glued_metric, verify_gluing_bound
 from conekit.serialization import read_json
-from oracles import step_rule_comass
+from oracles import comass_bruteforce, step_rule_comass
 
 # the package attribute conekit.comass is the function, not the module
 comass_mod = importlib.import_module("conekit.comass")
@@ -51,8 +51,7 @@ def test_exact_path_value_and_maximizer(n, m):
     V = res.maximizer.matrix
     np.testing.assert_allclose(V.T @ g.matrix @ V, np.eye(m), rtol=0.0, atol=1e-12)
     assert abs(evaluate(phi, res.maximizer) - res.value) <= 1e-12 * res.value
-    assert comass_mod.comass_analytic(phi, g) == res.value
-    sampled = comass_mod.comass_bruteforce(phi, g, 2000, seed=2)
+    sampled = comass_bruteforce(phi, g, 2000, seed=2)
     assert sampled <= res.value * (1.0 + 1e-12)
     opt = comass_mod._optimize(phi, g, seed=3)
     assert opt.method == "optimizer" and opt.converged
@@ -73,9 +72,10 @@ def test_hodge_route_agrees_with_direct_route(n, m):
     assert abs(values[0] - values[1]) <= 1e-12 * values[0]
 
 
-def test_comass_analytic_rejects_optimizer_degrees():
-    with pytest.raises(ValueError, match="closed-form"):
-        comass_mod.comass_analytic(SLAG, MetricTensor.euclidean(6))
+def test_exact_path_declines_optimizer_degrees():
+    g = MetricTensor.euclidean(6)
+    assert comass_mod._exact(SLAG, g) is None
+    assert comass_mod.comass(SLAG, g).method == "optimizer"
 
 
 @pytest.mark.parametrize("n,m,seed", [(6, 3, 0), (7, 3, 1), (8, 4, 2)])
@@ -117,14 +117,15 @@ def test_degree_two_sweep_is_exact():
     rng = np.random.default_rng(6)
     g1 = MetricTensor.euclidean(6)
     g2 = _random_spd(rng, 6)
-    phi = kahler * (1.0 / comass_mod.comass_analytic(kahler, g2))
-    g1 = MetricTensor(g1.matrix * comass_mod.comass_analytic(phi, g1))
+    phi = kahler * (1.0 / comass_mod.comass(kahler, g2).value)
+    g1 = MetricTensor(g1.matrix * comass_mod.comass(phi, g1).value)
     grid = np.linspace(0.0, 1.0, 7)
     rep = verify_gluing_bound(phi, g1, g2, grid)
     assert rep.unconverged_points == 0
     assert rep.endpoint_methods == ("exact", "exact")
     for s, value in zip(grid, rep.comass_values):
-        assert value == comass_mod.comass_analytic(phi, glued_metric(g1, g2, s))
+        res = comass_mod.comass(phi, glued_metric(g1, g2, s))
+        assert res.method == "exact" and value == res.value
 
 
 def test_sweep_bounds_are_the_public_bound_formulas(monkeypatch):
@@ -132,10 +133,6 @@ def test_sweep_bounds_are_the_public_bound_formulas(monkeypatch):
     g1 = MetricTensor.euclidean(4)
     g2 = MetricTensor.diagonal([0.25, 4.0, 2.0, 0.5])
     grid = np.linspace(0.0, 1.0, 5)
-    rep = verify_gluing_bound(phi, g1, g2, grid)
-    for i, s in enumerate(grid):
-        assert rep.ccgp_bounds[i] == ccgp_bound(phi, g1, g2, 1.0 - s, s)
-        assert rep.improved_bounds[i] == improved_bound(phi, g1, g2, s)
 
     calls = []
 
@@ -144,9 +141,13 @@ def test_sweep_bounds_are_the_public_bound_formulas(monkeypatch):
         return comass_mod.comass(*args, **kwargs)
 
     monkeypatch.setattr(gluing_mod, "comass", counting)
-    ccgp_bound(phi, g1, g2, 0.5, 0.5)
-    improved_bound(phi, g1, g2, 0.5)
-    assert len(calls) == 4  # both endpoints, once per call
+    rep = verify_gluing_bound(phi, g1, g2, grid)
+    assert len(calls) == 2 + len(grid)  # each endpoint once, then the grid
+    c1, c2 = rep.endpoint_comasses
+    assert (c1, c2) == (comass_mod.comass(phi, g1).value, comass_mod.comass(phi, g2).value)
+    for i, s in enumerate(grid):
+        assert rep.ccgp_bounds[i] == gluing_mod._ccgp(c1, c2, 1.0 - s, s, phi.m)
+        assert rep.improved_bounds[i] == gluing_mod._improved(c1, c2, s)
 
 
 def _write(path, spec):

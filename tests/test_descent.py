@@ -12,18 +12,19 @@ from conekit.lawlor import (
     DESCENT_ENDS,
     CurvatureModel,
     LinkData,
-    build_smooth_profile,
     check_area_minimizing,
-    integrate_fastest,
     second_order_coeffs,
     vanishing_angle,
 )
 from conekit.products import SphereFactor, curvature_model, minimal_product
 from oracles import (
+    Profile,
+    build_smooth_profile,
     c_control,
     control_taylor,
     descend_solve_ivp,
     f_control,
+    integrate_fastest,
     order2_start_angle,
     series_reference_angle,
 )
@@ -167,7 +168,7 @@ def test_profile_end_reasons_and_counts():
         with pytest.raises(ValueError, match="t_cap"):
             integrate_fastest(lawlor._control_model("F", 1.0, 3), t_cap=t_cap)
     with pytest.raises(ValueError, match="descent end"):
-        lawlor.Profile(np.zeros(2), np.ones(2), None, None, "landed")
+        Profile(np.zeros(2), np.ones(2), None, None, "landed")
     assert set(DESCENT_ENDS) == {"hit", "pinch", "no-departure", "t_cap"}
 
 
@@ -272,7 +273,7 @@ def test_series_start_example_f_k3():
     # t_boot shrinks (0.708172, 0.708195, 0.708202 at 3e-4, 1e-4, 3e-5)
     theta = vanishing_angle("F", 1.0, 3)
     assert abs(theta - 0.7082059) < 1e-7
-    # tolerances go to integrate_fastest only
+    # tolerances go to lawlor._fastest only, which the profile sampler calls
     with pytest.raises(TypeError):
         vanishing_angle("F", 1.0, 3, rtol=1e-9)
     assert theta - order2_start_angle(lawlor._control_model("F", 1.0, 3))[0] > 1e-4

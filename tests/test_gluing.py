@@ -9,15 +9,12 @@ import scipy.linalg
 
 from conekit.comass import comass
 from conekit.exterior import AlternatingForm, MetricTensor, SimpleVector, gram_norm
-from conekit.gluing import (
+from conekit.gluing import _ccgp, _improved, glued_metric, verify_gluing_bound
+from oracles import (
     T_of_s,
-    ccgp_bound,
     equality_analysis,
-    glued_metric,
-    improved_bound,
     reciprocal_product_hessian,
     relative_spectrum,
-    verify_gluing_bound,
 )
 
 CHEAP = {"restarts": 4, "max_iters": 150, "seed": 3}
@@ -148,25 +145,28 @@ def test_ccgp_bound_values():
     phi = AlternatingForm.basis(4, (1, 2))
     g1 = MetricTensor.euclidean(4)
     g2 = MetricTensor.diagonal([0.25, 4.0, 1.0, 1.0])
-    opts = {"comass_opts": CHEAP}
+    rep = verify_gluing_bound(phi, g1, g2, [0.0, 0.5, 1.0], comass_opts=CHEAP)
+    c1, c2 = rep.endpoint_comasses
+    np.testing.assert_allclose(rep.ccgp_bounds, _ccgp(c1, c2, 1.0 - rep.s_grid, rep.s_grid, 2))
     # dropping one weight returns the remaining endpoint comass
-    assert abs(ccgp_bound(phi, g1, g2, 1.0, 0.0, **opts) - 1.0) < 1e-8
-    assert abs(ccgp_bound(phi, g1, g2, 0.5, 0.5, **opts) - math.sqrt(2)) < 1e-8
-    with pytest.raises(ValueError):
-        ccgp_bound(phi, g1, g2, 0.0, 0.0, **opts)
+    assert rep.ccgp_bounds[0] == c1 and rep.ccgp_bounds[2] == c2
+    assert abs(c1 - 1.0) < 1e-8 and abs(c2 - 1.0) < 1e-8
+    assert abs(rep.ccgp_bounds[1] - math.sqrt(2)) < 1e-8
 
 
 def test_improved_bound_values_and_dominance():
     phi = AlternatingForm.basis(4, (1, 2))
     g1 = MetricTensor.euclidean(4)
     g2 = MetricTensor.diagonal([0.25, 4.0, 1.0, 1.0])
-    assert abs(improved_bound(phi, g1, g2, 0.5, CHEAP) - 1.0) < 1e-8
+    rep = verify_gluing_bound(phi, g1, g2, [0.5], comass_opts=CHEAP)
+    assert abs(rep.improved_bounds[0] - 1.0) < 1e-8
     rng = np.random.default_rng(23)
     for trial in range(5):
         phi = AlternatingForm(4, 2, rng.standard_normal(6))
         ga, gb = _random_spd(rng, 4), _random_spd(rng, 4)
         s = float(rng.uniform())
-        bound = improved_bound(phi, ga, gb, s, CHEAP)
+        c1, c2 = (comass(phi, g, **CHEAP).value for g in (ga, gb))
+        bound = _improved(c1, c2, s)
         measured = comass(phi, glued_metric(ga, gb, s), seed=trial).value
         assert measured <= bound + 1e-6
 
@@ -178,9 +178,8 @@ def test_equality_analysis_branches():
     Q = SimpleVector.basis(4, (1, 2))
     assert equality_analysis(phi, g1, g1, Q)["status"] == "calibrated_all_s"
     assert equality_analysis(phi, g1, g2, Q)["status"] == "strictly_interior"
-    assert (
-        equality_analysis(phi, g1, g2, Q.scale(2.0))["status"] == "not_calibrated"
-    )
+    doubled = SimpleVector([2.0 * Q.factors[0], Q.factors[1]])
+    assert equality_analysis(phi, g1, g2, doubled)["status"] == "not_calibrated"
 
 
 def test_strict_interior_ratio_dip():

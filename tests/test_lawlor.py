@@ -10,18 +10,21 @@ from conekit import lawlor
 from conekit.lawlor import (
     CurvatureModel,
     LinkData,
-    Profile,
-    build_smooth_profile,
     check_area_minimizing,
     descent_series,
-    integrate_fastest,
     second_order_coeffs,
-    slope_interval,
     vanishing_angle,
-    verify_profile,
 )
 from conekit.products import SphereFactor, curvature_model, minimal_product, normal_radius
-from oracles import c_control, f_control
+from oracles import (
+    Profile,
+    build_smooth_profile,
+    c_control,
+    f_control,
+    integrate_fastest,
+    slope_interval,
+    verify_profile,
+)
 
 SIMONS_TAYLOR = (1.0, 0.0, -3.0, 0.0, 3.0, 0.0, -1.0)  # (1 - t^2)^3
 FLAT_TAYLOR = (1.0, 0.0, 0.0)

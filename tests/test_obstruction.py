@@ -12,12 +12,15 @@ from conekit.obstruction import (
     constant_calibration_obstruction,
     gauss_image,
     hemisphere_test,
-    wedge_comass_bound,
-    wedge_comass_check,
 )
 from conekit.products import SphereFactor, hypersurface_factor, minimal_product
 
-from oracles import hemisphere_by_lp, hypersurface_draws
+from oracles import (
+    hemisphere_by_lp,
+    hypersurface_draws,
+    wedge_comass_bound,
+    wedge_comass_check,
+)
 
 CHEAP = {"restarts": 8, "max_iters": 200, "seed": 0}
 
@@ -172,7 +175,7 @@ def test_obstruction_torus_cross_sphere():
     assert out["obstructed"] is True
     rep = out["report"]
     assert rep["certificate"].verdict == "infeasible"
-    assert rep["dual_residual"] == 0.0
+    assert rep["certificate"].residual == 0.0
     assert rep["certificate"].method == "antipodal"
     assert rep["gauss_points"] == 2
     assert abs(rep["lambda1"] - math.sqrt(2.0 / 5.0)) < 1e-12
@@ -199,7 +202,8 @@ def test_obstruction_inapplicable_to_hemispherical_image():
     assert out["obstructed"] is False
     assert out["report"]["certificate"].verdict == "feasible"
     assert out["report"]["certificate"].method == "nearest-point"
-    assert np.min(out["report"]["per_sample_margins"]) > 0.0
+    cert = out["report"]["certificate"]
+    assert np.min(nor @ cert.direction) == cert.margin > 0.0
 
 
 def test_obstruction_requires_codimension_one_first_factor():

@@ -1,5 +1,7 @@
 """The CLI imports numpy and a bare scipy only; the numpy ports that make
-that possible agree with the scipy routines they replace.
+that possible agree with the scipy routines they replace.  The null-space
+and relative-spectrum ports moved to ``tests/oracles.py`` with the
+decomposition and gluing machinery they serve, and are checked here still.
 
 scipy stays the oracle here: the DOP853 tableau module, ``brentq``,
 ``scipy.linalg.null_space`` and ``scipy.linalg.eigh``."""
@@ -19,10 +21,9 @@ from scipy.integrate._ivp import dop853_coefficients as scipy_dop
 from scipy.optimize import brentq
 
 from conekit import lawlor
-from conekit.comass import _lambda_matrix, _null_space, decompose
 from conekit.exterior import AlternatingForm, MetricTensor, SimpleVector, evaluate
-from conekit.gluing import relative_spectrum
 from conekit.products import SphereFactor, curvature_model, minimal_product
+from oracles import _lambda_matrix, _null_space, decompose, relative_spectrum
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 HEAVY = ("scipy.linalg", "scipy.optimize", "scipy.integrate", "scipy.special",

@@ -524,7 +524,9 @@ def test_cli_validate_job(tmp_path):
         ("table-ok", {"ks": [4], "alphas": [1.0], "controls": ["F", "c"]}, [],
          {"table": True}),
         ("table-flag", {"ks": [4], "alphas": [1.0]}, ["--control", "F"], {"table": True}),
-        ("table-custom", {"ks": [4], "alphas": [1.0]}, [], {"table": False}),
+        ("table-default", {"ks": [4], "alphas": [1.0]}, [], {"table": True}),
+        ("table-custom", {"ks": [4], "alphas": [1.0]}, ["--control", "custom"],
+         {"table": False}),
         ("table-half", {"ks": [2.5], "alphas": [1.0]}, ["--control", "F"],
          {"table": False}),
         ("table-zero", {"ks": [0], "alphas": [1.0], "controls": ["F"]}, [],

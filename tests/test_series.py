@@ -18,11 +18,10 @@ from conekit.lawlor import (
     LinkData,
     check_area_minimizing,
     descent_series,
-    integrate_fastest,
     second_order_coeffs,
 )
 from conekit.products import SphereFactor, curvature_model, minimal_product
-from oracles import control_taylor
+from oracles import control_taylor, integrate_fastest
 from test_descent import BENCHMARK_PRODUCTS
 
 SIMONS_P = (1, 0, -3, 0, 3, 0, -1)  # (1 - t^2)^3
@@ -224,6 +223,34 @@ def test_custom_is_not_a_control_of_its_own(tmp_path, capsys):
     assert "'F' and 'c'" in capsys.readouterr().err
     assert json.loads((out / "manifest.json").read_text())["exit_code"] == 2
     assert not (out / "vanishing_table.csv").exists()
+
+
+def test_table_without_controls_defaults_to_F(tmp_path):
+    # with no --control, a table spec without controls takes F, the same
+    # lanes as --control F; a link's job and a table with controls still
+    # record custom in the manifest
+    spec = tmp_path / "table.json"
+    spec.write_text(json.dumps({"ks": [6], "alphas": [1.0]}))
+    outs = {}
+    for name, extra in (("default", []), ("flag", ["--control", "F"])):
+        out = outs[name] = tmp_path / name
+        assert main(["vanishing-table", "--spec", str(spec), "--out", str(out), *extra]) == 0
+        assert json.loads((out / "manifest.json").read_text())["control"] == "F"
+    csv = (outs["default"] / "vanishing_table.csv").read_text().splitlines()
+    assert csv[0].split(",")[2] == "control" and csv[1].split(",")[2] == "F"
+    assert csv == (outs["flag"] / "vanishing_table.csv").read_text().splitlines()
+    assert main(["validate", "--spec", str(spec), "--out", str(tmp_path / "v")]) == 0
+    assert json.loads((tmp_path / "v" / "diagnostics.json").read_text())["fatal"] is False
+
+    listed = tmp_path / "listed.json"
+    listed.write_text(json.dumps({"ks": [6], "alphas": [1.0], "controls": ["c"]}))
+    cone = tmp_path / "cone.json"
+    cone.write_text(json.dumps({"factors": [{"type": "sphere", "dim": 3}] * 2}))
+    for command, path in (("vanishing-table", listed), ("validate", listed),
+                          ("certify-cone", cone)):
+        out = tmp_path / f"{command}-{path.stem}"
+        assert main([command, "--spec", str(path), "--out", str(out)]) == 0
+        assert json.loads((out / "manifest.json").read_text())["control"] == "custom"
 
 
 def test_taylor_data_beyond_the_float_range():

@@ -15,9 +15,7 @@ from conekit.cli import main
 from conekit.lawlor import (
     CurvatureModel,
     LinkData,
-    build_smooth_profile,
     check_area_minimizing,
-    integrate_fastest,
     second_order_coeffs,
 )
 from conekit.products import (
@@ -29,9 +27,11 @@ from conekit.products import (
 from oracles import (
     _sff_vectors,
     block_slices,
+    build_smooth_profile,
     double_normal_chords,
     factor_draws,
     geodesic_chord,
+    integrate_fastest,
     numeric_second_fundamental_form,
     p_by_normal_search,
     p_over_subset_sums,
