@@ -48,7 +48,7 @@ def _manifest(args, out_dir: str, exit_code: int, wall_s: float):
     )
 
 
-def _build_product(spec: dict, base_dir: str):
+def _build_product(spec: dict):
     """The product of the spec's factors.  A ``samples`` key, in the spec
     or in a ``product_hypersurface`` entry, is accepted and ignored: no
     product is sampled."""
@@ -61,7 +61,7 @@ def _build_product(spec: dict, base_dir: str):
             )
             factors.append(products.hypersurface_factor(inner))
         else:
-            factors.append(ser.factor_from_dict(entry, base_dir))
+            factors.append(ser.factor_from_dict(entry))
     return products.minimal_product(factors)
 
 
@@ -157,7 +157,7 @@ def cmd_vanishing_table(spec, args, out_dir, base_dir):
 
 
 def cmd_certify_cone(spec, args, out_dir, base_dir):
-    link = _build_product(spec, base_dir)
+    link = _build_product(spec)
     model = products.curvature_model(link)
     radius = products.normal_radius(link)
     data = lawlor.LinkData(model, radius.value)
@@ -188,8 +188,8 @@ def cmd_certify_cone(spec, args, out_dir, base_dir):
 
 
 def cmd_obstruct(spec, args, out_dir, base_dir):
-    link = _build_product(spec, base_dir)
-    out = obstruction.constant_calibration_obstruction(link, tol=args.tol)
+    link = _build_product(spec)
+    out = obstruction.constant_calibration_obstruction(link)
     cert = out["report"]["certificate"]
     payload = {
         "command": "obstruct",
@@ -198,21 +198,15 @@ def cmd_obstruct(spec, args, out_dir, base_dir):
         "gauss_points": out["report"]["gauss_points"],
         "verdict": cert.verdict,
         "method": cert.method,
+        "convex_weights": cert.convex_weights.tolist(),
+        "dual_residual": cert.residual,
     }
-    if cert.direction is not None:
-        payload["direction"] = cert.direction.tolist()
-        payload["margin"] = cert.margin
-    if cert.convex_weights is not None:
-        payload["convex_weights"] = cert.convex_weights.tolist()
-        payload["dual_residual"] = cert.residual
     ser.write_json(os.path.join(out_dir, "certificate.json"), payload)
-    if cert.verdict == "boundary":
-        return EXIT_NONCONVERGENCE
     return EXIT_OK
 
 
 def cmd_replicate(spec, args, out_dir, base_dir):
-    base = ser.factor_from_dict(spec["base"], base_dir)
+    base = ser.factor_from_dict(spec["base"])
     result = products.replication_search(
         base, ser.whole_number(spec["n_max"], "n_max"), args.control
     )
@@ -259,13 +253,13 @@ def cmd_validate(spec, args, out_dir, base_dir):
         if key in spec:
             check(key, lambda key=key: ser.load_metric(spec[key], base_dir))
     if "factors" in spec:
-        check("factors", lambda: _round_curvature(_build_product(spec, base_dir)))
+        check("factors", lambda: _round_curvature(_build_product(spec)))
     if "base" in spec:
-        check("base", lambda: ser.factor_from_dict(spec["base"], base_dir))
+        check("base", lambda: ser.factor_from_dict(spec["base"]))
     if "base" in spec or "n_max" in spec:
         # every product a replicate job descends on, up to the largest
         check("n_max", lambda: products.replication_links(
-            ser.factor_from_dict(spec["base"], base_dir),
+            ser.factor_from_dict(spec["base"]),
             ser.whole_number(spec["n_max"], "n_max")))
     if any(key in spec for key in ("ks", "alphas", "controls")):
         check("table", lambda: _table_lanes(spec, args.control))

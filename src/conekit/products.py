@@ -15,10 +15,9 @@ diagonal with eigenvalue -b_i / lambda_i of multiplicity k_i.  So
 alpha = sqrt(k) for unit b, p(t) is one closed-form polynomial with
 p2 = -k/2, and the normal radius is arcsin(lambda_min).  A product of two
 round spheres is a hypersurface of its sphere; ``hypersurface_factor``
-records it at one point and its antipode, where the odd normal field
-takes opposite values, which is all the obstruction needs.
-General links may be supplied as sampled point/normal data, but curvature
-extraction is only implemented for products of round spheres.
+records its Gauss image at one point and its antipode, where the odd normal
+field takes opposite values, which is all the obstruction needs.  Every
+factor is exact: a round sphere, or such a hypersurface.
 """
 
 import math
@@ -42,48 +41,24 @@ __all__ = [
     "replication_search",
 ]
 
-UNIT_TOL = 1e-10
-
 
 @dataclass(frozen=True)
 class SphereFactor:
-    """One factor link: a round sphere S^dim, or sampled data in S^ambient.
-
-    Sampled factors carry unit points (rows of ``points``) and, for
-    codimension-one links, a unit normal per point (rows of ``normals``).
-    """
+    """One factor link: a round sphere S^dim, or a round hypersurface
+    product in S^ambient with its Gauss image in ``normals``, the two rows
+    that ``hypersurface_factor`` builds."""
 
     dim: int
     ambient: int
-    points: Optional[np.ndarray] = None
     normals: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if self.dim < 1 or self.ambient < self.dim:
             raise ValueError("need 1 <= dim <= ambient")
-        if self.points is not None:
-            pts = np.asarray(self.points, dtype=float)
-            if pts.ndim != 2 or pts.shape[1] != self.ambient + 1:
-                raise ValueError("points must be (S, ambient+1)")
-            # written as not (... <= tol) so that NaN and inf fail too
-            if not np.max(np.abs(np.linalg.norm(pts, axis=1) - 1.0)) <= UNIT_TOL:
-                raise ValueError("sample points must be finite unit vectors")
-            object.__setattr__(self, "points", pts)
-        if self.normals is not None:
-            if self.points is None:
-                raise ValueError("normals need points")
-            nor = np.asarray(self.normals, dtype=float)
-            if nor.shape != self.points.shape:
-                raise ValueError("normals must align with points")
-            if not np.max(np.abs(np.linalg.norm(nor, axis=1) - 1.0)) <= UNIT_TOL:
-                raise ValueError("normals must be finite unit vectors")
-            if not np.max(np.abs(np.sum(nor * self.points, axis=1))) <= 1e-8:
-                raise ValueError("normals must be orthogonal to their points")
-            object.__setattr__(self, "normals", nor)
 
     @property
     def is_round(self) -> bool:
-        return self.points is None and self.ambient == self.dim
+        return self.normals is None and self.ambient == self.dim
 
     @staticmethod
     def round(k: int) -> "SphereFactor":
@@ -222,27 +197,24 @@ def normal_radius(link: ProductLink) -> NormalRadiusEstimate:
 
 
 def hypersurface_factor(link: ProductLink) -> SphereFactor:
-    """Repackage a codimension-one product (two round factors) as a sampled
-    factor: the point p = (lambda_1 e_0, lambda_2 e_0) and its antipode,
-    with the unit normal field nu = (lambda_2 x_1, -lambda_1 x_2) there.
+    """Repackage a codimension-one product (two round factors) as a factor
+    carrying its Gauss image at the point p = (lambda_1 e_0, lambda_2 e_0)
+    and its antipode, where the unit normal field is
+    nu = (lambda_2 x_1, -lambda_1 x_2).
 
-    nu is odd, so the normal at -p is exactly -nu(p).  The Gauss image
-    {nu(p), -nu(p)} lies in no open hemisphere, and this one pair is the
-    whole certificate the obstruction needs, so nothing is drawn."""
+    nu is odd, so the normal at -p is exactly -nu(p).  Both normals lie in
+    the plane of the two blocks' e_0, and are stored in that plane's
+    orthonormal coordinates as +-(lambda_2, -lambda_1): two numbers each,
+    whatever the dimension of the product.  The pair lies in no open
+    hemisphere, and it is the whole certificate the obstruction needs, so
+    nothing is drawn."""
     _require_round(link, "hypersurface repackaging")
     if link.n_factors != 2:
         raise ValueError("only two-factor products are hypersurfaces in their sphere")
     lam1, lam2 = link.lambdas
-    split = link.factors[0].ambient + 1
-    p, nu = np.zeros((2, link.ambient_sphere_dim + 1))
-    p[0], p[split] = lam1, lam2
-    nu[0], nu[split] = lam2, -lam1
-    return SphereFactor(
-        dim=link.k,
-        ambient=link.ambient_sphere_dim,
-        points=np.stack([p, -p]),
-        normals=np.stack([nu, -nu]),
-    )
+    nu = np.array([lam2, -lam1])
+    return SphereFactor(dim=link.k, ambient=link.ambient_sphere_dim,
+                        normals=np.stack([nu, -nu]))
 
 
 def replication_links(base: SphereFactor, n_max: int) -> list:

@@ -6,7 +6,6 @@ are deterministic for a fixed seed, so reruns produce byte-identical
 tables; volatile metadata such as timestamps lives in a separate manifest.
 """
 
-import csv
 import json
 import os
 import sys
@@ -160,31 +159,17 @@ def real_number(value, field: str) -> float:
     raise ValueError(f"spec field {field!r} must be a finite number, got {value!r}")
 
 
-def factor_from_dict(data: dict, base_dir: str = ".") -> SphereFactor:
-    """Link factor from a specification entry.
-
-    {"type": "sphere", "dim": k} builds a round sphere; {"type": "sampled",
-    "path": file} loads unit points and optional normals from JSON.  An
-    entry that is not a JSON object raises ValueError.
-    """
+def factor_from_dict(data: dict) -> SphereFactor:
+    """Link factor from a specification entry: {"type": "sphere", "dim": k}
+    is a round sphere.  Any other entry raises ValueError naming the
+    supported types."""
     if not isinstance(data, dict):
         raise ValueError(f"a factor must be a JSON object, got {data!r}")
     kind = data.get("type")
-    if kind == "sphere":
-        return SphereFactor.round(whole_number(data["dim"], "dim"))
-    if kind == "sampled":
-        payload = read_json(os.path.join(base_dir, data["path"]))
-        return SphereFactor(
-            dim=whole_number(payload["dim"], "dim"),
-            ambient=whole_number(payload["ambient"], "ambient"),
-            points=np.asarray(payload["points"], dtype=float),
-            normals=(
-                np.asarray(payload["normals"], dtype=float)
-                if payload.get("normals") is not None
-                else None
-            ),
-        )
-    raise ValueError(f"unknown factor type {kind!r}")
+    if kind != "sphere":
+        raise ValueError(f"unknown factor type {kind!r}: the supported types are 'sphere', "
+                         "and 'product_hypersurface' inside a product's 'factors'")
+    return SphereFactor.round(whole_number(data["dim"], "dim"))
 
 
 def load_form(data, base_dir: str = ".") -> AlternatingForm:

@@ -12,9 +12,7 @@ bound, shape matrices by finite differences along great-circle curves
 instead of the closed-form spectra, p(t) by a dense search over unit
 normals and as the least term over all proper subset sums instead of its
 single term j* = k - k_min, and the normal radius from explicit chords
-between link points instead of arcsin(lambda_min), and the open-hemisphere
-decision by two HiGHS linear programs and an NNLS polish instead of one
-nearest-point solve.  The wedge and contraction of forms, a sampled
+between link points instead of arcsin(lambda_min).  The wedge and contraction of forms, a sampled
 descent profile with its pointwise audit, and the slope interval of the
 calibration inequality check the exterior and lawlor kernels from outside.
 
@@ -27,9 +25,9 @@ profile surgery tangent to the axis.  A job that reports one of these
 would take it back into the library rather than keep a second copy.
 
 It also keeps the seeded sampler of product points that products used
-before a round hypersurface factor became one exact antipodal pair: tests
-that need random points of a product, or a Gauss image with no antipodal
-pair, draw them here.
+before a round hypersurface factor became one exact antipodal pair, for
+tests that need random points of a product, and the embedding of that
+pair's plane, for tests that check its normals in the ambient space.
 """
 
 import math
@@ -38,7 +36,7 @@ from typing import Optional
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.optimize import linprog, minimize, nnls
+from scipy.optimize import minimize
 
 from conekit import lawlor
 from conekit.comass import (
@@ -63,7 +61,6 @@ from conekit.exterior import (
     pullback,
 )
 from conekit.lawlor import DESCENT_ENDS, CurvatureModel
-from conekit.obstruction import HemisphereCertificate
 from conekit.products import ProductLink, _require_round
 
 
@@ -945,33 +942,28 @@ def wedge_comass_check(
 
 
 def factor_draws(link: ProductLink, samples: int, seed: int) -> list:
-    """``samples`` points per factor from one generator seeded with
-    ``seed``, factor by factor: uniform points of a round factor, a
-    subsample (with replacement when the factor has fewer points) of a
-    sampled one.  This is the order in which products drew their points
-    before a round hypersurface factor became one exact antipodal pair, so
-    tests keep the inputs they were written against."""
+    """``samples`` uniform points per round factor from one generator
+    seeded with ``seed``, factor by factor.  This is the order in which
+    products drew their points before a round hypersurface factor became
+    one exact antipodal pair, so tests keep the inputs they were written
+    against."""
     rng = np.random.default_rng(seed)
     out = []
     for f in link.factors:
-        if f.points is None:
-            v = rng.standard_normal((samples, f.ambient + 1))
-            out.append(v / np.linalg.norm(v, axis=1, keepdims=True))
-        else:
-            idx = rng.choice(len(f.points), size=samples,
-                             replace=len(f.points) < samples)
-            out.append(f.points[idx])
+        v = rng.standard_normal((samples, f.ambient + 1))
+        out.append(v / np.linalg.norm(v, axis=1, keepdims=True))
     return out
 
 
-def hypersurface_draws(link: ProductLink, samples: int, seed: int):
-    """Points (lambda_1 x_1, lambda_2 x_2) of a two-factor round product at
-    its ``factor_draws``, and the unit normals (lambda_2 x_1, -lambda_1 x_2)
-    there: a Gauss image with no antipodal pair."""
-    x1, x2 = factor_draws(link, samples, seed)
-    lam1, lam2 = link.lambdas
-    return (np.concatenate([lam1 * x1, lam2 * x2], axis=1),
-            np.concatenate([lam2 * x1, -lam1 * x2], axis=1))
+def embedded_pair(link: ProductLink):
+    """The point p = (lambda_1 e_0, lambda_2 e_0) of a two-factor round
+    product in R^(ambient_sphere_dim + 1), and the (2, ambient_sphere_dim + 1)
+    matrix whose rows are the two blocks' e_0: ``hypersurface_factor``'s
+    normals, in that plane's coordinates, times it are the normals at p
+    and -p in the ambient space."""
+    embed = np.zeros((2, link.ambient_sphere_dim + 1))
+    embed[0, 0] = embed[1, link.factors[0].ambient + 1] = 1.0
+    return link.lambdas @ embed, embed
 
 
 def block_slices(link: ProductLink) -> list:
@@ -1159,92 +1151,3 @@ def double_normal_chords(link: ProductLink, xs) -> list:
         ys = [-x if i in flipped else x for i, x in enumerate(xs)]
         out.append((flipped, *geodesic_chord(link, xs, ys)))
     return out
-
-
-# ---------------------------------------------------------------------------
-# open-hemisphere decision
-
-
-def _max_margin_direction(X: np.ndarray):
-    """Maximize e subject to <w, x_i> >= e and |w|_inf <= 1."""
-    S, d = X.shape
-    # variables (w_1..w_d, e); minimize -e
-    c = np.zeros(d + 1)
-    c[-1] = -1.0
-    A = np.concatenate([-X, np.ones((S, 1))], axis=1)
-    b = np.zeros(S)
-    bounds = [(-1.0, 1.0)] * d + [(None, None)]
-    res = linprog(c, A_ub=A, b_ub=b, bounds=bounds, method="highs")
-    if not res.success:
-        raise RuntimeError(f"margin program failed: {res.message}")
-    return res.x[:d], float(res.x[-1])
-
-
-def _zero_hull_weights(X: np.ndarray):
-    """Minimize |X^T y|_inf over convex weights y."""
-    S, d = X.shape
-    # variables (y_1..y_S, u); minimize u
-    c = np.zeros(S + 1)
-    c[-1] = 1.0
-    A_rows = []
-    for sgn in (1.0, -1.0):
-        A_rows.append(np.concatenate([sgn * X.T, -np.ones((d, 1))], axis=1))
-    A = np.concatenate(A_rows, axis=0)
-    b = np.zeros(2 * d)
-    A_eq = np.concatenate([np.ones((1, S)), np.zeros((1, 1))], axis=1)
-    res = linprog(
-        c,
-        A_ub=A,
-        b_ub=b,
-        A_eq=A_eq,
-        b_eq=[1.0],
-        bounds=[(0.0, None)] * S + [(None, None)],
-        method="highs",
-    )
-    if not res.success:
-        raise RuntimeError(f"hull program failed: {res.message}")
-    y = np.clip(res.x[:S], 0.0, None)
-    y /= y.sum()
-    return y, float(np.linalg.norm(X.T @ y))
-
-
-def hemisphere_by_lp(X: np.ndarray, tol: float = 1e-9) -> HemisphereCertificate:
-    """The open-hemisphere decision as ``hemisphere_test`` made it on sets
-    without an antipodal pair before the nearest-point solve: a box-normalized
-    max-margin LP, then either an NNLS 2-norm polish with a 1e6 penalty row
-    on the weight sum, or a second LP for the convex weights nearest zero in
-    the inf-norm.  Certificates carry method "lp"."""
-    w, margin_lp = _max_margin_direction(X)
-    wn = np.linalg.norm(w)
-    direction = w / wn if wn > 1e-12 else None
-    margin = float(np.min(X @ direction)) if direction is not None else -1.0
-    if margin_lp > tol and direction is not None and margin > 0.0:
-        # the nearest hull point gives the best direction in the 2-norm
-        rho = 1e6
-        A = np.concatenate([X.T, rho * np.ones((1, len(X)))], axis=0)
-        rhs = np.concatenate([np.zeros(X.shape[1]), [rho]])
-        y, _ = nnls(A, rhs)
-        z = X.T @ y
-        zn = np.linalg.norm(z)
-        if zn > tol:
-            cand = z / zn
-            cand_margin = float(np.min(X @ cand))
-            if cand_margin > margin:
-                direction, margin = cand, cand_margin
-        return HemisphereCertificate("feasible", "lp", direction=direction, margin=margin)
-    y, residual = _zero_hull_weights(X)
-    assert np.all(y >= 0.0) and abs(y.sum() - 1.0) <= 1e-9
-    if residual <= tol:
-        return HemisphereCertificate(
-            "infeasible", "lp", convex_weights=y, residual=residual
-        )
-    # neither certificate is clean: the configuration sits on the decision
-    # boundary at this tolerance
-    return HemisphereCertificate(
-        "boundary",
-        "lp",
-        direction=direction,
-        margin=margin,
-        convex_weights=y,
-        residual=residual,
-    )

@@ -245,16 +245,6 @@ def test_hemisphere_obstruction_certificates():
     out = constant_calibration_obstruction(product)
     assert out["obstructed"] is True
 
-    # control case: an equatorial hypersurface has a one-point Gauss image
-    ang = 2.0 * np.pi * np.arange(50) / 50.0
-    pts = np.column_stack([np.cos(ang), np.sin(ang), np.zeros_like(ang)])
-    nor = np.column_stack([np.zeros_like(ang), np.zeros_like(ang),
-                           np.ones_like(ang)])
-    equator = SphereFactor(dim=1, ambient=2, points=pts, normals=nor)
-    eq_image = gauss_image(equator)
-    assert len(np.unique(np.round(eq_image.points, 12), axis=0)) == 1
-    assert hemisphere_test(eq_image).verdict == "feasible"
-
 
 def test_wedge_comass_bound_random_pairs():
     rng = np.random.default_rng(800)

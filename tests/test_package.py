@@ -11,7 +11,7 @@ import conekit
 import oracles
 from conekit.exterior import SimpleVector
 from conekit.gluing import GluingReport
-from conekit.obstruction import constant_calibration_obstruction
+from conekit.obstruction import HemisphereCertificate, constant_calibration_obstruction
 from conekit.products import SphereFactor, hypersurface_factor, minimal_product
 
 MODULES = ("cli", "comass", "exterior", "gluing", "lawlor", "obstruction",
@@ -42,8 +42,10 @@ MOVED = {
     "exterior": ("wedge", "contract"),
 }
 
-# recomputed what a job path returns; kept nowhere
-DELETED = ("comass_analytic", "ccgp_bound", "improved_bound", "_endpoint_comasses")
+# recomputed what a job path returns, or decided inputs no spec can express;
+# kept nowhere
+DELETED = ("comass_analytic", "ccgp_bound", "improved_bound", "_endpoint_comasses",
+           "_nearest_hull_point", "hemisphere_by_lp", "hypersurface_draws")
 
 
 def _module(name):
@@ -79,6 +81,8 @@ def test_deleted_names_are_gone():
     assert not hasattr(SimpleVector, "concat") and not hasattr(SimpleVector, "scale")
     assert "__call__" not in vars(_module("lawlor")._Descent)
     assert "maximizers" not in GluingReport.__dataclass_fields__
+    assert list(HemisphereCertificate.__dataclass_fields__) == [
+        "verdict", "method", "convex_weights", "residual"]
 
 
 def test_obstruction_report_holds_what_the_job_reads():

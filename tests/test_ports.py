@@ -6,6 +6,7 @@ decomposition and gluing machinery they serve, and are checked here still.
 scipy stays the oracle here: the DOP853 tableau module, ``brentq``,
 ``scipy.linalg.null_space`` and ``scipy.linalg.eigh``."""
 
+import ast
 import itertools
 import json
 import math
@@ -68,6 +69,23 @@ def test_cli_import_and_jobs_load_no_scipy_submodule(tmp_path):
     after_import, after_jobs, codes = json.loads(proc.stdout.splitlines()[-1])
     assert codes == [0] * len(jobs)
     assert after_import == [] and after_jobs == []
+
+
+def test_library_imports_no_scipy_submodule():
+    # a lazy import inside a function is invisible to the job run above
+    # unless some job reaches it, so every import statement is read instead
+    found = []
+    for path in sorted((SRC / "conekit").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            found += [(path.name, node.lineno, name) for name in names
+                      if name.startswith("scipy.")]
+    assert found == []
 
 
 def test_tableau_equals_scipy_entry_for_entry():

@@ -18,7 +18,12 @@ from conekit.products import (
     normal_radius,
     replication_search,
 )
-from oracles import block_slices, factor_draws, numeric_second_fundamental_form
+from oracles import (
+    block_slices,
+    embedded_pair,
+    factor_draws,
+    numeric_second_fundamental_form,
+)
 
 
 def _clifford():
@@ -41,13 +46,9 @@ def test_sphere_factor_validation():
         SphereFactor(dim=0, ambient=2)
     with pytest.raises(ValueError):
         SphereFactor(dim=3, ambient=2)
-    with pytest.raises(ValueError, match="unit"):
-        SphereFactor(dim=1, ambient=2, points=np.array([[1.0, 1.0, 0.0]]))
-    pts = np.array([[1.0, 0.0, 0.0]])
-    with pytest.raises(ValueError, match="orthogonal"):
-        SphereFactor(dim=1, ambient=2, points=pts, normals=pts)
-    with pytest.raises(ValueError, match="normals need points"):
-        SphereFactor(dim=1, ambient=2, normals=np.array([[0.0, 1.0, 0.0]]))
+    # a factor holds no sample points; one that carries normals is not round
+    assert "points" not in SphereFactor.__dataclass_fields__
+    assert not SphereFactor(dim=2, ambient=2, normals=np.eye(2)).is_round
 
 
 def test_minimal_product_assembly():
@@ -59,8 +60,6 @@ def test_minimal_product_assembly():
 def test_round_products_draw_no_samples():
     # a product holds its factors and their exact scales and nothing that
     # could hold sample points; the exact curvature data need none
-    circle = SphereFactor(dim=1, ambient=2, points=np.eye(3)[:2],
-                          normals=np.eye(3)[[1, 0]])
     simons = minimal_product([SphereFactor.round(3)] * 2)
     curvature_model(simons)
     normal_radius(simons)
@@ -68,16 +67,14 @@ def test_round_products_draw_no_samples():
     with pytest.raises(TypeError):
         minimal_product([SphereFactor.round(1)], samples=5)
     # the test sampler draws from one generator factor by factor
-    link = minimal_product([SphereFactor.round(3), circle, SphereFactor.round(2)])
+    link = minimal_product([SphereFactor.round(3), SphereFactor.round(2)])
     rng = np.random.default_rng(9)
     first = rng.standard_normal((5, 4))
-    picks = rng.choice(2, size=5, replace=True)
     last = rng.standard_normal((5, 3))
     pts = factor_draws(link, 5, 9)
     unit = np.linalg.norm
     np.testing.assert_array_equal(pts[0], first / unit(first, axis=1, keepdims=True))
-    np.testing.assert_array_equal(pts[1], circle.points[picks])
-    np.testing.assert_array_equal(pts[2], last / unit(last, axis=1, keepdims=True))
+    np.testing.assert_array_equal(pts[1], last / unit(last, axis=1, keepdims=True))
 
 
 def test_clifford_shape_matrix_eigenvalues():
@@ -161,14 +158,17 @@ def test_hypersurface_factor_round_trip():
     link = _simons()
     factor = hypersurface_factor(link)
     assert factor.dim == link.k and factor.ambient == link.ambient_sphere_dim
-    dots = np.sum(factor.points * factor.normals, axis=1)
-    np.testing.assert_allclose(dots, 0.0, atol=1e-12)
-    np.testing.assert_allclose(np.linalg.norm(factor.normals, axis=1), 1.0,
-                               atol=1e-12)
-    # one point, then its antipode, with normals nu(-x) = -nu(x)
-    assert len(factor.points) == 2
-    assert np.array_equal(factor.points[1:], -factor.points[:1])
-    assert np.array_equal(factor.normals[1:], -factor.normals[:1])
+    assert not factor.is_round
+    # the normals are held in the plane of the two blocks' e_0; embedded
+    # there, they are unit, tangent to the sphere at p and at -p, and opposite
+    p, embed = embedded_pair(link)
+    normals = factor.normals @ embed
+    np.testing.assert_allclose(np.linalg.norm(normals, axis=1), 1.0, atol=1e-12)
+    assert np.all(np.sum(normals * p, axis=1) == 0.0)
+    assert np.array_equal(normals[1], -normals[0])
+    # nu(p) = (lambda_2 e_0, -lambda_1 e_0)
+    lam1, lam2 = link.lambdas
+    np.testing.assert_array_equal(normals[0][[0, 4]], [lam2, -lam1])
     triple = minimal_product([SphereFactor.round(1)] * 3)
     with pytest.raises(ValueError, match="two-factor"):
         hypersurface_factor(triple)

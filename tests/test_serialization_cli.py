@@ -1,7 +1,6 @@
 """Tests for file formats and the batch command-line interface."""
 
 import json
-import math
 import os
 
 import numpy as np
@@ -9,7 +8,7 @@ import pytest
 
 from conekit.cli import build_parser, main
 from conekit.exterior import AlternatingForm, MetricTensor
-from conekit.products import UNIT_TOL, SphereFactor, hypersurface_factor, minimal_product
+from conekit.products import SphereFactor, hypersurface_factor, minimal_product
 from conekit.serialization import (
     atomic_write_text,
     factor_from_dict,
@@ -22,7 +21,7 @@ from conekit.serialization import (
     write_csv,
     write_json,
 )
-from oracles import hypersurface_draws
+from oracles import embedded_pair
 
 
 def _write_spec(path, payload):
@@ -73,23 +72,12 @@ def test_form_and_metric_round_trip(tmp_path):
     assert read_json(str(path))["n"] == 5
 
 
-def test_factor_from_dict(tmp_path):
+def test_factor_from_dict():
     f = factor_from_dict({"type": "sphere", "dim": 3})
     assert f.is_round and f.dim == 3
-    write_json(
-        str(tmp_path / "circle.json"),
-        {
-            "dim": 1,
-            "ambient": 1,
-            "points": [[1.0, 0.0], [0.0, 1.0]],
-            "normals": None,
-        },
-    )
-    sampled = factor_from_dict({"type": "sampled", "path": "circle.json"},
-                               str(tmp_path))
-    assert sampled.points.shape == (2, 2) and sampled.normals is None
-    with pytest.raises(ValueError, match="factor type"):
-        factor_from_dict({"type": "torus"})
+    for kind in ("torus", "sampled"):
+        with pytest.raises(ValueError, match="unknown factor type.*'sphere'"):
+            factor_from_dict({"type": kind, "path": "circle.json"})
 
 
 def test_cli_comass_job(tmp_path):
@@ -334,13 +322,17 @@ HYPERSURFACES = [(1, 1), (1, 2), (2, 2), (1, 3), (2, 3), (3, 3)]
 
 @pytest.mark.parametrize("dims", HYPERSURFACES, ids=[f"S{a}xS{b}" for a, b in HYPERSURFACES])
 def test_round_hypersurface_is_one_exact_antipodal_pair(tmp_path, dims):
-    factor = hypersurface_factor(minimal_product([SphereFactor.round(d) for d in dims]))
-    points, normals = factor.points, factor.normals
-    assert points.shape == normals.shape == (2, sum(dims) + 2)
-    for rows in (points, normals):
-        assert np.max(np.abs(np.linalg.norm(rows, axis=1) - 1.0)) <= UNIT_TOL
-        assert (-rows[0]).tobytes() == rows[1].tobytes()
-    assert np.all(np.sum(points * normals, axis=1) == 0.0)
+    link = minimal_product([SphereFactor.round(d) for d in dims])
+    factor = hypersurface_factor(link)
+    assert factor.normals.shape == (2, 2)
+    assert (-factor.normals[0]).tobytes() == factor.normals[1].tobytes()
+    # embedded, the normals are unit, tangent at p and -p, and opposite
+    p, embed = embedded_pair(link)
+    normals = factor.normals @ embed
+    assert normals.shape == (2, sum(dims) + 2)
+    assert np.max(np.abs(np.linalg.norm(normals, axis=1) - 1.0)) <= 1e-10
+    assert np.array_equal(normals[1], -normals[0])
+    assert np.all(np.sum(normals * p, axis=1) == 0.0)
     # the certificate draws nothing: neither --seed nor a samples key moves a byte
     hyper = {"type": "product_hypersurface", "dims": list(dims)}
     sphere = {"type": "sphere", "dim": 2}
@@ -377,86 +369,25 @@ def test_cli_rejects_bad_tol(tmp_path, tol):
         assert main([command, "--spec", spec, "--out", str(out), "--tol=0", "--grid", "3"]) == 0
 
 
-def _sampled_spec(tmp_path, name, points, normals, dim, ambient):
-    """A spec whose first factor is the sampled file factor name.json and
-    whose second is a round S^2."""
-    write_json(str(tmp_path / f"{name}.json"),
-               {"dim": dim, "ambient": ambient, "points": points, "normals": normals})
-    return _write_spec(tmp_path / f"{name}-spec.json", {
-        "factors": [{"type": "sampled", "path": f"{name}.json"},
-                    {"type": "sphere", "dim": 2}],
-        "samples": 20,
-    })
-
-
-def _latitude_circle(theta=0.4, count=40):
-    """Points and in-sphere unit normals of a latitude circle in S^2; the
-    normals share the sign of their last coordinate."""
-    phi = np.linspace(0.0, 2.0 * np.pi, count, endpoint=False)
-    c, s = math.cos(theta), math.sin(theta)
-    pts = np.column_stack([s * np.cos(phi), s * np.sin(phi), np.full_like(phi, c)])
-    nor = np.column_stack([c * np.cos(phi), c * np.sin(phi), np.full_like(phi, -s)])
-    return pts, nor
-
-
-def _torus_draws():
-    """Points and normals of 100 random points of the Clifford torus in
-    S^3, a Gauss image with no antipodal pair."""
-    link = minimal_product([SphereFactor.round(1), SphereFactor.round(1)])
-    return hypersurface_draws(link, 100, 1)
-
-
-def test_cli_obstruct_sampled_factors(tmp_path):
-    pts, nor = _latitude_circle()
-    spec = _sampled_spec(tmp_path, "circle", pts.tolist(), nor.tolist(), 1, 2)
-    out = tmp_path / "circle-out"
-    assert main(["obstruct", "--spec", spec, "--out", str(out)]) == 0
-    cert = read_json(str(out / "certificate.json"))
-    assert cert["obstructed"] is False and cert["verdict"] == "feasible"
-    assert cert["method"] == "nearest-point" and cert["gauss_points"] == 40
-    direction = np.asarray(cert["direction"])
-    assert cert["margin"] == float(np.min(nor @ direction)) > 0.0
-
-    pts, nor = _torus_draws()
-    spec = _sampled_spec(tmp_path, "torus", pts.tolist(), nor.tolist(), 2, 3)
-    out = tmp_path / "torus-out"
-    assert main(["obstruct", "--spec", spec, "--out", str(out),
-                 "--tol", "1e-9"]) == 0
-    cert = read_json(str(out / "certificate.json"))
-    assert cert["obstructed"] is True and cert["verdict"] == "infeasible"
-    assert cert["method"] == "nearest-point" and cert["gauss_points"] == 100
-    weights = np.asarray(cert["convex_weights"])
-    assert np.all(weights >= 0.0) and abs(weights.sum() - 1.0) <= 1e-12
-    assert np.linalg.norm(nor.T @ weights) <= cert["dual_residual"] + 1e-15
-    assert cert["dual_residual"] <= 1e-9
-
-
-def test_cli_obstruct_solver_failure_exits_3(tmp_path, monkeypatch):
-    import scipy.optimize
-
-    def stalled(A, b):
-        raise RuntimeError("Maximum number of iterations reached.")
-
-    monkeypatch.setattr(scipy.optimize, "nnls", stalled)
-    pts, nor = _torus_draws()
-    spec = _sampled_spec(tmp_path, "torus", pts.tolist(), nor.tolist(), 2, 3)
-    assert main(["obstruct", "--spec", spec, "--out", str(tmp_path / "o")]) == 3
-
-
-def test_cli_rejects_non_finite_samples(tmp_path):
-    pts, nor = _latitude_circle()
-    bad_point, bad_normal = pts.tolist(), nor.tolist()
-    bad_point[5][0] = float("nan")
-    bad_normal[5][2] = float("nan")
-    for name, points, normals in (("nan-point", bad_point, nor.tolist()),
-                                  ("nan-normal", pts.tolist(), bad_normal)):
-        spec = _sampled_spec(tmp_path, name, points, normals, 1, 2)
-        for command in ("validate", "obstruct"):
-            out = tmp_path / f"{name}-{command}"
-            assert main([command, "--spec", spec, "--out", str(out)]) == 2, (name, command)
-        diag = read_json(str(tmp_path / f"{name}-validate" / "diagnostics.json"))
-        (item,) = diag["diagnostics"]
-        assert item["item"] == "factors" and "finite unit vectors" in item["error"]
+def test_cli_rejects_sampled_factors(tmp_path):
+    # a sampled file factor only approximates a surface, so no command takes
+    # one: each exits 2 with only its manifest, before reading the file
+    sampled = {"type": "sampled", "path": "circle.json"}
+    product = _write_spec(tmp_path / "product.json",
+                          {"factors": [sampled, {"type": "sphere", "dim": 2}]})
+    base = _write_spec(tmp_path / "base.json", {"base": sampled, "n_max": 3})
+    for command, spec in (("obstruct", product), ("certify-cone", product),
+                          ("replicate", base)):
+        out = tmp_path / command
+        assert main([command, "--spec", spec, "--out", str(out)]) == 2, command
+        assert os.listdir(out) == ["manifest.json"], command
+        assert read_json(str(out / "manifest.json"))["exit_code"] == 2
+    out = tmp_path / "validate"
+    assert main(["validate", "--spec", product, "--out", str(out)]) == 2
+    diag = read_json(str(out / "diagnostics.json"))
+    (item,) = diag["diagnostics"]
+    assert diag["fatal"] is True and item["item"] == "factors" and not item["ok"]
+    assert "'sphere'" in item["error"] and "'product_hypersurface'" in item["error"]
 
 
 # links whose curvature data do not fit a float: S^81 x S^81 (k = 162), the
