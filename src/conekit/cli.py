@@ -12,6 +12,7 @@ operations; no numbers are produced here.
 
 import argparse
 import functools
+import importlib.util
 import json
 import math
 import os
@@ -19,7 +20,6 @@ import sys
 import time
 
 import numpy as np
-import scipy
 
 from . import gluing, lawlor, obstruction, products, serialization as ser
 from .comass import comass as _comass
@@ -27,6 +27,20 @@ from .comass import comass as _comass
 EXIT_OK = 0
 EXIT_PRECONDITION = 2
 EXIT_NONCONVERGENCE = 3
+
+
+@functools.cache
+def _scipy_version() -> str:
+    """scipy's ``__version__``, read from its ``version.py`` (the module
+    ``scipy/__init__.py`` takes it from), located through
+    ``find_spec("scipy")`` as lawlor locates its DOP853 tableau: no job
+    needs scipy itself, and importing it costs about 10 ms a process."""
+    path = os.path.join(os.path.dirname(importlib.util.find_spec("scipy").origin),
+                        "version.py")
+    spec = importlib.util.spec_from_file_location("_scipy_version", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.version
 
 
 def _manifest(args, out_dir: str, exit_code: int, wall_s: float):
@@ -43,18 +57,23 @@ def _manifest(args, out_dir: str, exit_code: int, wall_s: float):
             "exit_code": exit_code,
             "wall_s": wall_s,
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
+            "scipy": _scipy_version(),
         },
     )
 
 
 def _build_product(spec: dict):
-    """The product of the spec's factors.  A ``samples`` key, in the spec
+    """The product of the spec's factors.  A ``product_hypersurface`` entry
+    must come first, where obstruct's Gauss image reads it, so that every
+    command and validate apply one rule.  A ``samples`` key, in the spec
     or in a ``product_hypersurface`` entry, is accepted and ignored: no
     product is sampled."""
     factors = []
-    for entry in _array(spec, "factors"):
+    for i, entry in enumerate(_array(spec, "factors")):
         if isinstance(entry, dict) and entry.get("type") == "product_hypersurface":
+            if i:
+                raise ValueError("a 'product_hypersurface' factor must be the first "
+                                 f"of 'factors', found at position {i}")
             inner = products.minimal_product(
                 [products.SphereFactor.round(ser.whole_number(d, "dims"))
                  for d in _array(entry, "dims")]

@@ -6,7 +6,12 @@ orthonormal m-frames U.  Degrees 1 and 2 have closed forms: the covector
 norm, and the top singular pair of the skew matrix.  The Hodge star maps
 unit simple m-vectors to unit simple (n-m)-vectors, so the comass is
 Hodge-dual invariant (Federer, Geometric Measure Theory, 1.8) and degrees
-n-2, n-1 and n take the same closed forms on *psi.  Every other degree runs
+n-2, n-1 and n take the same closed forms on *psi.  Two families are
+recognized instead of searched: a 3-form on R^6 of special Lagrangian type
+(Hitchin, J. Differential Geom. 55, 2000) and a 4-form on R^8 of Cayley
+type (Harvey and Lawson, Calibrated geometries, Acta Math. 148, 1982, IV),
+each c times a calibration in an orthonormal frame the form itself
+defines.  Every other form runs
 multi-restart projected ascent over ordered m-frames; a restart stops, and
 leaves the batch, once its Riemannian gradient on the Stiefel manifold is
 small (Absil, Mahony and Sepulchre, Optimization Algorithms on Matrix
@@ -28,6 +33,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -37,7 +43,10 @@ from .exterior import (
     SimpleVector,
     _contract_frames,
     _hodge_star,
+    _index_position,
     _interior_matrix,
+    _merge_sign,
+    multi_indices,
     pullback,
 )
 
@@ -46,12 +55,15 @@ __all__ = ["ComassResult", "comass"]
 
 @dataclass(frozen=True)
 class ComassResult:
-    """``method`` is "exact" (closed form) or "optimizer".  ``iterations``
+    """``method`` is "exact" (closed form), "recognized" (c times a special
+    Lagrangian or Cayley calibration in an orthonormal frame; ``residual``
+    then bounds |comass - value|) or "optimizer".  ``iterations``
     counts ascent steps.  ``converged`` describes the returned restart: it
     is False when that restart ran out of ``max_iters`` before meeting the
     gradient stop.  ``restarts_at_max`` counts the restarts, returned or
     not, that did so.  ``residual`` is the relative Riemannian gradient norm
-    |grad f| / |f| at the returned frame, 0.0 on the exact path."""
+    |grad f| / |f| at the returned frame on the optimizer path, 0.0 on the
+    exact path."""
 
     value: float
     maximizer: SimpleVector
@@ -169,7 +181,9 @@ def comass(
 
     Degrees 1, 2, n-2, n-1 and n take the closed form (``method="exact"``,
     no restarts or iterations, and the optimizer options are checked but not
-    used); every other degree runs ``_optimize`` with the options given here.
+    used).  A (6,3) or (8,4) form that ``_recognize`` certifies takes its
+    value (``method="recognized"``, options likewise unused); every other
+    form runs ``_optimize`` with the options given here.
     """
     _check_pair(phi, g)
     _check_options(restarts, max_iters, tol, warm_starts)
@@ -178,6 +192,9 @@ def comass(
     exact = _exact(phi, g)
     if exact is not None:
         return exact
+    recognized = _recognize(phi, g)
+    if recognized is not None:
+        return recognized
     return _optimize(phi, g, restarts=restarts, max_iters=max_iters, tol=tol,
                      seed=seed, warm_starts=warm_starts)
 
@@ -216,15 +233,170 @@ def _exact(phi: AlternatingForm, g: MetricTensor) -> ComassResult | None:
     if m > 2 and n - m > 2:
         return None
     value, U = _exact_frame(_whitened_vector(phi, g), n, m, hodge=m > 2)
+    return _frame_result(value, U, g, "exact", 0.0)
+
+
+def _frame_result(value: float, U: np.ndarray, g: MetricTensor, method: str,
+                  residual: float) -> ComassResult:
+    """The result of a path without restarts, whose maximizer is the
+    whitened orthonormal frame U mapped back through the metric."""
     return ComassResult(
         value=value,
         maximizer=SimpleVector.from_matrix(np.linalg.solve(g.cholesky.T, U)),
-        method="exact",
+        method=method,
         restarts_used=0,
         iterations=0,
         converged=True,
-        residual=0.0,
+        residual=residual,
     )
+
+
+# ---------------------------------------------------------------------------
+# recognition: special Lagrangian (6,3) and Cayley (8,4) forms
+
+# a recognized value is kept only when its residual is at most this times it
+RECOGNITION_TOL = 1e-12
+
+# Re and Im of Omega_0 = (dx_1 + i dx_4) ^ (dx_2 + i dx_5) ^ (dx_3 + i dx_6)
+# on R^6, and the Cayley form e_1 ^ phi + *phi on R^8, phi the associative
+# form on span(e_2, ..., e_8)
+_RE_OMEGA = {(1, 2, 3): 1, (1, 5, 6): -1, (2, 4, 6): 1, (3, 4, 5): -1}
+_IM_OMEGA = {(1, 2, 6): 1, (1, 3, 5): -1, (2, 3, 4): 1, (4, 5, 6): -1}
+_CAYLEY = {(1, 2, 3, 4): 1, (1, 2, 5, 6): 1, (1, 2, 7, 8): 1, (1, 3, 5, 7): 1,
+           (1, 3, 6, 8): -1, (1, 4, 5, 8): -1, (1, 4, 6, 7): -1, (5, 6, 7, 8): 1,
+           (3, 4, 7, 8): 1, (3, 4, 5, 6): 1, (2, 4, 6, 8): 1, (2, 4, 5, 7): -1,
+           (2, 3, 6, 7): -1, (2, 3, 5, 8): -1}
+# Hitchin's invariant tr(K^2) / 6 of Re Omega_0, whose K is twice the complex
+# structure e_j -> e_{j+3}
+_LAMBDA_SL = -4.0
+
+
+@cache
+def _models() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Coefficient vectors of Re Omega_0, Im Omega_0 and the Cayley form."""
+    return tuple(AlternatingForm(n, m, terms).vector for n, m, terms in
+                 ((6, 3, _RE_OMEGA), (6, 3, _IM_OMEGA), (8, 4, _CAYLEY)))
+
+
+@cache
+def _hitchin_table() -> tuple[np.ndarray, np.ndarray]:
+    """(pos, sign) with K_rho = (padded rho[pos] * sign) @ I^T for a 3-form
+    rho on R^6 and I = ``_interior_matrix(rho, 6, 3)``.
+
+    K_rho(v) is iota_v rho ^ rho read through the volume form,
+    iota_v rho ^ rho = iota_{K v} vol.  Entry (j, A), A a 2-index, carries
+    (-1)^j times the shuffle sign of (A, B) and the slot of rho_B, B the
+    3-index completing A to the complement of j; it is zero when j is in A.
+    """
+    position = _index_position(6, 3)
+    pairs = multi_indices(6, 2)
+    pos = np.full((6, len(pairs)), len(position), dtype=np.intp)
+    sign = np.zeros((6, len(pairs)))
+    for j in range(1, 7):
+        for col, A in enumerate(pairs):
+            if j not in A:
+                B = tuple(i for i in range(1, 7) if i != j and i not in A)
+                pos[j - 1, col] = position[B]
+                sign[j - 1, col] = (-1) ** (j - 1) * _merge_sign(A, B)[1]
+    pos.flags.writeable = False
+    sign.flags.writeable = False
+    return pos, sign
+
+
+def _hitchin_k(rho: np.ndarray) -> np.ndarray:
+    """Hitchin's K_rho of a 3-form on R^6, a 6 x 6 matrix."""
+    pos, sign = _hitchin_table()
+    return np.append(rho, 0.0)[pos] * sign @ _interior_matrix(rho, 6, 3).T
+
+
+def _complete(F: np.ndarray) -> np.ndarray:
+    """A unit vector orthogonal to the orthonormal columns of F: the
+    longest column of I - F F^T, normalized."""
+    P = np.eye(F.shape[0]) - F @ F.T
+    norms = np.sqrt(np.einsum("ij,ij->j", P, P))
+    k = int(np.argmax(norms))
+    return P[:, k] / norms[k]
+
+
+def _special_lagrangian(psi: np.ndarray):
+    """(c, F, defect, U) for a whitened 3-form psi on R^6 with Hitchin
+    invariant lambda < 0, else None.  J = K / sqrt(-lambda) is then a complex
+    structure with psi the real part of a (3,0)-form; F = [e_1 e_2 e_3 J e_1
+    J e_2 J e_3] is built by complex Gram-Schmidt, c = (lambda /
+    ``_LAMBDA_SL``)^(1/4), defect = F^* psi - c Re(e^{i theta} Omega_0) with theta
+    read from F^* psi, and U is the frame that calibration calibrates."""
+    K = _hitchin_k(psi)
+    lam = float(np.trace(K @ K)) / 6.0
+    if not lam < 0.0:
+        return None
+    J = K / math.sqrt(-lam)
+    E = np.eye(6)[:, :1]
+    for _ in range(2):
+        E = np.column_stack([E, _complete(np.hstack([E, J @ E]))])
+    F = np.hstack([E, J @ E])
+    c = (lam / _LAMBDA_SL) ** 0.25
+    re, im = _models()[:2]
+    pulled = pullback(F, AlternatingForm.from_vector(6, 3, psi)).vector
+    position = _index_position(6, 3)
+    theta = math.atan2(pulled[position[(4, 5, 6)]], pulled[position[(1, 2, 3)]])
+    model = c * (math.cos(theta) * re - math.sin(theta) * im)
+    # (e^{-i theta} e_1, e_2, e_3) is calibrated by Re(e^{i theta} Omega_0)
+    U = np.column_stack([math.cos(theta) * F[:, 0] - math.sin(theta) * F[:, 3],
+                         F[:, 1], F[:, 2]])
+    return c, F, pulled - model, U
+
+
+def _cayley(psi: np.ndarray):
+    """(c, F, defect, U) for a whitened 4-form psi on R^8, read as
+    c = |psi|_2 / sqrt(14) times a Cayley form: phi' = iota_{f_0} psi / c is
+    then an associative 3-form on f_0^perp, and its cross product
+    phi'(u, v, .) builds the frame f_0 ... f_7 in which the Cayley form is
+    ``_CAYLEY`` (the plane f_0 ... f_3 is calibrated)."""
+    c = float(np.linalg.norm(psi)) / math.sqrt(14.0)
+    cross3 = _interior_matrix(psi, 8, 4)[0] / c  # phi' with f_0 = e_1
+
+    def cross(pairs):
+        U = np.stack([np.column_stack(pair) for pair in pairs])
+        return _contract_frames(np.broadcast_to(cross3, (len(pairs), 56)), U, 3)
+
+    f = list(np.eye(8)[:3])
+    f.append(cross([(f[1], f[2])])[0])
+    f.append(_complete(np.column_stack(f)))
+    f5, f6, f7 = cross([(f[1], f[4]), (f[2], f[4]), (f[3], f[4])])
+    F = np.column_stack(f + [f5, f6, -f7])
+    pulled = pullback(F, AlternatingForm.from_vector(8, 4, psi)).vector
+    return c, F, pulled - c * _models()[2], F[:, :4]
+
+
+def _recognize(phi: AlternatingForm, g: MetricTensor) -> ComassResult | None:
+    """The comass of a (6,3) form of special Lagrangian type or an (8,4)
+    form of Cayley type, else None.
+
+    Each test builds, from the whitened form psi, an orthonormal-up-to-
+    rounding frame F and a value c with F^* psi = c phi_0 + D, phi_0 a
+    calibration, so comass(F^* psi) is within |D|_2 of c: comass is at
+    most the coefficient 2-norm.  With d = |F^T F - I|_F < 1 the singular
+    values of F lie in [sqrt(1 - d), sqrt(1 + d)], so comass(psi) lies
+    between (c - |D|_2)(1 + d)^(-m/2) and (c + |D|_2)(1 - d)^(-m/2), and
+    |comass(psi) - c| <= (c + |D|_2)(1 - d)^(-m/2) - c, the ``residual``.
+    The result is kept only when that is at most ``RECOGNITION_TOL`` c.
+    """
+    n, m = phi.n, phi.m
+    test = {(6, 3): _special_lagrangian, (8, 4): _cayley}.get((n, m))
+    if test is None:
+        return None
+    with np.errstate(all="ignore"):  # a form of another type may give 0/0
+        found = test(_whitened_vector(phi, g))
+        if found is None:
+            return None
+        c, F, defect, U = found
+        d = float(np.linalg.norm(F.T @ F - np.eye(n)))
+        if not (c > 0.0 and d < 1.0):
+            return None
+        bound = (c + float(np.linalg.norm(defect))) / (1.0 - d) ** (m / 2) - c
+    if not bound <= RECOGNITION_TOL * c:
+        return None
+    return _frame_result(c, U, g, "recognized", bound)
 
 
 def _optimize(

@@ -31,8 +31,9 @@ class GluingReport:
     ``unconverged_points`` counts grid points whose returned comass restart
     hit its iteration limit, so their values may sit below the true comass.
     ``endpoint_methods`` says how each endpoint comass was obtained
-    ("exact" or "optimizer").  The bounds at each s are ``_ccgp`` and
-    ``_improved`` of the endpoint comasses.
+    ("exact", "recognized" or "optimizer", as ``ComassResult.method``).
+    The bounds at each s are ``_ccgp`` and ``_improved`` of the endpoint
+    comasses.
     """
 
     s_grid: np.ndarray

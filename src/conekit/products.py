@@ -148,8 +148,8 @@ def _term_taylor(j: int, m: int) -> tuple:
     s = t / sqrt(j m), so each is one rounded integer over sqrt(j m)^n.
     ValueError names k = j + m when an integer or a power of the scale
     exceeds the float range."""
-    scale = math.sqrt(j * m)
     try:
+        scale = math.sqrt(j * m)
         # the top power first, so that a k out of range fails before the
         # expansion, whose cost grows as k^2
         scale ** (j + m)

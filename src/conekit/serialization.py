@@ -9,7 +9,6 @@ tables; volatile metadata such as timestamps lives in a separate manifest.
 import json
 import os
 import sys
-import tempfile
 
 import numpy as np
 
@@ -47,17 +46,25 @@ def _fmt(x) -> str:
 
 
 def atomic_write_text(path: str, text: str):
-    """Write via a temp file in the same directory, then rename."""
-    directory = os.path.dirname(os.path.abspath(path))
+    """Write via a temp file in the same directory, then rename.  The temp
+    file is named after the target and the process id and created
+    exclusively, so two processes never share one; it is removed if the
+    write fails.  A temp file that a killed process of the same id left
+    behind makes the write raise FileExistsError instead of being reused."""
+    directory, name = os.path.split(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    tmp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+        try:
+            data = memoryview(text.encode())
+            while data:
+                data = data[os.write(fd, data):]
+        finally:
+            os.close(fd)
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        os.unlink(tmp)
         raise
 
 
@@ -172,13 +179,22 @@ def factor_from_dict(data: dict) -> SphereFactor:
     return SphereFactor.round(whole_number(data["dim"], "dim"))
 
 
+def _read_named(data, base_dir: str):
+    """A spec field's JSON value, or, when it is a string, the JSON file it
+    names relative to ``base_dir``; a file that cannot be read raises
+    ValueError naming its path, so a job exits 2 on it."""
+    if not isinstance(data, str):
+        return data
+    path = os.path.join(base_dir, data)
+    try:
+        return read_json(path)
+    except OSError as exc:
+        raise ValueError(f"cannot read {path!r}: {exc.strerror or exc}") from None
+
+
 def load_form(data, base_dir: str = ".") -> AlternatingForm:
-    if isinstance(data, str):
-        data = read_json(os.path.join(base_dir, data))
-    return form_from_dict(data)
+    return form_from_dict(_read_named(data, base_dir))
 
 
 def load_metric(data, base_dir: str = ".") -> MetricTensor:
-    if isinstance(data, str):
-        data = read_json(os.path.join(base_dir, data))
-    return metric_from_dict(data)
+    return metric_from_dict(_read_named(data, base_dir))

@@ -109,15 +109,26 @@ def test_optimizer_options_rejected_up_front(entry, options, match):
         entry(SLAG, MetricTensor.euclidean(6), **options)
 
 
+# dx135 + dx246 has comass 1 on the plane e1 ^ e3 ^ e5, like SLAG, but is
+# not of special Lagrangian type (its Hitchin invariant is positive), so
+# comass runs the optimizer on it
+SPLIT = AlternatingForm(6, 3, {(1, 3, 5): 1.0, (2, 4, 6): 1.0})
+
+
 def test_optimizer_options_at_their_limits():
     g = MetricTensor.euclidean(6)
     warm = [np.eye(6)[:, [0, 2, 4]]]  # the calibrated plane e1 ^ e3 ^ e5
-    res = comass(SLAG, g, restarts=0, warm_starts=warm)
+    res = comass(SPLIT, g, restarts=0, warm_starts=warm)
+    assert res.method == "optimizer"
     assert res.restarts_used == 1 and abs(res.value - 1.0) <= 1e-12
     still = _optimize(SLAG, g, max_iters=0, seed=1)
     assert still.iterations == 0 and still.restarts_used == 32
     with pytest.raises(ValueError, match="linearly dependent"):
-        comass(SLAG, g, restarts=0, warm_starts=[np.zeros((6, 3))])
+        comass(SPLIT, g, restarts=0, warm_starts=[np.zeros((6, 3))])
+    # the recognized path checks the options too, though it does not use them
+    res = comass(SLAG, g, restarts=0, warm_starts=warm)
+    assert res.method == "recognized" and res.restarts_used == 0
+    assert abs(res.value - 1.0) <= 1e-12
     # the exact path checks the options too, though it does not use them
     kahler = AlternatingForm(4, 2, {(1, 2): 1.0, (3, 4): 1.0})
     with pytest.raises(ValueError, match="max_iters"):

@@ -30,6 +30,8 @@ BOTH_ROUTES = [(n, m) for n, m in EXACT_SHAPES if m <= 2 and n - m <= 2]
 
 SLAG = AlternatingForm(6, 3, {(1, 3, 5): 1.0, (1, 4, 6): -1.0,
                               (2, 3, 6): -1.0, (2, 4, 5): -1.0})
+# comass 1 on e1 ^ e3 ^ e5 like SLAG, but not recognized: the optimizer's
+SPLIT = AlternatingForm(6, 3, {(1, 3, 5): 1.0, (2, 4, 6): 1.0})
 
 
 def _random_spd(rng, n):
@@ -75,7 +77,9 @@ def test_hodge_route_agrees_with_direct_route(n, m):
 def test_exact_path_declines_optimizer_degrees():
     g = MetricTensor.euclidean(6)
     assert comass_mod._exact(SLAG, g) is None
-    assert comass_mod.comass(SLAG, g).method == "optimizer"
+    assert comass_mod.comass(SLAG, g).method == "recognized"
+    assert comass_mod._exact(SPLIT, g) is None
+    assert comass_mod.comass(SPLIT, g).method == "optimizer"
 
 
 @pytest.mark.parametrize("n,m,seed", [(6, 3, 0), (7, 3, 1), (8, 4, 2)])
@@ -155,30 +159,37 @@ def _write(path, spec):
     return str(path)
 
 
-def _slag_spec():
-    return {"n": 6, "m": 3,
-            "coefficients": {",".join(map(str, I)): c for I, c in SLAG.coeffs.items()}}
+def _form_spec(phi):
+    return {"n": phi.n, "m": phi.m,
+            "coefficients": {",".join(map(str, I)): c for I, c in phi.coeffs.items()}}
 
 
 def test_cli_reports_optimizer_residual_and_endpoint_method(tmp_path):
-    spec = _write(tmp_path / "slag.json", {
-        "form": _slag_spec(), "metric": {"n": 6, "matrix": np.eye(6).tolist()}})
-    assert main(["comass", "--spec", spec, "--out", str(tmp_path / "c")]) == 0
-    report = read_json(str(tmp_path / "c" / "report.json"))
-    assert report["method"] == "optimizer" and report["converged"] is True
-    assert 0.0 < report["residual"] <= 1e-6
-    assert abs(report["value"] - 1.0) <= 1e-12
+    # SPLIT runs the optimizer and SLAG is recognized; under both metrics
+    # each has comass 1, taken on e1 ^ e3 ^ e5
+    metric1 = {"n": 6, "matrix": np.eye(6).tolist()}
+    metric2 = {"n": 6, "matrix": np.diag([2.0, 2.0, 0.5, 0.5, 1.0, 1.0]).tolist()}
+    for name, phi, method in (("split", SPLIT, "optimizer"), ("slag", SLAG, "recognized")):
+        spec = _write(tmp_path / f"{name}.json", {"form": _form_spec(phi), "metric": metric1})
+        out = tmp_path / f"{name}-c"
+        assert main(["comass", "--spec", spec, "--out", str(out)]) == 0
+        report = read_json(str(out / "report.json"))
+        assert report["method"] == method and report["converged"] is True
+        assert abs(report["value"] - 1.0) <= 1e-12
+        if method == "optimizer":
+            assert 0.0 < report["residual"] <= 1e-6
+        else:
+            assert report["restarts_used"] == 0 and report["iterations"] == 0
+            assert 0.0 <= report["residual"] <= 1e-12
 
-    sweep = _write(tmp_path / "sweep.json", {
-        "form": _slag_spec(),
-        "metric1": {"n": 6, "matrix": np.eye(6).tolist()},
-        "metric2": {"n": 6, "matrix": np.diag([2.0, 2.0, 0.5, 0.5, 1.0, 1.0]).tolist()},
-    })
-    outs = [tmp_path / "s1", tmp_path / "s2"]
-    for out in outs:
-        assert main(["glue-sweep", "--spec", sweep, "--out", str(out), "--grid", "5"]) == 0
-    report = read_json(str(outs[0] / "report.json"))
-    assert report["endpoint_methods"] == ["optimizer", "optimizer"]
-    assert report["unconverged_points"] == 0 and report["passed"]
-    assert ((outs[0] / "glue_sweep.csv").read_bytes()
-            == (outs[1] / "glue_sweep.csv").read_bytes())
+        sweep = _write(tmp_path / f"{name}-sweep.json", {
+            "form": _form_spec(phi), "metric1": metric1, "metric2": metric2})
+        outs = [tmp_path / f"{name}-s1", tmp_path / f"{name}-s2"]
+        for out in outs:
+            assert main(["glue-sweep", "--spec", sweep, "--out", str(out),
+                         "--grid", "5"]) == 0
+        report = read_json(str(outs[0] / "report.json"))
+        assert report["endpoint_methods"] == [method, method]
+        assert report["unconverged_points"] == 0 and report["passed"]
+        assert ((outs[0] / "glue_sweep.csv").read_bytes()
+                == (outs[1] / "glue_sweep.csv").read_bytes())

@@ -124,20 +124,34 @@ def test_comass_reports_convergence():
     cut = comass_mod._optimize(phi, g, restarts=8, seed=0, max_iters=3)
     assert not cut.converged and cut.iterations == 3 and cut.restarts_at_max == 8
 
-    # (4, 2) takes the closed form, so the sweep runs on the (6, 3)
-    # special Lagrangian form Re dz1 ^ dz2 ^ dz3
-    slag = AlternatingForm(6, 3, {(1, 3, 5): 1.0, (1, 4, 6): -1.0,
-                                  (2, 3, 6): -1.0, (2, 4, 5): -1.0})
+    # (4, 2) takes the closed form and the special Lagrangian form is
+    # recognized, so the sweep runs on a random (6, 3) form, scaled to
+    # comass at most 1 under both endpoint metrics
+    rng = np.random.default_rng(0)
+    phi = AlternatingForm(6, 3, rng.standard_normal(20))
     g6 = MetricTensor.euclidean(6)
-    # A^T A for A = diag(sqrt 2, 1 / sqrt 2, 1) in SL(3, C), which fixes the form
-    g2 = MetricTensor.diagonal([2.0, 2.0, 0.5, 0.5, 1.0, 1.0])
+    A = rng.standard_normal((6, 6))
+    g2 = MetricTensor(A @ A.T / 6.0 + np.eye(6))
+    phi = phi * (1.0 / max(comass_mod.comass(phi, g).value for g in (g6, g2)))
     grid = [0.0, 0.5, 1.0]
-    report = verify_gluing_bound(slag, g6, g2, grid,
+    report = verify_gluing_bound(phi, g6, g2, grid,
                                  comass_opts={"restarts": 4, "max_iters": 3})
+    assert report.endpoint_methods == ("optimizer", "optimizer")
     # at s = 0 and 1 the returned restart is the warm-started endpoint
     # maximizer, which meets the gradient stop at once; at s = 1/2 every
     # restart is cut off after three iterations
     assert report.unconverged_points == 1
+
+    # the special Lagrangian form Re dz1 ^ dz2 ^ dz3 under A^T A for
+    # A = diag(sqrt 2, 1 / sqrt 2, 1) in SL(3, C), which fixes the form:
+    # every point is recognized, so none is cut off
+    slag = AlternatingForm(6, 3, {(1, 3, 5): 1.0, (1, 4, 6): -1.0,
+                                  (2, 3, 6): -1.0, (2, 4, 5): -1.0})
+    g2 = MetricTensor.diagonal([2.0, 2.0, 0.5, 0.5, 1.0, 1.0])
+    report = verify_gluing_bound(slag, g6, g2, grid,
+                                 comass_opts={"restarts": 4, "max_iters": 3})
+    assert report.endpoint_methods == ("recognized", "recognized")
+    assert report.unconverged_points == 0
 
 
 def test_converged_describes_the_returned_restart(tmp_path):

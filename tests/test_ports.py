@@ -1,5 +1,5 @@
-"""The CLI imports numpy and a bare scipy only; the numpy ports that make
-that possible agree with the scipy routines they replace.  The null-space
+"""The CLI imports numpy and no scipy module at all; the numpy ports that
+make that possible agree with the scipy routines they replace.  The null-space
 and relative-spectrum ports moved to ``tests/oracles.py`` with the
 decomposition and gluing machinery they serve, and are checked here still.
 
@@ -22,6 +22,7 @@ from scipy.integrate._ivp import dop853_coefficients as scipy_dop
 from scipy.optimize import brentq
 
 from conekit import lawlor
+from conekit.cli import main
 from conekit.exterior import AlternatingForm, MetricTensor, SimpleVector, evaluate
 from conekit.products import SphereFactor, curvature_model, minimal_product
 from oracles import _lambda_matrix, _null_space, decompose, relative_spectrum
@@ -52,23 +53,37 @@ def test_cli_import_and_jobs_load_no_scipy_submodule(tmp_path):
         path.write_text(json.dumps(spec))
         jobs.append([command, "--spec", str(path), "--out", str(tmp_path / command),
                      *extra])
-    # heavy scipy submodules in sys.modules after the import, then after
-    # one job of every command, in a fresh interpreter
+    # heavy scipy submodules in sys.modules, and whether bare scipy is
+    # there, after the import and then after each job, in a fresh interpreter
     script = (
         "import json, sys\n"
         "def heavy():\n"
         f"    return sorted(m for m in sys.modules if m.startswith({HEAVY!r}))\n"
         "from conekit.cli import main\n"
-        "after_import = heavy()\n"
-        f"codes = [main(argv) for argv in {jobs!r}]\n"
-        "print(json.dumps([after_import, heavy(), codes]))\n"
+        "seen = [[heavy(), 'scipy' in sys.modules]]\n"
+        "codes = []\n"
+        f"for argv in {jobs!r}:\n"
+        "    codes.append(main(argv))\n"
+        "    seen.append([heavy(), 'scipy' in sys.modules])\n"
+        "print(json.dumps([seen, codes]))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, timeout=120, check=True)
-    after_import, after_jobs, codes = json.loads(proc.stdout.splitlines()[-1])
+    seen, codes = json.loads(proc.stdout.splitlines()[-1])
     assert codes == [0] * len(jobs)
-    assert after_import == [] and after_jobs == []
+    assert seen == [[[], False]] * (len(jobs) + 1)
+
+
+def test_manifest_records_the_scipy_version(tmp_path):
+    # read from scipy's version.py, without importing scipy
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"ks": [6], "alphas": [1.0], "controls": ["F"]}))
+    out = tmp_path / "out"
+    assert main(["vanishing-table", "--spec", str(path), "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["scipy"] == scipy.__version__
+    assert manifest["numpy"] == np.__version__
 
 
 def test_library_imports_no_scipy_submodule():

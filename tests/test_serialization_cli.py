@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from conekit import serialization
 from conekit.cli import build_parser, main
 from conekit.exterior import AlternatingForm, MetricTensor
 from conekit.products import SphereFactor, hypersurface_factor, minimal_product
@@ -45,6 +46,22 @@ def test_atomic_write_and_overwrite(tmp_path):
     atomic_write_text(str(target), "two\n")
     assert target.read_text() == "two\n"
     assert [p for p in os.listdir(tmp_path) if p.endswith(".tmp")] == []
+
+
+@pytest.mark.parametrize("stage", ["write", "replace"])
+def test_failed_atomic_write_leaves_no_temp_and_keeps_target(tmp_path, monkeypatch, stage):
+    target = tmp_path / "a.txt"
+    atomic_write_text(str(target), "old\n")
+
+    def fail(*args):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(serialization.os, stage, fail)
+    with pytest.raises(OSError, match="No space left"):
+        atomic_write_text(str(target), "new\n")
+    monkeypatch.undo()
+    assert target.read_text() == "old\n"
+    assert os.listdir(tmp_path) == ["a.txt"]
 
 
 def test_csv_bytes_deterministic(tmp_path):
@@ -416,6 +433,52 @@ def test_cli_rejects_links_beyond_the_float_range(tmp_path, capsys, name):
     assert main(["validate", "--spec", path, "--out", str(tmp_path / "v"), *extra]) == 2
     diag = read_json(str(tmp_path / "v" / "diagnostics.json"))
     assert [where in d.get("error", "") for d in diag["diagnostics"]].count(True) == 1
+
+
+@pytest.mark.parametrize("command,spec,extra", [
+    ("certify-cone", {"factors": [{"type": "sphere", "dim": 1e308},
+                                  {"type": "sphere", "dim": 2}]}, []),
+    ("replicate", {"base": {"type": "sphere", "dim": 1e200}, "n_max": 3},
+     ["--control", "F"]),
+], ids=["certify-dim-1e308", "replicate-base-1e200"])
+def test_cli_rejects_products_whose_scale_overflows(tmp_path, capsys, command, spec, extra):
+    # sqrt(j m) itself leaves the float range: exit 2 with the message of
+    # every other product beyond it, and validate agrees
+    path = _write_spec(tmp_path / "spec.json", spec)
+    out = tmp_path / "out"
+    assert main([command, "--spec", path, "--out", str(out), *extra]) == 2
+    assert "do not fit a float" in capsys.readouterr().err
+    assert read_json(str(out / "manifest.json"))["exit_code"] == 2
+    assert main(["validate", "--spec", path, "--out", str(tmp_path / "v"), *extra]) == 2
+
+
+def test_cli_rejects_a_hypersurface_factor_that_is_not_first(tmp_path, capsys):
+    spec = _write_spec(tmp_path / "spec.json", {"factors": [
+        {"type": "sphere", "dim": 2},
+        {"type": "product_hypersurface", "dims": [1, 1]}]})
+    for command in ("obstruct", "certify-cone", "validate"):
+        out = tmp_path / command
+        assert main([command, "--spec", spec, "--out", str(out)]) == 2, command
+        captured = capsys.readouterr()
+        assert "must be the first of 'factors'" in captured.out + captured.err
+        assert read_json(str(out / "manifest.json"))["exit_code"] == 2
+    diag = read_json(str(tmp_path / "validate" / "diagnostics.json"))
+    assert diag["fatal"] is True
+    assert "must be the first" in diag["diagnostics"][0]["error"]
+
+
+@pytest.mark.parametrize("command,spec", [
+    ("comass", {"form": "missing.json", "metric": {"n": 2, "matrix": [[1, 0], [0, 1]]}}),
+    ("glue-sweep", {"form": {"n": 2, "m": 1, "coefficients": {"1": 1.0}},
+                    "metric1": {"n": 2, "matrix": [[1, 0], [0, 1]]},
+                    "metric2": "missing.json"}),
+])
+def test_cli_missing_spec_file_exits_2(tmp_path, capsys, command, spec):
+    path = _write_spec(tmp_path / "spec.json", spec)
+    out = tmp_path / "out"
+    assert main([command, "--spec", path, "--out", str(out)]) == 2
+    assert str(tmp_path / "missing.json") in capsys.readouterr().err
+    assert read_json(str(out / "manifest.json"))["exit_code"] == 2
 
 
 def test_cli_replicate_job(tmp_path):

@@ -1,10 +1,13 @@
 """Cost and accuracy of the comass optimizer's retraction.
 
-Runs the perfbench glue job lists of --seeds through ``cli.main``, records
-every optimizer call they make, and runs each call twice: with the
+Draws, for each of --seeds, seeded random (6,3), (7,3) and (8,4) forms
+under random SPD metrics: such forms are neither of closed-form degree nor
+recognized as a special Lagrangian or Cayley calibration, so ``comass``
+runs the optimizer on them (the perfbench glue job lists no longer reach
+it).  Each form runs with 32 and with 256 restarts, twice: with the
 library's Gram-Schmidt retraction (``comass._orthonormalize``) and with
 LAPACK's QR as the reference path.  Per (n, m, R), R being the starts of a
-call (random restarts plus warm starts), it prints:
+call, it prints:
 
   calls        optimizer calls of that shape
   iters        mean iterations per call
@@ -23,45 +26,43 @@ Run from the repository root:
 
 import argparse
 import importlib
+import math
 import os
 import sys
-import tempfile
 import time
 from collections import defaultdict
 
 import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-sys.path[:0] = [os.path.join(ROOT, "src"), ROOT]
+sys.path.insert(0, os.path.join(ROOT, "src"))
 
-from conekit.cli import main as cli_main  # noqa: E402
-from perfbench import jobs  # noqa: E402
+from conekit.exterior import AlternatingForm, MetricTensor  # noqa: E402
 
 # the package attribute conekit.comass is the function, not the module
 comass_mod = importlib.import_module("conekit.comass")
 
+SHAPES = ((6, 3), (7, 3), (8, 4))
+FORMS_PER_SHAPE = 3
+RESTARTS = (32, 256)
 
-def recorded_calls(seeds):
-    """(phi, g, options) of every optimizer call the glue jobs make."""
+
+def drawn_calls(seeds):
+    """(phi, g, options) of the optimizer calls to probe: for each seed and
+    shape, FORMS_PER_SHAPE random forms under random SPD metrics, each with
+    every restart count of RESTARTS."""
     calls = []
-    optimize = comass_mod._optimize
-
-    def record(phi, g, **options):
-        calls.append((phi, g, options))
-        return optimize(phi, g, **options)
-
-    comass_mod._optimize = record
-    try:
-        with tempfile.TemporaryDirectory() as tmp:
-            for seed in seeds:
-                for job in jobs.generate("glue", seed, jobs.cycles_for("glue", 30.0)):
-                    spec = os.path.join(tmp, job["id"] + ".json")
-                    with open(spec, "wb") as fh:
-                        fh.write(jobs.spec_bytes(job))
-                    out = os.path.join(tmp, f"{seed}-{job['id']}")
-                    cli_main([job["command"], "--spec", spec, "--out", out, *job["args"]])
-    finally:
-        comass_mod._optimize = optimize
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        for n, m in SHAPES:
+            for _ in range(FORMS_PER_SHAPE):
+                phi = AlternatingForm(n, m, rng.standard_normal(math.comb(n, m)))
+                A = rng.standard_normal((n, n))
+                g = MetricTensor(A @ A.T + n * np.eye(n))
+                if comass_mod._recognize(phi, g) is not None:
+                    continue  # not an optimizer call
+                for restarts in RESTARTS:
+                    calls.append((phi, g, {"restarts": restarts, "seed": seed}))
     return calls
 
 
@@ -103,7 +104,7 @@ def main(argv=None):
     rows = defaultdict(lambda: {"calls": 0, "iters": 0, "frames": 0, "same": 0,
                                 "dv": 0.0, "gs": [0.0, 0], "qr": [0.0, 0],
                                 "grad": [0.0, 0]})
-    for phi, g, options in recorded_calls(args.seeds):
+    for phi, g, options in drawn_calls(args.seeds):
         ours, gs_clock, grad_clock = run(phi, g, options, comass_mod._orthonormalize)
         ref, qr_clock, _ = run(phi, g, options, qr)
         row = rows[(phi.n, phi.m, ours.restarts_used)]
@@ -116,7 +117,7 @@ def main(argv=None):
         for key, clock in (("gs", gs_clock), ("qr", qr_clock), ("grad", grad_clock)):
             row[key][0] += clock[0]
             row[key][1] += clock[1]
-    print(f"glue job lists of seeds {' '.join(map(str, args.seeds))}")
+    print(f"random forms of seeds {' '.join(map(str, args.seeds))}")
     print(f"{'n':>2} {'m':>2} {'R':>4} {'calls':>6} {'iters':>6} {'frame-iters':>11} "
           f"{'GS us':>7} {'QR us':>7} {'grad us':>8} {'same':>5} {'max rel dv':>10}")
     for (n, m, R), row in sorted(rows.items()):
