@@ -27,9 +27,7 @@ from .lawlor import (
 )
 from .obstruction import (
     HemisphereCertificate,
-    SpherePointSet,
     constant_calibration_obstruction,
-    gauss_image,
     hemisphere_test,
 )
 from .products import (

@@ -6,8 +6,9 @@ output directory.  Once the job has returned, a manifest records the
 seed, tolerances, exit code, wall time and numpy/scipy versions, also
 when the job failed.  Exit codes: 0 success, 2 precondition or parse failure
 (including a spec that is not a JSON object, or a field of the wrong type),
-3 numeric non-convergence.  The commands only orchestrate library
-operations; no numbers are produced here.
+3 a numeric failure: an unconverged optimizer value, a gluing bound violated
+beyond --tol, a boundary-inconclusive cone, or a solver error.  The
+commands only orchestrate library operations; no numbers are produced here.
 """
 
 import argparse
@@ -102,7 +103,7 @@ def cmd_comass(spec, args, out_dir, base_dir):
             "maximizer": res.maximizer.matrix.tolist(),
         },
     )
-    return EXIT_OK
+    return EXIT_OK if res.converged else EXIT_NONCONVERGENCE
 
 
 def cmd_glue_sweep(spec, args, out_dir, base_dir):
@@ -111,6 +112,7 @@ def cmd_glue_sweep(spec, args, out_dir, base_dir):
     g2 = ser.load_metric(spec["metric2"], base_dir)
     grid = np.linspace(0.0, 1.0, args.grid)
     report = gluing.verify_gluing_bound(phi, g1, g2, grid, comass_opts={"seed": args.seed})
+    passed = report.worst_violation <= args.tol and report.unconverged_points == 0
     ser.write_csv(
         os.path.join(out_dir, "glue_sweep.csv"),
         ["s", "comass", "ccgp_bound", "improved_bound"],
@@ -124,10 +126,10 @@ def cmd_glue_sweep(spec, args, out_dir, base_dir):
             "endpoint_comasses": list(report.endpoint_comasses),
             "endpoint_methods": list(report.endpoint_methods),
             "unconverged_points": report.unconverged_points,
-            "passed": report.worst_violation <= args.tol,
+            "passed": passed,
         },
     )
-    return EXIT_OK if report.worst_violation <= args.tol else EXIT_NONCONVERGENCE
+    return EXIT_OK if passed else EXIT_NONCONVERGENCE
 
 
 def _array(spec: dict, key: str, default=None) -> list:
@@ -217,7 +219,7 @@ def cmd_obstruct(spec, args, out_dir, base_dir):
         "gauss_points": out["report"]["gauss_points"],
         "verdict": cert.verdict,
         "method": cert.method,
-        "convex_weights": cert.convex_weights.tolist(),
+        "convex_weights": cert.convex_weights,
         "dual_residual": cert.residual,
     }
     ser.write_json(os.path.join(out_dir, "certificate.json"), payload)

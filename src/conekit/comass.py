@@ -476,7 +476,10 @@ def _optimize(
         step = np.minimum(np.where(better, 1.5 * step, 0.5 * step), 1.0)
     final_U[active], final_f[active] = U, f
 
-    best = int(np.argmax(final_f))
+    # the lowest-index restart within 1e-12 relative of the maximum, the
+    # accuracy of the gradient stop, so that restarts frozen within rounding
+    # of each other do not trade places when the rounding changes
+    best = int(np.argmax(final_f >= (1.0 - 1e-12) * final_f.max()))
     at_max = np.zeros(R, dtype=bool)
     at_max[active] = True
     V_best = np.linalg.solve(LT, final_U[best])  # g-orthonormal columns

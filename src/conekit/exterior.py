@@ -311,7 +311,10 @@ class MetricTensor:
             raise DimensionMismatchError(f"metric matrix must be square, got {mat.shape}")
         if not np.allclose(mat, mat.T, rtol=0.0, atol=ATOL):
             raise ValueError("metric matrix is not symmetric to 1e-12")
-        mat = 0.5 * (mat + mat.T)
+        with np.errstate(over="ignore"):  # reported as the ValueError below
+            mat = 0.5 * (mat + mat.T)
+        if not np.isfinite(mat).all():
+            raise ValueError("metric matrix entries must be finite, also when doubled")
         eigvals = np.linalg.eigvalsh(mat)
         if eigvals[0] <= 0.0:
             raise ValueError(

@@ -28,8 +28,9 @@ __all__ = ["GluingReport", "glued_metric", "verify_gluing_bound"]
 class GluingReport:
     """Per-grid-point comass measurements and upper bounds for g(s).
 
-    ``unconverged_points`` counts grid points whose returned comass restart
-    hit its iteration limit, so their values may sit below the true comass.
+    ``unconverged_points`` counts the grid points and endpoints whose
+    returned comass restart hit its iteration limit, so their values may
+    sit below the true comass.
     ``endpoint_methods`` says how each endpoint comass was obtained
     ("exact", "recognized" or "optimizer", as ``ComassResult.method``).
     The bounds at each s are ``_ccgp`` and ``_improved`` of the endpoint
@@ -112,7 +113,7 @@ def verify_gluing_bound(
             )
 
     comasses = np.empty_like(s_grid)
-    unconverged = 0
+    unconverged = (not c1.converged) + (not c2.converged)
     warm = [c1.maximizer.matrix, c2.maximizer.matrix]
     for i, s in enumerate(s_grid):
         gs = glued_metric(g1, g2, s)

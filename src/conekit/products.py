@@ -45,12 +45,12 @@ __all__ = [
 @dataclass(frozen=True)
 class SphereFactor:
     """One factor link: a round sphere S^dim, or a round hypersurface
-    product in S^ambient with its Gauss image in ``normals``, the two rows
-    that ``hypersurface_factor`` builds."""
+    product in S^ambient with its Gauss image in ``normals``, the float
+    tuples (nu, -nu) that ``hypersurface_factor`` builds."""
 
     dim: int
     ambient: int
-    normals: Optional[np.ndarray] = None
+    normals: Optional[tuple] = None
 
     def __post_init__(self):
         if self.dim < 1 or self.ambient < self.dim:
@@ -136,8 +136,9 @@ def curvature_model(link: ProductLink) -> CurvatureModel:
     def p_fn(t):
         return (1.0 + a * t) ** j * (1.0 - b * t) ** m
 
-    taylor = (1.0, 0.0, -0.5 * k, *_term_taylor(j, m)[3:])
-    return CurvatureModel(k, math.sqrt(k), p_fn, taylor)
+    # the expansion first: it raises ValueError on a k beyond the float range
+    terms = _term_taylor(j, m)
+    return CurvatureModel(k, math.sqrt(k), p_fn, (1.0, 0.0, -0.5 * k, *terms[3:]))
 
 
 @cache
@@ -204,17 +205,17 @@ def hypersurface_factor(link: ProductLink) -> SphereFactor:
 
     nu is odd, so the normal at -p is exactly -nu(p).  Both normals lie in
     the plane of the two blocks' e_0, and are stored in that plane's
-    orthonormal coordinates as +-(lambda_2, -lambda_1): two numbers each,
-    whatever the dimension of the product.  The pair lies in no open
+    orthonormal coordinates as the float tuples +-(lambda_2, -lambda_1):
+    two numbers each, whatever the dimension of the product.  Negating a
+    float is exact, so the pair is exactly antipodal; it lies in no open
     hemisphere, and it is the whole certificate the obstruction needs, so
     nothing is drawn."""
     _require_round(link, "hypersurface repackaging")
     if link.n_factors != 2:
         raise ValueError("only two-factor products are hypersurfaces in their sphere")
-    lam1, lam2 = link.lambdas
-    nu = np.array([lam2, -lam1])
+    lam1, lam2 = map(float, link.lambdas)
     return SphereFactor(dim=link.k, ambient=link.ambient_sphere_dim,
-                        normals=np.stack([nu, -nu]))
+                        normals=((lam2, -lam1), (-lam2, lam1)))
 
 
 def replication_links(base: SphereFactor, n_max: int) -> list:

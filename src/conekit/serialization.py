@@ -193,7 +193,12 @@ def _read_named(data, base_dir: str):
 
 
 def load_form(data, base_dir: str = ".") -> AlternatingForm:
-    return form_from_dict(_read_named(data, base_dir))
+    """The spec's form; the zero form, whose comass ``comass`` refuses,
+    raises ValueError here, so that validate rejects it too."""
+    phi = form_from_dict(_read_named(data, base_dir))
+    if phi.is_zero():
+        raise ValueError("spec field 'form' is the zero form, whose comass is degenerate")
+    return phi
 
 
 def load_metric(data, base_dir: str = ".") -> MetricTensor:

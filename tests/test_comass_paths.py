@@ -14,6 +14,7 @@ from conekit.exterior import (
     MetricTensor,
     _interior_matrix,
     evaluate,
+    pullback,
 )
 from conekit.gluing import glued_metric, verify_gluing_bound
 from conekit.serialization import read_json
@@ -193,3 +194,69 @@ def test_cli_reports_optimizer_residual_and_endpoint_method(tmp_path):
         assert report["unconverged_points"] == 0 and report["passed"]
         assert ((outs[0] / "glue_sweep.csv").read_bytes()
                 == (outs[1] / "glue_sweep.csv").read_bytes())
+
+
+# the associative 3-form of R^7: (7,3) is neither a closed-form degree nor a
+# recognized shape, so its comass runs the optimizer
+ASSOCIATIVE = AlternatingForm(7, 3, {(1, 2, 3): 1.0, (1, 4, 5): 1.0, (1, 6, 7): 1.0,
+                                     (2, 4, 6): 1.0, (2, 5, 7): -1.0, (3, 4, 7): -1.0,
+                                     (3, 5, 6): -1.0})
+
+
+@pytest.mark.parametrize("seed", [0, 1, 5])
+def test_frozen_ties_return_the_first_warm_start(seed):
+    # under g = A^T A, A^* phi calibrates the planes A^-1 e_123 and A^-1 e_145;
+    # both warm starts freeze at once with values 1 that differ by rounding,
+    # and the first one given is returned, in either order
+    A = np.eye(7) + 0.3 * np.random.default_rng(seed).standard_normal((7, 7))
+    phi, g = pullback(A, ASSOCIATIVE), MetricTensor(A.T @ A)
+    planes = {(0, 1, 2): np.linalg.solve(A, np.eye(7)[:, [0, 1, 2]]),
+              (0, 3, 4): np.linalg.solve(A, np.eye(7)[:, [0, 3, 4]])}
+    values = {cols: comass_mod.comass(phi, g, restarts=0, warm_starts=[W]).value
+              for cols, W in planes.items()}
+    assert abs(values[(0, 1, 2)] - values[(0, 3, 4)]) <= 1e-13
+    for order in (list(planes), list(planes)[::-1]):
+        res = comass_mod.comass(phi, g, restarts=0, warm_starts=[planes[c] for c in order])
+        assert res.method == "optimizer" and res.iterations == 0 and res.converged
+        assert res.value == values[order[0]]
+        image = A @ res.maximizer.matrix
+        outside = [i for i in range(7) if i not in order[0]]
+        assert np.abs(image[outside]).max() <= 1e-12
+
+
+# special Lagrangian plus a small random 3-form: the optimizer's restarts all
+# run out of iterations before the gradient stop
+PERTURBED = AlternatingForm(
+    6, 3, SLAG.vector + 1e-3 * np.random.default_rng(5).standard_normal(20))
+
+
+def test_unconverged_comass_exits_3_with_its_report(tmp_path):
+    spec = tmp_path / "perturbed.json"
+    spec.write_text(json.dumps({"form": _form_spec(PERTURBED),
+                                "metric": {"n": 6, "matrix": np.eye(6).tolist()}}))
+    out = tmp_path / "o"
+    assert main(["comass", "--spec", str(spec), "--out", str(out)]) == 3
+    report = read_json(str(out / "report.json"))
+    assert report["method"] == "optimizer" and report["converged"] is False
+    assert report["restarts_at_max"] == 32 and report["iterations"] == 400
+    assert read_json(str(out / "manifest.json"))["exit_code"] == 3
+
+
+def test_unconverged_sweep_does_not_pass(tmp_path):
+    # scaled below comass 1, so the hypothesis holds, and a --tol the
+    # unconverged values meet, so that only convergence fails
+    phi = PERTURBED * 0.99
+    metric = {"n": 6, "matrix": np.eye(6).tolist()}
+    spec = tmp_path / "sweep.json"
+    spec.write_text(json.dumps({"form": _form_spec(phi), "metric1": metric,
+                                "metric2": metric}))
+    out = tmp_path / "o"
+    assert main(["glue-sweep", "--spec", str(spec), "--out", str(out), "--grid", "2",
+                 "--tol", "1e-3"]) == 3
+    report = read_json(str(out / "report.json"))
+    assert report["worst_violation"] <= 1e-3
+    assert report["unconverged_points"] >= 2 and report["passed"] is False
+    rep = verify_gluing_bound(phi, MetricTensor.euclidean(6), MetricTensor.euclidean(6),
+                              [0.0, 1.0])
+    # the endpoints count: two grid points can give at most 2 on their own
+    assert rep.unconverged_points == 4

@@ -159,6 +159,8 @@ def test_metric_validation():
         MetricTensor(np.diag([1.0, -0.1]))
     with pytest.raises(ValueError, match="not positive definite"):
         MetricTensor(np.zeros((3, 3)))
+    with pytest.raises(ValueError, match="finite"):
+        MetricTensor(np.array([[1e308, 0.5], [0.5, 1.0]]))
     g = MetricTensor.euclidean(3)
     assert g.inner([1, 0, 0], [0, 1, 0]) == 0.0
     L = MetricTensor.diagonal([4.0, 1.0]).cholesky

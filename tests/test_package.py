@@ -21,9 +21,9 @@ EXPORTED = {
     "AlternatingForm", "ComassResult", "CriterionVerdict", "CurvatureModel",
     "DimensionMismatchError", "GluingReport", "HemisphereCertificate",
     "LinkData", "MetricTensor", "NormalRadiusEstimate", "ProductLink",
-    "SimpleVector", "SphereFactor", "SpherePointSet", "check_area_minimizing",
+    "SimpleVector", "SphereFactor", "check_area_minimizing",
     "comass", "constant_calibration_obstruction", "curvature_model",
-    "evaluate", "gauss_image", "glued_metric", "gram_norm", "hemisphere_test",
+    "evaluate", "glued_metric", "gram_norm", "hemisphere_test",
     "hypersurface_factor", "minimal_product", "normal_radius", "pullback",
     "replication_search", "second_order_coeffs", "vanishing_angle",
     "verify_gluing_bound",
@@ -45,7 +45,8 @@ MOVED = {
 # recomputed what a job path returns, or decided inputs no spec can express;
 # kept nowhere
 DELETED = ("comass_analytic", "ccgp_bound", "improved_bound", "_endpoint_comasses",
-           "_nearest_hull_point", "hemisphere_by_lp", "hypersurface_draws")
+           "_nearest_hull_point", "hemisphere_by_lp", "hypersurface_draws",
+           "SpherePointSet", "gauss_image", "_antipodal_pair")
 
 
 def _module(name):
@@ -83,6 +84,8 @@ def test_deleted_names_are_gone():
     assert "maximizers" not in GluingReport.__dataclass_fields__
     assert list(HemisphereCertificate.__dataclass_fields__) == [
         "verdict", "method", "convex_weights", "residual"]
+    # the obstruction is one pair of float tuples: no numpy on its path
+    assert not hasattr(_module("obstruction"), "np")
 
 
 def test_obstruction_report_holds_what_the_job_reads():

@@ -48,7 +48,7 @@ def test_sphere_factor_validation():
         SphereFactor(dim=3, ambient=2)
     # a factor holds no sample points; one that carries normals is not round
     assert "points" not in SphereFactor.__dataclass_fields__
-    assert not SphereFactor(dim=2, ambient=2, normals=np.eye(2)).is_round
+    assert not SphereFactor(dim=2, ambient=2, normals=((1.0, 0.0), (-1.0, -0.0))).is_round
 
 
 def test_minimal_product_assembly():
@@ -162,7 +162,7 @@ def test_hypersurface_factor_round_trip():
     # the normals are held in the plane of the two blocks' e_0; embedded
     # there, they are unit, tangent to the sphere at p and at -p, and opposite
     p, embed = embedded_pair(link)
-    normals = factor.normals @ embed
+    normals = np.array(factor.normals) @ embed
     np.testing.assert_allclose(np.linalg.norm(normals, axis=1), 1.0, atol=1e-12)
     assert np.all(np.sum(normals * p, axis=1) == 0.0)
     assert np.array_equal(normals[1], -normals[0])

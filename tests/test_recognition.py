@@ -83,8 +83,10 @@ def test_glue_list_calls_are_recognized_at_the_optimizer_value(seed):
         assert res.method == "recognized"
         assert (res.restarts_used, res.iterations, res.converged) == (0, 0, True)
         assert 0.0 <= res.residual <= comass_mod.RECOGNITION_TOL * res.value
+        # the optimizer returns the first restart within 1e-12 relative of
+        # its best, the accuracy of its gradient stop, not the best itself
         opt = comass_mod._optimize(phi, g)
-        assert abs(opt.value - res.value) <= 1e-13 * res.value
+        assert abs(opt.value - res.value) <= 1e-12 * res.value
         assert opt.value <= res.value + res.residual
         count += 1
     # 3 cycles, each of 3 sweeps of 5 grid points and 2 endpoints, 6 cold

@@ -1,6 +1,7 @@
 """Tests for file formats and the batch command-line interface."""
 
 import json
+import math
 import os
 
 import numpy as np
@@ -341,11 +342,12 @@ HYPERSURFACES = [(1, 1), (1, 2), (2, 2), (1, 3), (2, 3), (3, 3)]
 def test_round_hypersurface_is_one_exact_antipodal_pair(tmp_path, dims):
     link = minimal_product([SphereFactor.round(d) for d in dims])
     factor = hypersurface_factor(link)
-    assert factor.normals.shape == (2, 2)
-    assert (-factor.normals[0]).tobytes() == factor.normals[1].tobytes()
+    (x, y) = factor.normals
+    assert len(x) == len(y) == 2 and all(type(v) is float for v in x + y)
+    assert y == tuple(-v for v in x)
     # embedded, the normals are unit, tangent at p and -p, and opposite
     p, embed = embedded_pair(link)
-    normals = factor.normals @ embed
+    normals = np.array(factor.normals) @ embed
     assert normals.shape == (2, sum(dims) + 2)
     assert np.max(np.abs(np.linalg.norm(normals, axis=1) - 1.0)) <= 1e-10
     assert np.array_equal(normals[1], -normals[0])
@@ -363,10 +365,11 @@ def test_round_hypersurface_is_one_exact_antipodal_pair(tmp_path, dims):
             assert main(["obstruct", "--spec", path, "--out", str(out), "--seed", seed]) == 0
             certs.add((out / "certificate.json").read_bytes())
     assert len(certs) == 1
-    cert = json.loads(certs.pop())
-    assert cert["obstructed"] is True and cert["method"] == "antipodal"
-    assert cert["gauss_points"] == 2 and cert["convex_weights"] == [0.5, 0.5]
-    assert cert["dual_residual"] == 0.0
+    assert json.loads(certs.pop()) == {
+        "command": "obstruct", "obstructed": True,
+        "lambda1": math.sqrt(sum(dims) / (sum(dims) + 2)), "gauss_points": 2,
+        "verdict": "infeasible", "method": "antipodal",
+        "convex_weights": [0.5, 0.5], "dual_residual": 0.0}
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1"])
@@ -440,7 +443,11 @@ def test_cli_rejects_links_beyond_the_float_range(tmp_path, capsys, name):
                                   {"type": "sphere", "dim": 2}]}, []),
     ("replicate", {"base": {"type": "sphere", "dim": 1e200}, "n_max": 3},
      ["--control", "F"]),
-], ids=["certify-dim-1e308", "replicate-base-1e200"])
+    # k = 2e308 itself does not fit a float, so the expansion must report
+    # it before anything converts k
+    ("replicate", {"base": {"type": "sphere", "dim": 1e308}, "n_max": 3},
+     ["--control", "F"]),
+], ids=["certify-dim-1e308", "replicate-base-1e200", "replicate-base-1e308"])
 def test_cli_rejects_products_whose_scale_overflows(tmp_path, capsys, command, spec, extra):
     # sqrt(j m) itself leaves the float range: exit 2 with the message of
     # every other product beyond it, and validate agrees
@@ -465,6 +472,38 @@ def test_cli_rejects_a_hypersurface_factor_that_is_not_first(tmp_path, capsys):
     diag = read_json(str(tmp_path / "validate" / "diagnostics.json"))
     assert diag["fatal"] is True
     assert "must be the first" in diag["diagnostics"][0]["error"]
+
+
+EYE2 = {"n": 2, "matrix": [[1.0, 0.0], [0.0, 1.0]]}
+ZERO_FORM = {"n": 2, "m": 1, "coefficients": {}}
+
+
+@pytest.mark.parametrize("command,spec", [
+    ("comass", {"form": ZERO_FORM, "metric": EYE2}),
+    ("glue-sweep", {"form": ZERO_FORM, "metric1": EYE2, "metric2": EYE2}),
+])
+def test_cli_rejects_the_zero_form_and_validate_agrees(tmp_path, capsys, command, spec):
+    # comass refuses the zero form, so loading refuses it too, and
+    # validate, which loads the form the same way, rejects it as well
+    path = _write_spec(tmp_path / "spec.json", spec)
+    assert main([command, "--spec", path, "--out", str(tmp_path / "out")]) == 2
+    assert "zero form" in capsys.readouterr().err
+    assert main(["validate", "--spec", path, "--out", str(tmp_path / "v")]) == 2
+    diag = read_json(str(tmp_path / "v" / "diagnostics.json"))
+    assert [d["item"] for d in diag["diagnostics"] if not d["ok"]] == ["form"]
+
+
+def test_metric_whose_entries_overflow_is_rejected(tmp_path, capsys):
+    # symmetrizing an entry of 1e308 overflows to inf: comass would compute
+    # on an infinite metric, and glue-sweep's interpolation fails on it
+    metric = {"n": 2, "matrix": [[1e308, 0.5], [0.5, 1.0]]}
+    form = {"n": 2, "m": 1, "coefficients": {"1": 1.0}}
+    for command, spec in (("comass", {"form": form, "metric": metric}),
+                          ("glue-sweep", {"form": form, "metric1": EYE2, "metric2": metric})):
+        path = _write_spec(tmp_path / f"{command}.json", spec)
+        assert main([command, "--spec", path, "--out", str(tmp_path / command)]) == 2
+        assert "finite" in capsys.readouterr().err
+        assert main(["validate", "--spec", path, "--out", str(tmp_path / f"v-{command}")]) == 2
 
 
 @pytest.mark.parametrize("command,spec", [
